@@ -17,11 +17,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Mapping, Union
 
-from .equivalence import (
-    power_equivalent,
-    semi_strongly_equivalent,
-    strongly_equivalent,
-)
+from .equivalence import EQUIVALENCES, POWER, SEMI, STRONG
 from .games import (
     ROOT,
     Address,
@@ -356,7 +352,10 @@ class _TermParser:
 
 def parse_term(text: str) -> GameTerm:
     """Parse a game term over variables, +, *, unary - and infix o."""
-    return _TermParser(text).parse()
+    try:
+        return _TermParser(text).parse()
+    except RecursionError:
+        raise TermParseError("term nested too deeply", 0) from None
 
 
 def format_term(term: GameTerm) -> str:
@@ -514,15 +513,12 @@ def random_dynamic_game(
 
 # -- law checking ------------------------------------------------------------------
 
-_EQUIV_FNS = {
-    "power": power_equivalent,
-    "strong": strongly_equivalent,
-    "semi": semi_strongly_equivalent,
-}
+# the law checkers probe the three power equivalences only
+_LAW_EQUIVALENCES = (POWER, STRONG, SEMI)
 
 
 def _values_equivalent(kind: str, v1, v2):
-    fn = _EQUIV_FNS[kind]
+    fn = EQUIVALENCES[kind]
     if isinstance(v1, DynamicGame):
         for u in v1.states:
             verdict = fn(v1.games[u], v2.games[u])
@@ -603,7 +599,7 @@ def check_equation(
     """
     lhs_t = parse_term(lhs) if isinstance(lhs, str) else lhs
     rhs_t = parse_term(rhs) if isinstance(rhs, str) else rhs
-    if equiv not in _EQUIV_FNS:
+    if equiv not in _LAW_EQUIVALENCES:
         raise ValueError(f"unknown equivalence {equiv!r}")
     names = sorted(term_variables(lhs_t) | term_variables(rhs_t))
     dynamic = term_uses_composition(lhs_t) or term_uses_composition(rhs_t)
@@ -722,7 +718,7 @@ def check_congruence(
     """
     if op not in ("+", "*", "-", "o"):
         raise ValueError(f"unknown operation {op!r}")
-    if equiv not in _EQUIV_FNS:
+    if equiv not in _LAW_EQUIVALENCES:
         raise ValueError(f"unknown equivalence {equiv!r}")
     outcomes = tuple(outcomes)
     rng = Random(seed)

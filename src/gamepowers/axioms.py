@@ -12,6 +12,7 @@ deterministic evaluation budget instead of wall-clock time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, product
 from random import Random
 from typing import Optional
@@ -39,6 +40,7 @@ from .models import (
     model_check,
     random_model,
 )
+from .powers import PowerFamily, _subsets, check_conditions, family_conditions
 
 META_ATOMS = ("p", "q", "r")
 META_DEPTH = 2
@@ -238,34 +240,25 @@ EXHAUSTIVE_WORLDS = 3
 _FAMILY_CAPS = {1: 3, 2: 2, 3: 1}
 
 
-def _pair_valid(fa: tuple, fb: tuple) -> bool:
-    # Consistency plus mutual Instantiatedness; NonEmptiness by construction
-    for za in fa:
-        for zb in fb:
-            if not (za & zb):
-                return False
-    for za in fa:
-        for x in za:
-            if not any(x in zb for zb in fb):
-                return False
-    for zb in fb:
-        for x in zb:
-            if not any(x in za for za in fa):
-                return False
-    return True
-
-
+@cache
 def _legal_world_pairs(worlds: tuple[str, ...], cap: int):
-    subsets = []
-    for size in range(1, len(worlds) + 1):
-        for combo in combinations(worlds, size):
-            subsets.append(frozenset(combo))
-    families = []
-    for size in range(1, cap + 1):
-        families.extend(combinations(subsets, size))
-    return [
-        (fa, fb) for fa in families for fb in families if _pair_valid(fa, fb)
+    # the table depends on the world count only, and every search reads it
+    required = family_conditions("basic")
+    subsets = [frozenset(s) for s in _subsets(worlds) if s]
+    families = [
+        fam for size in range(1, cap + 1) for fam in combinations(subsets, size)
     ]
+    return tuple(
+        (fa, fb)
+        for fa in families
+        for fb in families
+        if all(
+            side.holds(*required)
+            for side in check_conditions(
+                PowerFamily(worlds, fa), PowerFamily(worlds, fb)
+            )
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -344,10 +337,3 @@ def countermodel_search(
             world = min(set(m.worlds) - extension)
             return SearchResult(text, True, m, world, "random", spent, budget)
     return SearchResult(text, False, None, None, "budget", spent, budget)
-
-
-def _subsets(worlds: tuple[str, ...]):
-    out = [()]
-    for size in range(1, len(worlds) + 1):
-        out.extend(combinations(worlds, size))
-    return out

@@ -15,14 +15,7 @@ import sys
 
 from .algebra import check_congruence, check_equation
 from .axioms import axiom_soundness_suite, countermodel_search
-from .equivalence import (
-    instantial_bisimilar,
-    power_bisimilar,
-    power_equivalent,
-    semi_strongly_equivalent,
-    strategic_form_equivalent,
-    strongly_equivalent,
-)
+from .equivalence import EQUIVALENCES, instantial_bisimilar, power_bisimilar
 from .formulas import format_formula, parse_formula
 from .games import Player, load_game, strategic_to_json
 from .models import (
@@ -32,7 +25,7 @@ from .models import (
     model_check,
     validate_frame,
 )
-from .powers import basic_powers, powers, relational_basic_powers
+from .powers import POWER_KINDS
 from .representation import (
     IllegalFamilies,
     construct_game,
@@ -41,17 +34,6 @@ from .representation import (
     verify_roundtrip,
 )
 
-_POWER_FNS = {
-    "plain": powers,
-    "basic": basic_powers,
-    "relational": relational_basic_powers,
-}
-_EQUIV_FNS = {
-    "power": power_equivalent,
-    "strong": strongly_equivalent,
-    "semi": semi_strongly_equivalent,
-    "strategic": strategic_form_equivalent,
-}
 _BISIM_FNS = {
     "power": power_bisimilar,
     "instantial": instantial_bisimilar,
@@ -59,14 +41,14 @@ _BISIM_FNS = {
 
 
 def _cmd_powers(args) -> tuple[int, dict]:
-    fam = _POWER_FNS[args.kind](load_game(args.game), Player(args.player))
+    fam = POWER_KINDS[args.kind](load_game(args.game), Player(args.player))
     report = {"player": args.player, "kind": args.kind}
     report.update(fam.to_json())
     return 0, report
 
 
 def _cmd_equiv(args) -> tuple[int, dict]:
-    verdict = _EQUIV_FNS[args.relation](load_game(args.game1), load_game(args.game2))
+    verdict = EQUIVALENCES[args.relation](load_game(args.game1), load_game(args.game2))
     return (0 if verdict else 1), verdict.to_json()
 
 
@@ -178,13 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("powers", parents=[common], help="power family of one player")
     p.add_argument("game")
     p.add_argument("--player", required=True, choices=["A", "B"])
-    p.add_argument("--kind", required=True, choices=sorted(_POWER_FNS))
+    p.add_argument("--kind", required=True, choices=sorted(POWER_KINDS))
     p.set_defaults(handler=_cmd_powers)
 
     p = sub.add_parser("equiv", parents=[common], help="compare two games")
     p.add_argument("game1")
     p.add_argument("game2")
-    p.add_argument("--relation", required=True, choices=sorted(_EQUIV_FNS))
+    p.add_argument("--relation", required=True, choices=sorted(EQUIVALENCES))
     p.set_defaults(handler=_cmd_equiv)
 
     p = sub.add_parser("bisim", parents=[common], help="compare two pointed models")

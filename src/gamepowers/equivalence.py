@@ -179,6 +179,14 @@ def strategic_form_equivalent(g1, g2) -> EquivalenceVerdict:
     return EquivalenceVerdict(STRATEGIC, True, {"bisimulation": relation})
 
 
+EQUIVALENCES = {
+    POWER: power_equivalent,
+    STRONG: strongly_equivalent,
+    SEMI: semi_strongly_equivalent,
+    STRATEGIC: strategic_form_equivalent,
+}
+
+
 def strategy_bisimulation_check(
     g1, g2, r: Iterable[tuple[str, str]]
 ) -> EquivalenceVerdict:

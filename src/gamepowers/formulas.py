@@ -325,7 +325,10 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", 0) from None
 
 
 def read_formula_file(path: str) -> list[Formula]:

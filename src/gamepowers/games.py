@@ -573,6 +573,8 @@ def load_game(path: str) -> ExtensiveGame | StrategicGame:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GameFormatError(f"{path}: {exc}") from exc
+        except RecursionError:
+            raise GameFormatError(f"{path}: JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise GameFormatError(f"{path}: top-level JSON object expected")
     try:
@@ -582,4 +584,6 @@ def load_game(path: str) -> ExtensiveGame | StrategicGame:
             return strategic_from_json(obj)
     except GameFormatError as exc:
         raise GameFormatError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise GameFormatError(f"{path}: game tree nested too deeply") from None
     raise GameFormatError(f"{path}: neither 'tree' nor 'matrix' present")

@@ -10,6 +10,7 @@ Z inside the truth set of phi and Z meeting every truth set of a psi_i.
 from __future__ import annotations
 
 import json
+from functools import partial
 from random import Random
 from typing import Iterable, Mapping
 
@@ -17,15 +18,15 @@ from .formulas import And, Atom, Box, Formula, Not, Top
 from .games import ExtensiveGame, Player, _as_player
 from .powers import (
     CONSISTENCY,
-    INSTANTIATEDNESS,
-    MONOTONICITY,
     NON_EMPTINESS,
+    POWER_KINDS,
     ConditionCheck,
     ConditionProfile,
-    basic_powers,
-    powers,
+    PowerFamily,
+    check_conditions,
+    family_conditions,
     random_family_pair,
-    relational_basic_powers,
+    upward_closure,
 )
 
 
@@ -137,6 +138,11 @@ class NeighborhoodModel:
                 not isinstance(e, list) or len(e) != 2 for e in rel
             ):
                 raise ModelFormatError(f"'{name}' must be a list of [world, [worlds]]")
+        if not isinstance(val, dict) or any(
+            not isinstance(ws, list) or any(isinstance(w, (list, dict)) for w in ws)
+            for ws in val.values()
+        ):
+            raise ModelFormatError("'val' must map atom names to lists of world labels")
         return cls(worlds, [(u, z) for u, z in ra], [(u, z) for u, z in rb], val)
 
 
@@ -158,86 +164,58 @@ GAME_FRAME = "game"
 INSTANTIAL_FRAME = "instantial"
 
 
-def _all_supersets(z: frozenset, universe: tuple[str, ...]):
-    rest = sorted(set(universe) - z)
-    for mask in range(1 << len(rest)):
-        extra = frozenset(rest[i] for i in range(len(rest)) if mask >> i & 1)
-        yield z | extra
+# family conditions that each world's pair of neighborhood families must meet
+_FRAME_MODES = {GAME_FRAME: "plain", INSTANTIAL_FRAME: "basic"}
 
 
 def validate_frame(m: NeighborhoodModel, kind: str) -> ConditionProfile:
-    """Check the kind's three conditions at every world of m."""
-    if kind not in (GAME_FRAME, INSTANTIAL_FRAME):
-        raise ValueError(f"unknown frame kind {kind!r}")
-    checks = [_frame_non_emptiness(m), _frame_consistency(m)]
-    if kind == GAME_FRAME:
-        checks.insert(1, _frame_monotonicity(m))
-    else:
-        checks.insert(1, _frame_instantiatedness(m))
-    return ConditionProfile(checks)
+    """Check the kind's three conditions at every world of m.
 
+    A frame is valid when each world's pair of neighborhood families (A's,
+    B's) meets the family conditions of the plain mode (game frames) or of
+    the basic mode (instantial frames).  A failing condition's witness
+    comes from the first failing world, A before B.
+    """
+    try:
+        names = family_conditions(_FRAME_MODES[kind])
+    except KeyError:
+        raise ValueError(f"unknown frame kind {kind!r}") from None
+    at_world = [
+        (
+            u,
+            check_conditions(
+                PowerFamily(m.worlds, m.neigh(Player.A, u)),
+                PowerFamily(m.worlds, m.neigh(Player.B, u)),
+            ),
+        )
+        for u in m.worlds
+    ]
 
-def _frame_non_emptiness(m) -> ConditionCheck:
-    for u in m.worlds:
-        for p in (Player.A, Player.B):
-            if not m.neigh(p, u):
-                return ConditionCheck(
-                    NON_EMPTINESS, False, {"world": u, "player": p.value}
-                )
-    return ConditionCheck(NON_EMPTINESS, True)
-
-
-def _frame_monotonicity(m) -> ConditionCheck:
-    for u in m.worlds:
-        for p in (Player.A, Player.B):
-            have = set(m.neigh(p, u))
-            for z in m.neigh(p, u):
-                for sup in _all_supersets(z, m.worlds):
-                    if sup not in have:
-                        return ConditionCheck(
-                            MONOTONICITY,
-                            False,
-                            {
-                                "world": u,
-                                "player": p.value,
-                                "neighborhood": sorted(z),
-                                "superset": sorted(sup),
-                            },
-                        )
-    return ConditionCheck(MONOTONICITY, True)
-
-
-def _frame_consistency(m) -> ConditionCheck:
-    for u in m.worlds:
-        for za in m.neigh(Player.A, u):
-            for zb in m.neigh(Player.B, u):
-                if not (za & zb):
+    def frame_check(name: str) -> ConditionCheck:
+        # Consistency is one joint check, shared by both profiles of a world
+        sides = (Player.A,) if name == CONSISTENCY else (Player.A, Player.B)
+        for u, profiles in at_world:
+            for p, profile in zip(sides, profiles):
+                check = profile[name]
+                if not check.holds:
                     return ConditionCheck(
-                        CONSISTENCY,
-                        False,
-                        {"world": u, "A": sorted(za), "B": sorted(zb)},
+                        name, False, _frame_witness(name, u, p, check.witness)
                     )
-    return ConditionCheck(CONSISTENCY, True)
+        return ConditionCheck(name, True)
+
+    return ConditionProfile({n: partial(frame_check, n) for n in names})
 
 
-def _frame_instantiatedness(m) -> ConditionCheck:
-    for u in m.worlds:
-        for p in (Player.A, Player.B):
-            other = p.dual
-            for z in m.neigh(p, u):
-                for x in sorted(z):
-                    if not any(x in z2 for z2 in m.neigh(other, u)):
-                        return ConditionCheck(
-                            INSTANTIATEDNESS,
-                            False,
-                            {
-                                "world": u,
-                                "player": p.value,
-                                "neighborhood": sorted(z),
-                                "element": x,
-                            },
-                        )
-    return ConditionCheck(INSTANTIATEDNESS, True)
+def _frame_witness(name: str, u: str, p: Player, witness: dict) -> dict:
+    # the family check's witness placed at its world; a member is a neighborhood
+    if name == CONSISTENCY:
+        return {"world": u, **witness}
+    out = {"world": u, "player": p.value}
+    if name != NON_EMPTINESS:
+        rest = dict(witness)
+        out["neighborhood"] = rest.pop("member")
+        out.update(rest)
+    return out
 
 
 # -- model checking -----------------------------------------------------------------
@@ -291,12 +269,6 @@ def model_check_boxes_exact(m: NeighborhoodModel, f: Formula) -> frozenset[str]:
 
 # -- encoding games -------------------------------------------------------------------
 
-_POWER_KINDS = {
-    "plain": powers,
-    "basic": basic_powers,
-    "relational": relational_basic_powers,
-}
-
 
 def encode_game_as_model(
     g: ExtensiveGame, kind: str = "basic"
@@ -309,31 +281,21 @@ def encode_game_as_model(
     the model (empty valuation) together with the root world's label.
     """
     try:
-        fam_of = _POWER_KINDS[kind]
+        fam_of = POWER_KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown power kind {kind!r}") from None
     root = "root"
     while root in g.outcomes:
         root = "_" + root
     worlds = (root,) + tuple(g.outcomes)
-    pairs = {Player.A: [], Player.B: []}
+    pairs = {}
     for p in (Player.A, Player.B):
-        fam = fam_of(g, p)
-        neighborhoods = [frozenset(z) for z in fam.member_sets()]
-        for w in g.outcomes:
-            pairs[p].append((w, frozenset([w])))
-        for z in neighborhoods:
-            pairs[p].append((root, z))
-    model = NeighborhoodModel(worlds, pairs[Player.A], pairs[Player.B], {})
-    if kind == "plain":
-        up_a, up_b = [], []
-        for u in worlds:
-            for z in model.neigh(Player.A, u):
-                up_a.extend((u, s) for s in _all_supersets(z, worlds))
-            for z in model.neigh(Player.B, u):
-                up_b.extend((u, s) for s in _all_supersets(z, worlds))
-        model = NeighborhoodModel(worlds, up_a, up_b, {})
-    return model, root
+        families = {root: PowerFamily(worlds, fam_of(g, p).members)}
+        families.update((w, PowerFamily(worlds, [[w]])) for w in g.outcomes)
+        if kind == "plain":
+            families = {u: upward_closure(f) for u, f in families.items()}
+        pairs[p] = [(u, z) for u, fam in families.items() for z in fam]
+    return NeighborhoodModel(worlds, pairs[Player.A], pairs[Player.B], {}), root
 
 
 def outcome_valuation(

@@ -9,9 +9,10 @@ relational basic powers are the exact outcome sets of relational strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import chain, combinations
 from random import Random
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .games import (
     ExtensiveGame,
@@ -125,6 +126,13 @@ def powers(g: ExtensiveGame | StrategicGame, p: Player) -> PowerFamily:
     return upward_closure(basic_powers(g, p))
 
 
+POWER_KINDS = {
+    "plain": powers,
+    "basic": basic_powers,
+    "relational": relational_basic_powers,
+}
+
+
 # -- closures ---------------------------------------------------------------------
 
 
@@ -188,36 +196,45 @@ class ConditionCheck:
 
 
 class ConditionProfile:
-    """Ordered bundle of named condition checks."""
+    """Ordered bundle of named condition checks.
 
-    def __init__(self, checks: Iterable[ConditionCheck]):
-        self._checks = {c.name: c for c in checks}
+    Each check is given as a function of no arguments and is computed the
+    first time it is read, then kept.
+    """
+
+    def __init__(self, checks: Mapping[str, Callable[[], ConditionCheck]]):
+        self._pending = dict(checks)
+        self._checks: dict[str, ConditionCheck] = {}
 
     def __getitem__(self, name: str) -> ConditionCheck:
+        if name not in self._checks:
+            self._checks[name] = self._pending[name]()
         return self._checks[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._checks
+        return name in self._pending
 
     def names(self) -> tuple[str, ...]:
-        return tuple(self._checks)
+        return tuple(self._pending)
 
     @property
     def all_hold(self) -> bool:
-        return all(c.holds for c in self._checks.values())
+        return not self.failed()
 
     def holds(self, *names: str) -> bool:
-        return all(self._checks[n].holds for n in names)
+        """Whether the named checks hold, computing them in order up to the
+        first that fails."""
+        return all(self[n].holds for n in names)
 
     def failed(self) -> tuple[str, ...]:
-        return tuple(n for n, c in self._checks.items() if not c.holds)
+        return tuple(n for n in self._pending if not self[n].holds)
 
     def to_json(self) -> dict:
-        return {n: c.to_json() for n, c in self._checks.items()}
+        return {n: self[n].to_json() for n in self._pending}
 
     def __repr__(self):
         body = ", ".join(
-            f"{n}={'ok' if c.holds else 'FAIL'}" for n, c in self._checks.items()
+            f"{n}={'ok' if self[n].holds else 'FAIL'}" for n in self._pending
         )
         return f"ConditionProfile({body})"
 
@@ -303,36 +320,30 @@ def _check_union_closure(fam: PowerFamily) -> ConditionCheck:
 def check_conditions(
     fa: PowerFamily, fb: PowerFamily
 ) -> tuple[ConditionProfile, ConditionProfile]:
-    """Evaluate all six conditions from each player's side.
+    """Profiles of all six conditions from each player's side.
 
     NonEmptiness, Monotonicity and UnionClosure describe one family;
-    Consistency is joint and symmetric; Determinacy and Instantiatedness
-    are read from the given side toward the other.
+    Consistency is joint and symmetric, computed once for both profiles;
+    Determinacy and Instantiatedness are read from the given side toward
+    the other.  Each check runs when a profile first reads it.
     """
     if set(fa.outcomes) != set(fb.outcomes):
         raise ValueError("families must share an outcome set")
-    consistency = _check_consistency(fa, fb)
-    pa = ConditionProfile(
-        [
-            _check_non_emptiness(fa),
-            _check_monotonicity(fa),
-            consistency,
-            _check_determinacy(fa, fb),
-            _check_instantiatedness(fa, fb),
-            _check_union_closure(fa),
-        ]
-    )
-    pb = ConditionProfile(
-        [
-            _check_non_emptiness(fb),
-            _check_monotonicity(fb),
-            consistency,
-            _check_determinacy(fb, fa),
-            _check_instantiatedness(fb, fa),
-            _check_union_closure(fb),
-        ]
-    )
-    return pa, pb
+    consistency = cache(partial(_check_consistency, fa, fb))
+
+    def profile(fam: PowerFamily, other: PowerFamily) -> ConditionProfile:
+        return ConditionProfile(
+            {
+                NON_EMPTINESS: partial(_check_non_emptiness, fam),
+                MONOTONICITY: partial(_check_monotonicity, fam),
+                CONSISTENCY: consistency,
+                DETERMINACY: partial(_check_determinacy, fam, other),
+                INSTANTIATEDNESS: partial(_check_instantiatedness, fam, other),
+                UNION_CLOSURE: partial(_check_union_closure, fam),
+            }
+        )
+
+    return profile(fa, fb), profile(fb, fa)
 
 
 # -- seeded sampling --------------------------------------------------------------

@@ -111,5 +111,35 @@ def oracle_union_closure(members):
     return {tuple(sorted(m)) for m in out}
 
 
+def oracle_frame_conditions(m, kind):
+    """The kind's three frame conditions, read at every world by definition."""
+    universe = [frozenset(s) for s in subsets(m.worlds)]
+
+    def non_empty(na, nb):
+        return bool(na) and bool(nb)
+
+    def monotone(na, nb):
+        return all(y in n for n in (na, nb) for z in n for y in universe if z <= y)
+
+    def consistent(na, nb):
+        return all(za & zb for za in na for zb in nb)
+
+    def instantiated(na, nb):
+        return all(
+            any(x in z2 for z2 in other)
+            for n, other in ((na, nb), (nb, na))
+            for z in n
+            for x in z
+        )
+
+    middle = ("Monotonicity", monotone) if kind == "game" else (
+        "Instantiatedness", instantiated)
+    named = [("NonEmptiness", non_empty), middle, ("Consistency", consistent)]
+    at = [
+        (set(m.neigh(Player.A, u)), set(m.neigh(Player.B, u))) for u in m.worlds
+    ]
+    return {name: all(cond(na, nb) for na, nb in at) for name, cond in named}
+
+
 def family(members):
     return {tuple(sorted(m)) for m in members}

@@ -342,6 +342,8 @@ def test_dynamic_laws_hold_on_samples():
 def test_equation_rejects_unknown_equivalence():
     with pytest.raises(ValueError):
         check_equation("x", "x", "weak", seed=0)
+    with pytest.raises(ValueError):
+        check_equation("x", "x", "strategic", seed=0)
 
 
 def test_congruence_of_plus_under_strong():
@@ -380,3 +382,5 @@ def test_congruence_rejects_unknown_inputs():
         check_congruence("%", "strong", seed=0)
     with pytest.raises(ValueError):
         check_congruence("+", "weak", seed=0)
+    with pytest.raises(ValueError):
+        check_congruence("+", "strategic", seed=0)

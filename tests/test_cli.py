@@ -214,6 +214,44 @@ def test_stochastic_commands_require_a_seed(capsys):
     assert run(capsys, "congruence", "+", "--equiv", "semi")[0] == 2
 
 
+def assert_input_error(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error" in json.loads(captured.out)
+    assert captured.err == ""
+
+
+def test_list_valued_valuation_is_an_input_error(capsys, tmp_path):
+    m = model_file(tmp_path, "m.json", ["w"], [["w", ["w"]]], [["w", ["w"]]], ["p"])
+    assert_input_error(capsys, "frame", m, "--kind", "instantial")
+    assert_input_error(capsys, "mc", m, "p")
+    assert_input_error(capsys, "bisim", m, "w", m, "w", "--kind", "power")
+
+
+def test_deeply_nested_game_is_an_input_error(capsys, tmp_path):
+    depth = 3000
+    p = tmp_path / "deep.json"
+    p.write_text(
+        '{"outcomes": ["x"], "tree": '
+        + '{"player": "A", "children": [' * depth
+        + '{"outcome": "x"}'
+        + "]}" * depth
+        + "}"
+    )
+    assert_input_error(capsys, "powers", str(p), "--player", "A", "--kind", "basic")
+
+
+def test_deeply_nested_formula_is_an_input_error(capsys):
+    assert_input_error(capsys, "refute", "!" * 5000 + "p", "--seed", "1")
+
+
+def test_deeply_nested_term_is_an_input_error(capsys):
+    assert_input_error(
+        capsys, "algebra", "-" * 5000 + "x = x", "--equiv", "strong", "--seed", "1"
+    )
+
+
 def test_usage_errors(capsys):
     assert main(["nonsense"]) == 2
     assert main([]) == 2

@@ -26,6 +26,7 @@ from gamepowers.powers import (
 from helpers import (
     double_move_then_b_choice,
     one_then_two_or_three,
+    oracle_frame_conditions,
     single_move_then_b_choice,
     two_or_three_after_one,
 )
@@ -88,6 +89,40 @@ def test_monotonicity_checked_within_world_set():
     assert prof[MONOTONICITY].witness["superset"] == ["u", "w"]
 
 
+def test_monotonicity_witness_names_the_smallest_missing_superset():
+    # supersets are tried by size, then by label
+    worlds = ["w0", "w1", "w2"]
+    ra = [(u, worlds) for u in worlds]
+    rb = [("w0", []), ("w0", ["w0"]), ("w0", ["w1"])]
+    rb += [(u, worlds) for u in worlds[1:]]
+    prof = validate_frame(NeighborhoodModel(worlds, ra, rb, {}), GAME_FRAME)
+    assert prof[MONOTONICITY].witness == {
+        "world": "w0",
+        "player": "B",
+        "neighborhood": [],
+        "superset": ["w2"],
+    }
+
+
+def test_frame_conditions_match_their_definitions():
+    rng = Random(2024)
+    for _ in range(500):
+        worlds = [f"w{i}" for i in range(rng.randint(1, 4))]
+
+        def relation():
+            return [
+                (u, [w for w in worlds if rng.random() < 0.6])
+                for u in worlds
+                for _ in range(rng.randint(0, 3))
+            ]
+
+        m = NeighborhoodModel(worlds, relation(), relation(), {})
+        for kind in (GAME_FRAME, INSTANTIAL_FRAME):
+            prof = validate_frame(m, kind)
+            got = {name: prof[name].holds for name in prof.names()}
+            assert got == oracle_frame_conditions(m, kind)
+
+
 def test_unknown_frame_kind_rejected():
     with pytest.raises(ValueError):
         validate_frame(tiny_model(), "modal")
@@ -114,6 +149,9 @@ def test_model_json_rejects_garbage():
         NeighborhoodModel.from_json({"worlds": ["w"], "RA": [["w", ["v"]]]})
     with pytest.raises(ModelFormatError):
         NeighborhoodModel.from_json({"worlds": ["w"], "val": {"p": ["v"]}})
+    for val in (["p"], {"p": "w"}, {"p": [["w"]]}):
+        with pytest.raises(ModelFormatError):
+            NeighborhoodModel.from_json({"worlds": ["w"], "val": val})
 
 
 def test_model_check_basics():
