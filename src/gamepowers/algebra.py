@@ -472,6 +472,9 @@ def _enumeration_cost(g: ExtensiveGame) -> int:
     return total
 
 
+_MAX_PROPOSALS = 1000
+
+
 def random_game(
     seed,
     max_depth: int = 3,
@@ -480,17 +483,23 @@ def random_game(
     perfect_info: bool = False,
     max_cost: int = 4096,
 ) -> ExtensiveGame:
-    """Seeded random game, rejecting shapes too large to enumerate."""
+    """Seeded random game, rejecting shapes too large to enumerate.
+
+    Raises ValueError when none of 1,000 proposals fits within ``max_cost``.
+    """
     if max_depth < 1 or max_branch < 1:
         raise ValueError("caps must be at least 1")
     rng = _rng(seed)
     outcomes = tuple(outcomes)
-    while True:
+    for _ in range(_MAX_PROPOSALS):
         g = game(outcomes, _random_tree(rng, max_depth, max_branch, outcomes))
         if not perfect_info:
             g = _merge_cells(rng, g)
         if _enumeration_cost(g) <= max_cost:
             return g
+    raise ValueError(
+        f"no random game within max_cost={max_cost} in {_MAX_PROPOSALS} proposals"
+    )
 
 
 def random_dynamic_game(

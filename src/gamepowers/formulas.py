@@ -324,11 +324,41 @@ class _Parser:
         )
 
 
+# the printer and the evaluator recurse once or twice per level, so deeper
+# formulas would exhaust the interpreter's stack after parsing
+MAX_NESTING = 200
+
+
+def _nesting(f: Formula) -> int:
+    """Connectives on the longest path from the root to an atom or truth."""
+    deepest = 0
+    stack = [(f, 0)]
+    while stack:
+        g, level = stack.pop()
+        deepest = max(deepest, level)
+        if isinstance(g, Not):
+            stack.append((g.sub, level + 1))
+        elif isinstance(g, And):
+            stack += [(g.left, level + 1), (g.right, level + 1)]
+        elif isinstance(g, Box):
+            stack += [(h, level + 1) for h in (g.scope, *g.instants)]
+    return deepest
+
+
 def parse_formula(text: str) -> Formula:
+    """Parse concrete syntax; reject formulas nested deeper than MAX_NESTING.
+
+    Nesting is counted on the normalized tree, where ``|``, ``->`` and
+    ``false`` stand for their expansions into ``!`` and ``&``.
+    """
     try:
-        return _Parser(text).parse()
+        f = _Parser(text).parse()
+        too_deep = _nesting(f) > MAX_NESTING
     except RecursionError:
-        raise ParseError("formula nested too deeply", 0) from None
+        too_deep = True
+    if too_deep:
+        raise ParseError(f"formula nested more than {MAX_NESTING} levels deep", 0)
+    return f
 
 
 def read_formula_file(path: str) -> list[Formula]:

@@ -34,6 +34,15 @@ class ModelFormatError(ValueError):
     """Raised when serialized model data cannot be decoded."""
 
 
+def _is_label(value) -> bool:
+    # JSON lists and objects are unhashable, so they cannot name a world
+    return not isinstance(value, (list, dict))
+
+
+def _is_label_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_label, value))
+
+
 class NeighborhoodModel:
     """Immutable two-relation neighborhood model."""
 
@@ -129,19 +138,20 @@ class NeighborhoodModel:
             val = obj.get("val", {})
         except TypeError as exc:
             raise ModelFormatError("model object expected") from exc
-        if not isinstance(worlds, list) or not worlds:
-            raise ModelFormatError("'worlds' must be a nonempty list")
+        if not _is_label_list(worlds) or not worlds:
+            raise ModelFormatError("'worlds' must be a nonempty list of labels")
         if len(set(worlds)) != len(worlds):
             raise ModelFormatError("duplicate world labels")
         for name, rel in (("RA", ra), ("RB", rb)):
             if not isinstance(rel, list) or any(
-                not isinstance(e, list) or len(e) != 2 for e in rel
+                not isinstance(e, list)
+                or len(e) != 2
+                or not _is_label(e[0])
+                or not _is_label_list(e[1])
+                for e in rel
             ):
                 raise ModelFormatError(f"'{name}' must be a list of [world, [worlds]]")
-        if not isinstance(val, dict) or any(
-            not isinstance(ws, list) or any(isinstance(w, (list, dict)) for w in ws)
-            for ws in val.values()
-        ):
+        if not isinstance(val, dict) or not all(map(_is_label_list, val.values())):
             raise ModelFormatError("'val' must map atom names to lists of world labels")
         return cls(worlds, [(u, z) for u, z in ra], [(u, z) for u, z in rb], val)
 

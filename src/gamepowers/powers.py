@@ -10,17 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from random import Random
 from typing import Any, Callable, Iterable, Mapping
 
 from .games import (
+    ROOT,
     ExtensiveGame,
     Player,
     StrategicGame,
     _as_player,
-    enumerate_strategies,
-    outcome_set,
+    _nonempty_subsets,
 )
 
 
@@ -97,9 +97,7 @@ def basic_powers(g: ExtensiveGame | StrategicGame, p: Player) -> PowerFamily:
         else:
             sets = [g.col_set(j) for j in range(len(g.cols))]
         return PowerFamily(g.outcomes, sets)
-    return PowerFamily(
-        g.outcomes, [outcome_set(g, s) for s in enumerate_strategies(g, p)]
-    )
+    return _tree_powers(g, p, relational=False)
 
 
 def relational_basic_powers(
@@ -115,10 +113,60 @@ def relational_basic_powers(
     p = _as_player(p)
     if isinstance(g, StrategicGame):
         return union_closure(basic_powers(g, p))
-    return PowerFamily(
-        g.outcomes,
-        [outcome_set(g, s) for s in enumerate_strategies(g, p, relational=True)],
-    )
+    return _tree_powers(g, p, relational=True)
+
+
+def _joins(families) -> set[frozenset[str]]:
+    # every union that takes one member from each family
+    acc = {frozenset()}
+    for fam in families:
+        acc = {a | b for a in acc for b in fam}
+    return acc
+
+
+def _nonempty_joins(families) -> set[frozenset[str]]:
+    # every union that takes one member from each of a nonempty subfamily
+    acc: set[frozenset[str]] = set()
+    for fam in families:
+        acc |= fam | {a | b for a in acc for b in fam}
+    return acc
+
+
+def _tree_powers(g: ExtensiveGame, p: Player, relational: bool) -> PowerFamily:
+    """Exact outcome sets of p's functional or relational strategies.
+
+    A strategy's outcome set is assembled bottom-up: at the opponent's nodes
+    every child stays reachable, at p's nodes only the chosen ones.  Choices
+    at p's singleton cells are independent of each other, so each node's
+    family folds them in; p's shared cells couple nodes, so every assignment
+    to them gets its own pass.  ``enumerate_strategies`` with ``outcome_set``
+    is the definition this agrees with.
+    """
+    shared = [c for c in g.player_cells(p) if len(c) > 1]
+    options = []
+    for cell in shared:
+        n = g.num_children(cell[0])
+        options.append(
+            _nonempty_subsets(n) if relational else [(i,) for i in range(n)]
+        )
+    deepest_first = sorted(g.internal_nodes, key=len, reverse=True)
+    leaf_families = {w: {frozenset((g.outcome[w],))} for w in g.leaves}
+    out: set[frozenset[str]] = set()
+    for assignment in product(*options):
+        picked = {w: moves for cell, moves in zip(shared, assignment) for w in cell}
+        fam = dict(leaf_families)
+        for w in deepest_first:
+            kids = [fam[c] for c in g.children(w)]
+            if w in picked:
+                fam[w] = _joins(kids[i] for i in picked[w])
+            elif g.turn[w] is not p:
+                fam[w] = _joins(kids)
+            elif relational:
+                fam[w] = _nonempty_joins(kids)
+            else:
+                fam[w] = set().union(*kids)
+        out |= fam[ROOT]
+    return PowerFamily(g.outcomes, out)
 
 
 def powers(g: ExtensiveGame | StrategicGame, p: Player) -> PowerFamily:

@@ -84,12 +84,18 @@ def subsets(iterable):
     )
 
 
+def oracle_outcome_sets(g, p, relational=False):
+    """Definition of (relational) basic powers: enumerate p's strategies."""
+    return {
+        tuple(sorted(outcome_set(g, s)))
+        for s in enumerate_strategies(g, Player(p), relational=relational)
+    }
+
+
 def oracle_plain_powers(g, p):
     """Direct reading: P is forced iff some functional strategy stays in P."""
     forced = set()
-    outcome_sets = [
-        outcome_set(g, s) for s in enumerate_strategies(g, Player(p))
-    ]
+    outcome_sets = [frozenset(z) for z in oracle_outcome_sets(g, p)]
     for sub in subsets(g.outcomes):
         p_set = frozenset(sub)
         if any(z <= p_set for z in outcome_sets):

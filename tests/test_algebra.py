@@ -276,6 +276,9 @@ def test_random_game_depth_one_is_a_leaf():
 def test_random_game_rejects_bad_caps():
     with pytest.raises(ValueError):
         random_game(0, 0, 2)
+    # every game costs at least one strategy per player
+    with pytest.raises(ValueError, match="max_cost"):
+        random_game(0, max_cost=1)
 
 
 def test_random_dynamic_game_deterministic():

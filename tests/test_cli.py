@@ -229,6 +229,21 @@ def test_list_valued_valuation_is_an_input_error(capsys, tmp_path):
     assert_input_error(capsys, "bisim", m, "w", m, "w", "--kind", "power")
 
 
+@pytest.mark.parametrize(
+    "worlds, ra",
+    [
+        (["w"], [[["w"], ["w"]]]),
+        ([["w"]], []),
+        (["w"], [[{"w": 1}, ["w"]]]),
+        ([{"w": 1}], []),
+        (["w"], [["w", [["w"]]]]),
+    ],
+)
+def test_unhashable_world_labels_are_input_errors(capsys, tmp_path, worlds, ra):
+    m = model_file(tmp_path, "m.json", worlds, ra, [], {})
+    assert_input_error(capsys, "frame", m, "--kind", "game")
+
+
 def test_deeply_nested_game_is_an_input_error(capsys, tmp_path):
     depth = 3000
     p = tmp_path / "deep.json"
@@ -243,7 +258,15 @@ def test_deeply_nested_game_is_an_input_error(capsys, tmp_path):
 
 
 def test_deeply_nested_formula_is_an_input_error(capsys):
-    assert_input_error(capsys, "refute", "!" * 5000 + "p", "--seed", "1")
+    # 500 levels parse, but would overflow the printer and the evaluator
+    for depth in (500, 5000):
+        assert_input_error(capsys, "refute", "!" * depth + "p", "--seed", "1")
+
+
+def test_formula_at_the_nesting_bound_is_refuted(capsys):
+    code, out = run(capsys, "refute", "!" * 200 + "p", "--seed", "1")
+    assert code == 1
+    assert json.loads(out)["found"] is True
 
 
 def test_deeply_nested_term_is_an_input_error(capsys):

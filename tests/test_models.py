@@ -152,6 +152,12 @@ def test_model_json_rejects_garbage():
     for val in (["p"], {"p": "w"}, {"p": [["w"]]}):
         with pytest.raises(ModelFormatError):
             NeighborhoodModel.from_json({"worlds": ["w"], "val": val})
+    for worlds in ([["w"]], [{"w": 1}]):
+        with pytest.raises(ModelFormatError):
+            NeighborhoodModel.from_json({"worlds": worlds})
+    for entry in ([["w"], ["w"]], [{}, ["w"]], ["w", [["w"]]], ["w", "w"]):
+        with pytest.raises(ModelFormatError):
+            NeighborhoodModel.from_json({"worlds": ["w"], "RB": [entry]})
 
 
 def test_model_check_basics():

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamepowers.games import Player, strategic_to_extensive
+from gamepowers.algebra import (
+    op_dual,
+    op_plus,
+    op_times,
+    random_dynamic_game,
+    random_game,
+    seq_compose,
+)
+from gamepowers.games import Player, game, leaf, node, strategic_to_extensive
 from gamepowers.powers import (
     CONSISTENCY,
     DETERMINACY,
@@ -25,6 +33,7 @@ from helpers import (
     double_move_then_b_choice,
     family,
     one_then_two_or_three,
+    oracle_outcome_sets,
     oracle_plain_powers,
     oracle_union_closure,
     single_move_then_b_choice,
@@ -160,6 +169,72 @@ def test_relational_equals_union_closure_of_basic_on_perfect_info():
             assert relational_basic_powers(g, p) == union_closure(
                 basic_powers(g, p)
             )
+
+
+def forgetful_chooser():
+    """A picks a side, then forgets it: both of A's next nodes share a cell."""
+    return game(
+        ["1", "2", "3", "4"],
+        node(
+            "A",
+            [
+                node("A", [leaf("1"), leaf("2")], info="c"),
+                node("A", [leaf("3"), leaf("4")], info="c"),
+            ],
+        ),
+    )
+
+
+def test_shared_cell_couples_the_owners_choices():
+    g = forgetful_chooser()
+    assert members(basic_powers(g, Player.A)) == family(
+        [{"1"}, {"2"}, {"3"}, {"4"}]
+    )
+    relational = members(relational_basic_powers(g, Player.A))
+    assert relational == family(
+        [
+            {"1"}, {"2"}, {"3"}, {"4"}, {"1", "2"}, {"3", "4"},
+            {"1", "3"}, {"2", "4"}, {"1", "2", "3", "4"},
+        ]
+    )
+    # {1} and {4} are realizable, their union is not: it would need the
+    # shared cell to pick the left move on one side and the right on the other
+    assert ("1", "4") not in relational
+    assert relational != members(union_closure(basic_powers(g, Player.A)))
+    assert members(relational_basic_powers(g, Player.B)) == family(
+        [{"1", "2", "3", "4"}]
+    )
+
+
+def _seeded_game(kind, seed, perfect_info):
+    outcomes = ("0", "1", "2")
+    if kind == "seq":
+        states = ("u", "v")
+        d1 = random_dynamic_game(seed, states, perfect_info=perfect_info)
+        d2 = random_dynamic_game(seed + 1, states, perfect_info=perfect_info)
+        return seq_compose(d1, d2).games["u"]
+    g1 = random_game(seed, 4, 2, outcomes, perfect_info)
+    if kind == "one":
+        return g1
+    if kind == "dual":
+        return op_dual(g1)
+    g2 = random_game(seed + 1, 3, 3, outcomes, perfect_info)
+    return (op_plus if kind == "plus" else op_times)(g1, g2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["one", "plus", "times", "dual", "seq"]),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+def test_tree_powers_match_strategy_enumeration(kind, seed, perfect_info):
+    g = _seeded_game(kind, seed, perfect_info)
+    for p in (Player.A, Player.B):
+        assert members(basic_powers(g, p)) == oracle_outcome_sets(g, p)
+        assert members(relational_basic_powers(g, p)) == oracle_outcome_sets(
+            g, p, relational=True
+        )
 
 
 def test_egli_milner():
