@@ -203,8 +203,8 @@ def composed_power_relation(r1: Mapping, r2: Mapping, u) -> PowerFamily:
     if u not in r1:
         raise ValueError(f"unknown state {u!r}")
     states = tuple(sorted(r1))
-    first = _family_members(r1[u])
-    second = {y: _family_members(r2[y]) for y in states}
+    first = r1[u].member_sets()
+    second = {y: r2[y].member_sets() for y in states}
     found = set()
     for y_set in first:
         pool = sorted(
@@ -214,13 +214,7 @@ def composed_power_relation(r1: Mapping, r2: Mapping, u) -> PowerFamily:
             for combo in itertools.combinations(pool, size):
                 if all(any(z in combo for z in second[y]) for y in y_set):
                     found.add(frozenset().union(*combo))
-    return PowerFamily(states, [tuple(m) for m in found])
-
-
-def _family_members(fam) -> tuple[frozenset, ...]:
-    if isinstance(fam, PowerFamily):
-        return fam.member_sets()
-    return tuple(frozenset(m) for m in fam)
+    return PowerFamily(states, found)
 
 
 # -- terms -------------------------------------------------------------------------

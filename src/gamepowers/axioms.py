@@ -244,20 +244,17 @@ _FAMILY_CAPS = {1: 3, 2: 2, 3: 1}
 def _legal_world_pairs(worlds: tuple[str, ...], cap: int):
     # the table depends on the world count only, and every search reads it
     required = family_conditions("basic")
-    subsets = [frozenset(s) for s in _subsets(worlds) if s]
+    subsets = [s for s in _subsets(worlds) if s]
     families = [
-        fam for size in range(1, cap + 1) for fam in combinations(subsets, size)
+        PowerFamily(worlds, fam)
+        for size in range(1, cap + 1)
+        for fam in combinations(subsets, size)
     ]
     return tuple(
         (fa, fb)
         for fa in families
         for fb in families
-        if all(
-            side.holds(*required)
-            for side in check_conditions(
-                PowerFamily(worlds, fa), PowerFamily(worlds, fb)
-            )
-        )
+        if all(side.holds(*required) for side in check_conditions(fa, fb))
     )
 
 
@@ -315,9 +312,11 @@ def countermodel_search(
         per_atom = [[(a, combo) for combo in _subsets(worlds)] for a in names]
         truth_rows = list(product(*per_atom))
         for assignment in product(pairs, repeat=k):
-            ra = [(u, z) for u, (fa, _) in zip(worlds, assignment) for z in fa]
-            rb = [(u, z) for u, (_, fb) in zip(worlds, assignment) for z in fb]
-            base = NeighborhoodModel(worlds, ra, rb, {})
+            neigh = {
+                Player.A: {u: fa for u, (fa, _) in zip(worlds, assignment)},
+                Player.B: {u: fb for u, (_, fb) in zip(worlds, assignment)},
+            }
+            base = NeighborhoodModel._from_families(worlds, neigh, {})
             for row in truth_rows:
                 if spent >= budget:
                     return SearchResult(text, False, None, None, "budget", spent, budget)

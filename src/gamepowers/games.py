@@ -41,6 +41,15 @@ class GameFormatError(ValueError):
     """Raised when serialized game data cannot be decoded."""
 
 
+def _is_label(value) -> bool:
+    # JSON lists and objects are unhashable, so they cannot name anything
+    return not isinstance(value, (list, dict))
+
+
+def _is_label_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_label, value))
+
+
 class ExtensiveGame:
     """Immutable extensive game.
 
@@ -200,6 +209,8 @@ def game(outcomes: Iterable[str], tree: Mapping) -> ExtensiveGame:
         except (KeyError, ValueError) as exc:
             raise GameFormatError(f"node at {addr}: bad or missing player") from exc
         if "info" in spec:
+            if not _is_label(spec["info"]):
+                raise GameFormatError(f"node at {addr}: 'info' must be a label")
             cells_by_id.setdefault(spec["info"], []).append(addr)
         else:
             singletons.append([addr])
@@ -244,7 +255,7 @@ def game_from_json(obj: Mapping) -> ExtensiveGame:
         tree = obj["tree"]
     except (KeyError, TypeError) as exc:
         raise GameFormatError("game object needs 'outcomes' and 'tree'") from exc
-    if not isinstance(outcomes, list):
+    if not _is_label_list(outcomes):
         raise GameFormatError("'outcomes' must be a list of labels")
     g = game(outcomes, tree)
     report = validate_game(g)
@@ -500,6 +511,9 @@ def strategic_from_json(obj: Mapping) -> StrategicGame:
         raise GameFormatError(
             "strategic game needs 'outcomes', 'rows', 'cols', 'matrix'"
         ) from exc
+    for key in ("outcomes", "rows", "cols"):
+        if not _is_label_list(obj[key]):
+            raise GameFormatError(f"'{key}' must be a list of labels")
     report = validate_strategic(sg)
     if report:
         raise GameFormatError("; ".join(str(v) for v in report))
@@ -566,15 +580,21 @@ def strategic_isomorphic(sg1: StrategicGame, sg2: StrategicGame) -> bool:
 # -- file IO --------------------------------------------------------------------
 
 
-def load_game(path: str) -> ExtensiveGame | StrategicGame:
-    """Read a game file, sniffing extensive vs strategic layout."""
+def _read_json(path: str, error: type[ValueError]):
+    """Decode a JSON file; a decode or depth failure raises ``error``,
+    prefixed with the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise GameFormatError(f"{path}: {exc}") from exc
+            raise error(f"{path}: {exc}") from exc
         except RecursionError:
-            raise GameFormatError(f"{path}: JSON nested too deeply") from None
+            raise error(f"{path}: JSON nested too deeply") from None
+
+
+def load_game(path: str) -> ExtensiveGame | StrategicGame:
+    """Read a game file, sniffing extensive vs strategic layout."""
+    obj = _read_json(path, GameFormatError)
     if not isinstance(obj, dict):
         raise GameFormatError(f"{path}: top-level JSON object expected")
     try:

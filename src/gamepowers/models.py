@@ -9,13 +9,19 @@ Z inside the truth set of phi and Z meeting every truth set of a psi_i.
 
 from __future__ import annotations
 
-import json
 from functools import partial
 from random import Random
 from typing import Iterable, Mapping
 
 from .formulas import And, Atom, Box, Formula, Not, Top
-from .games import ExtensiveGame, Player, _as_player
+from .games import (
+    ExtensiveGame,
+    Player,
+    _as_player,
+    _is_label,
+    _is_label_list,
+    _read_json,
+)
 from .powers import (
     CONSISTENCY,
     NON_EMPTINESS,
@@ -34,17 +40,12 @@ class ModelFormatError(ValueError):
     """Raised when serialized model data cannot be decoded."""
 
 
-def _is_label(value) -> bool:
-    # JSON lists and objects are unhashable, so they cannot name a world
-    return not isinstance(value, (list, dict))
-
-
-def _is_label_list(value) -> bool:
-    return isinstance(value, list) and all(map(_is_label, value))
-
-
 class NeighborhoodModel:
-    """Immutable two-relation neighborhood model."""
+    """Immutable two-relation neighborhood model.
+
+    A player's neighborhoods at a world form one PowerFamily over the
+    world set.
+    """
 
     __slots__ = ("worlds", "_neigh", "valuation")
 
@@ -55,13 +56,11 @@ class NeighborhoodModel:
         rb: Iterable[tuple[str, Iterable[str]]],
         valuation: Mapping[str, Iterable[str]] | None = None,
     ):
-        object.__setattr__(self, "worlds", tuple(worlds))
-        wset = set(self.worlds)
-        neigh: dict[Player, dict[str, set[frozenset[str]]]] = {
-            Player.A: {w: set() for w in self.worlds},
-            Player.B: {w: set() for w in self.worlds},
-        }
+        worlds = tuple(worlds)
+        wset = set(worlds)
+        neigh = {}
         for player, rel in ((Player.A, ra), (Player.B, rb)):
+            by_world: dict[str, list[frozenset[str]]] = {w: [] for w in worlds}
             for u, zs in rel:
                 if u not in wset:
                     raise ModelFormatError(f"unknown world {u!r} in relation")
@@ -70,26 +69,35 @@ class NeighborhoodModel:
                     raise ModelFormatError(
                         f"neighborhood {sorted(z)} of {u!r} leaves the world set"
                     )
-                neigh[player][u].add(z)
-        frozen = {
-            p: {u: tuple(sorted(zs, key=lambda z: tuple(sorted(z))))
-                for u, zs in by_world.items()}
-            for p, by_world in neigh.items()
-        }
-        object.__setattr__(self, "_neigh", frozen)
+                by_world[u].append(z)
+            neigh[player] = {u: PowerFamily(worlds, z) for u, z in by_world.items()}
+        self._fill(worlds, neigh, valuation)
+
+    @classmethod
+    def _from_families(cls, worlds, neigh, valuation) -> "NeighborhoodModel":
+        # neigh maps player and world to a PowerFamily over the world tuple;
+        # only the valuation is checked
+        m = object.__new__(cls)
+        m._fill(worlds, neigh, valuation)
+        return m
+
+    def _fill(self, worlds, neigh, valuation) -> None:
+        wset = set(worlds)
         val = {}
         for atom, ws in (valuation or {}).items():
             ws = frozenset(ws)
             if not ws <= wset:
                 raise ModelFormatError(f"valuation of {atom!r} leaves the world set")
             val[atom] = ws
+        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "_neigh", neigh)
         object.__setattr__(self, "valuation", val)
 
     def __setattr__(self, name, value):
         raise AttributeError("NeighborhoodModel is immutable")
 
     def neigh(self, p: Player, u: str) -> tuple[frozenset[str], ...]:
-        return self._neigh[_as_player(p)][u]
+        return self._neigh[_as_player(p)][u].member_sets()
 
     def truth_set(self, atom: str) -> frozenset[str]:
         return self.valuation.get(atom, frozenset())
@@ -98,9 +106,8 @@ class NeighborhoodModel:
         return tuple(sorted(self.valuation))
 
     def with_valuation(self, valuation: Mapping[str, Iterable[str]]):
-        pairs_a = [(u, z) for u in self.worlds for z in self.neigh(Player.A, u)]
-        pairs_b = [(u, z) for u in self.worlds for z in self.neigh(Player.B, u)]
-        return NeighborhoodModel(self.worlds, pairs_a, pairs_b, valuation)
+        """The same frame under another valuation; the neighborhoods are shared."""
+        return NeighborhoodModel._from_families(self.worlds, self._neigh, valuation)
 
     def __eq__(self, other):
         if not isinstance(other, NeighborhoodModel):
@@ -116,11 +123,8 @@ class NeighborhoodModel:
 
     def to_json(self) -> dict:
         def rel(p):
-            return [
-                [u, sorted(z)]
-                for u in self.worlds
-                for z in self.neigh(p, u)
-            ]
+            by_world = self._neigh[p]
+            return [[u, list(z)] for u in self.worlds for z in by_world[u].members]
 
         return {
             "worlds": list(self.worlds),
@@ -157,11 +161,7 @@ class NeighborhoodModel:
 
 
 def load_model(path: str) -> NeighborhoodModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: {exc}") from exc
+    obj = _read_json(path, ModelFormatError)
     try:
         return NeighborhoodModel.from_json(obj)
     except ModelFormatError as exc:
@@ -190,16 +190,8 @@ def validate_frame(m: NeighborhoodModel, kind: str) -> ConditionProfile:
         names = family_conditions(_FRAME_MODES[kind])
     except KeyError:
         raise ValueError(f"unknown frame kind {kind!r}") from None
-    at_world = [
-        (
-            u,
-            check_conditions(
-                PowerFamily(m.worlds, m.neigh(Player.A, u)),
-                PowerFamily(m.worlds, m.neigh(Player.B, u)),
-            ),
-        )
-        for u in m.worlds
-    ]
+    fams_a, fams_b = m._neigh[Player.A], m._neigh[Player.B]
+    at_world = [(u, check_conditions(fams_a[u], fams_b[u])) for u in m.worlds]
 
     def frame_check(name: str) -> ConditionCheck:
         # Consistency is one joint check, shared by both profiles of a world
@@ -244,9 +236,10 @@ def model_check(m: NeighborhoodModel, f: Formula) -> frozenset[str]:
     if isinstance(f, Box):
         scope = model_check(m, f.scope)
         sides = [model_check(m, g) for g in f.instants]
+        families = m._neigh[_as_player(f.player)]
         out = set()
         for u in m.worlds:
-            for z in m.neigh(f.player, u):
+            for z in families[u]:
                 if z <= scope and all(z & s for s in sides):
                     out.add(u)
                     break
@@ -298,14 +291,14 @@ def encode_game_as_model(
     while root in g.outcomes:
         root = "_" + root
     worlds = (root,) + tuple(g.outcomes)
-    pairs = {}
+    neigh = {}
     for p in (Player.A, Player.B):
         families = {root: PowerFamily(worlds, fam_of(g, p).members)}
         families.update((w, PowerFamily(worlds, [[w]])) for w in g.outcomes)
         if kind == "plain":
             families = {u: upward_closure(f) for u, f in families.items()}
-        pairs[p] = [(u, z) for u, fam in families.items() for z in fam]
-    return NeighborhoodModel(worlds, pairs[Player.A], pairs[Player.B], {}), root
+        neigh[p] = families
+    return NeighborhoodModel._from_families(worlds, neigh, {}), root
 
 
 def outcome_valuation(
@@ -329,12 +322,10 @@ def random_model(
     n = rng.randint(1, max_worlds)
     worlds = tuple(f"w{i}" for i in range(n))
     mode = "plain" if kind == GAME_FRAME else "basic"
-    ra, rb = [], []
+    neigh = {Player.A: {}, Player.B: {}}
     for u in worlds:
-        fa, fb = random_family_pair(rng, worlds, mode)
-        ra.extend((u, z) for z in fa.member_sets())
-        rb.extend((u, z) for z in fb.member_sets())
+        neigh[Player.A][u], neigh[Player.B][u] = random_family_pair(rng, worlds, mode)
     val = {
         a: frozenset(w for w in worlds if rng.random() < 0.5) for a in atoms
     }
-    return NeighborhoodModel(worlds, ra, rb, val)
+    return NeighborhoodModel._from_families(worlds, neigh, val)

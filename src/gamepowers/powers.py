@@ -24,34 +24,39 @@ from .games import (
 )
 
 
-def _member_key(member: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(member))
-
-
 class PowerFamily:
-    """An immutable family of outcome subsets in canonical sorted order."""
+    """An immutable family of outcome subsets in canonical sorted order.
 
-    __slots__ = ("outcomes", "members")
+    ``members`` holds each subset as a tuple of sorted labels, and
+    ``member_sets()`` the same subsets, in the same order, as frozensets;
+    both are built once, on construction.
+    """
+
+    __slots__ = ("outcomes", "members", "_sets", "_index")
 
     def __init__(self, outcomes: Iterable[str], members: Iterable[Iterable[str]]):
+        index = frozenset(map(frozenset, members))
+        by_key = dict(zip(map(tuple, map(sorted, index)), index))
+        keys = tuple(sorted(by_key))
         object.__setattr__(self, "outcomes", tuple(outcomes))
-        canon = {_member_key(m) for m in members}
-        object.__setattr__(self, "members", tuple(sorted(canon)))
+        object.__setattr__(self, "members", keys)
+        object.__setattr__(self, "_sets", tuple(map(by_key.__getitem__, keys)))
+        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerFamily is immutable")
 
     def member_sets(self) -> tuple[frozenset[str], ...]:
-        return tuple(frozenset(m) for m in self.members)
+        return self._sets
 
     def __contains__(self, member) -> bool:
-        return _member_key(member) in set(self.members)
+        return frozenset(member) in self._index
 
     def __iter__(self):
-        return iter(self.member_sets())
+        return iter(self._sets)
 
     def __len__(self):
-        return len(self.members)
+        return len(self._sets)
 
     def __eq__(self, other):
         if not isinstance(other, PowerFamily):
@@ -73,10 +78,6 @@ class PowerFamily:
             "outcomes": list(self.outcomes),
             "members": [list(m) for m in self.members],
         }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "PowerFamily":
-        return cls(obj["outcomes"], obj["members"])
 
 
 def _subsets(universe: tuple[str, ...]):
@@ -304,13 +305,11 @@ def _check_non_emptiness(fam: PowerFamily) -> ConditionCheck:
 
 
 def _check_monotonicity(fam: PowerFamily) -> ConditionCheck:
-    members = set(fam.member_sets())
     universe = frozenset(fam.outcomes)
-    for m in sorted(fam.members):
-        mset = frozenset(m)
+    for mset in fam.member_sets():
         for extra in _subsets(tuple(sorted(universe - mset))):
             sup = mset | frozenset(extra)
-            if sup not in members:
+            if sup not in fam._index:
                 return ConditionCheck(
                     MONOTONICITY,
                     False,
@@ -331,11 +330,9 @@ def _check_consistency(fa: PowerFamily, fb: PowerFamily) -> ConditionCheck:
 
 def _check_determinacy(fam: PowerFamily, other: PowerFamily) -> ConditionCheck:
     universe = tuple(sorted(set(fam.outcomes)))
-    other_members = set(other.member_sets())
-    members = set(fam.member_sets())
     for sub in _subsets(universe):
         p = frozenset(sub)
-        if p not in members and (frozenset(universe) - p) not in other_members:
+        if p not in fam._index and (frozenset(universe) - p) not in other._index:
             return ConditionCheck(DETERMINACY, False, {"subset": sorted(p)})
     return ConditionCheck(DETERMINACY, True)
 
@@ -352,11 +349,11 @@ def _check_instantiatedness(fam: PowerFamily, other: PowerFamily) -> ConditionCh
 
 def _check_union_closure(fam: PowerFamily) -> ConditionCheck:
     # pairwise closure is equivalent to closure under nonempty unions
-    members = set(fam.member_sets())
-    for x in sorted(fam.members):
-        for y in sorted(fam.members):
-            u = frozenset(x) | frozenset(y)
-            if u not in members:
+    pairs = tuple(zip(fam.members, fam.member_sets()))
+    for x, xs in pairs:
+        for y, ys in pairs:
+            u = xs | ys
+            if u not in fam._index:
                 return ConditionCheck(
                     UNION_CLOSURE,
                     False,

@@ -9,11 +9,10 @@ recomputes the powers of the result by brute force and compares.
 
 from dataclasses import dataclass
 import itertools
-import json
 from random import Random
 from typing import Mapping
 
-from .games import Player, StrategicGame
+from .games import Player, StrategicGame, _is_label_list, _read_json
 from .powers import (
     PowerFamily,
     basic_powers,
@@ -101,18 +100,25 @@ class RepresentationInput:
             if key not in obj:
                 raise ValueError(f"representation input needs {key!r}")
         outcomes = obj["outcomes"]
-        mode = obj.get("mode", BASIC)
-        fa = PowerFamily(outcomes, obj["FA"])
-        fb = PowerFamily(outcomes, obj["FB"])
-        return cls(outcomes, fa, fb, mode)
+        if not _is_label_list(outcomes):
+            raise ValueError("'outcomes' must be a list of labels")
+        known = set(outcomes)
+        families = []
+        for key in ("FA", "FB"):
+            members = obj[key]
+            if not isinstance(members, list) or not all(
+                map(_is_label_list, members)
+            ):
+                raise ValueError(f"{key!r} must be a list of lists of outcomes")
+            unknown = [x for m in members for x in m if x not in known]
+            if unknown:
+                raise ValueError(f"{key!r} names {unknown[0]!r}, not an outcome")
+            families.append(PowerFamily(outcomes, members))
+        return cls(outcomes, *families, obj.get("mode", BASIC))
 
 
 def load_representation_input(path) -> RepresentationInput:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    data = _read_json(path, ValueError)
     try:
         return RepresentationInput.from_json(data)
     except ValueError as exc:

@@ -257,6 +257,46 @@ def test_deeply_nested_game_is_an_input_error(capsys, tmp_path):
     assert_input_error(capsys, "powers", str(p), "--player", "A", "--kind", "basic")
 
 
+def test_deeply_nested_model_and_family_files_are_input_errors(capsys, tmp_path):
+    deep = "[" * 100_000 + "]" * 100_000
+    m = tmp_path / "m.json"
+    m.write_text('{"worlds": ["w"], "RA": [], "RB": [], "val": {"p": ' + deep + "}}")
+    assert_input_error(capsys, "frame", str(m), "--kind", "game")
+    f = tmp_path / "fam.json"
+    f.write_text('{"outcomes": ["x"], "FA": ' + deep + ', "FB": [["x"]]}')
+    assert_input_error(capsys, "represent", str(f))
+
+
+POWERS = ("powers", "--player", "A", "--kind", "basic")
+REPRESENT = ("represent",)
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        # labels that are lists
+        (POWERS, {"outcomes": [["x"]],
+                  "tree": {"player": "A", "children": [{"outcome": "x"}]}}),
+        (POWERS, {"outcomes": ["x"],
+                  "tree": {"player": "A", "info": ["c"],
+                           "children": [{"outcome": "x"}]}}),
+        (POWERS, {"outcomes": ["x"], "rows": [["r"]], "cols": ["c"],
+                  "matrix": [["x"]]}),
+        (REPRESENT, {"outcomes": ["x"], "FA": [[["x"]]], "FB": [["x"]]}),
+        # family files whose contents are not lists of outcome lists
+        (REPRESENT, {"outcomes": "xy", "FA": [["x"]], "FB": [["x", "y"]]}),
+        (REPRESENT, {"outcomes": ["x", "y"], "FA": ["xy"], "FB": [["x", "y"]]}),
+        (REPRESENT, {"outcomes": ["x", "y"], "FA": [["z"]], "FB": [["x", "y"]]}),
+    ],
+    ids=["outcome-list", "info-list", "row-list", "member-label-list",
+         "outcomes-string", "member-string", "unknown-outcome"],
+)
+def test_malformed_files_are_input_errors(capsys, tmp_path, command, data):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(data))
+    assert_input_error(capsys, command[0], str(p), *command[1:])
+
+
 def test_deeply_nested_formula_is_an_input_error(capsys):
     # 500 levels parse, but would overflow the printer and the evaluator
     for depth in (500, 5000):

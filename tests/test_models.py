@@ -244,3 +244,27 @@ def test_neighborhoods_deduplicate():
         ["w"], [("w", ["w"]), ("w", ["w"])], [("w", ["w"])], {}
     )
     assert m.neigh(Player.A, "w") == (frozenset({"w"}),)
+
+
+def _relation(m, p):
+    return [(u, z) for u in m.worlds for z in m.neigh(p, u)]
+
+
+@pytest.mark.parametrize("kind", [GAME_FRAME, INSTANTIAL_FRAME])
+def test_with_valuation_equals_a_model_built_afresh(kind):
+    for seed in range(40):
+        m = random_model(seed, kind)
+        rng = Random(seed)
+        val = {a: [w for w in m.worlds if rng.random() < 0.5] for a in ("p", "s")}
+        fresh = NeighborhoodModel(
+            m.worlds, _relation(m, Player.A), _relation(m, Player.B), val
+        )
+        swapped = m.with_valuation(val)
+        assert swapped == fresh
+        assert swapped.to_json() == fresh.to_json()
+
+
+def test_with_valuation_rejects_worlds_outside_the_model():
+    m = random_model(3, INSTANTIAL_FRAME)
+    with pytest.raises(ModelFormatError):
+        m.with_valuation({"p": [m.worlds[0], "elsewhere"]})

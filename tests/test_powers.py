@@ -57,7 +57,7 @@ def test_power_family_canonical_order():
 
 def test_power_family_json_roundtrip():
     f = PowerFamily(["a", "b"], [["b", "a"], ["a"]])
-    assert PowerFamily.from_json(f.to_json()) == f
+    assert PowerFamily(**f.to_json()) == f
 
 
 def test_basic_powers_of_worked_games():
