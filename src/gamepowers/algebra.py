@@ -30,7 +30,7 @@ from .games import (
     leaf,
     node,
 )
-from .powers import PowerFamily, relational_basic_powers
+from .powers import PowerFamily, _joins, relational_basic_powers, union_closure
 
 
 def _prefixed(g: ExtensiveGame, prefix: Address):
@@ -194,27 +194,18 @@ def relational_power_map(d: DynamicGame, p: Player) -> dict[str, PowerFamily]:
 def composed_power_relation(r1: Mapping, r2: Mapping, u) -> PowerFamily:
     """Powers at u of a composition, computed from the factors' power maps.
 
-    Z is included exactly when Z unions up some family F for which a set Y
-    with (u, Y) in r1 exists such that every y in Y contributes one of its
-    r2 powers to F and every member of F is contributed by some y in Y.
+    Z is included exactly when some nonempty Y with (u, Y) in r1 exists such
+    that Z joins, over every y in Y, a nonempty union of r2 powers of y.
     """
     if set(r1) != set(r2):
         raise ValueError("power maps must share a state set")
     if u not in r1:
         raise ValueError(f"unknown state {u!r}")
-    states = tuple(sorted(r1))
-    first = r1[u].member_sets()
-    second = {y: r2[y].member_sets() for y in states}
     found = set()
-    for y_set in first:
-        pool = sorted(
-            {z for y in y_set for z in second[y]}, key=lambda z: tuple(sorted(z))
-        )
-        for size in range(1, len(pool) + 1):
-            for combo in itertools.combinations(pool, size):
-                if all(any(z in combo for z in second[y]) for y in y_set):
-                    found.add(frozenset().union(*combo))
-    return PowerFamily(states, found)
+    for y_set in r1[u]:
+        if y_set:  # joining no families would give the empty set
+            found |= _joins(union_closure(r2[y]) for y in y_set)
+    return PowerFamily(tuple(sorted(r1)), found)
 
 
 # -- terms -------------------------------------------------------------------------

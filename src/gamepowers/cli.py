@@ -15,7 +15,7 @@ import sys
 
 from .algebra import check_congruence, check_equation
 from .axioms import axiom_soundness_suite, countermodel_search
-from .equivalence import EQUIVALENCES, instantial_bisimilar, power_bisimilar
+from .equivalence import BISIMULATIONS, EQUIVALENCES
 from .formulas import format_formula, parse_formula
 from .games import Player, load_game, strategic_to_json
 from .models import (
@@ -34,12 +34,6 @@ from .representation import (
     verify_roundtrip,
 )
 
-_BISIM_FNS = {
-    "power": power_bisimilar,
-    "instantial": instantial_bisimilar,
-}
-
-
 def _cmd_powers(args) -> tuple[int, dict]:
     fam = POWER_KINDS[args.kind](load_game(args.game), Player(args.player))
     report = {"player": args.player, "kind": args.kind}
@@ -54,7 +48,7 @@ def _cmd_equiv(args) -> tuple[int, dict]:
 
 def _cmd_bisim(args) -> tuple[int, dict]:
     m1, m2 = load_model(args.model1), load_model(args.model2)
-    verdict = _BISIM_FNS[args.kind](m1, args.world1, m2, args.world2)
+    verdict = BISIMULATIONS[args.kind](m1, args.world1, m2, args.world2)
     return (0 if verdict else 1), verdict.to_json()
 
 
@@ -174,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("world1")
     p.add_argument("model2")
     p.add_argument("world2")
-    p.add_argument("--kind", required=True, choices=sorted(_BISIM_FNS))
+    p.add_argument("--kind", required=True, choices=sorted(BISIMULATIONS))
     p.set_defaults(handler=_cmd_bisim)
 
     p = sub.add_parser("frame", parents=[common], help="validate model conditions")

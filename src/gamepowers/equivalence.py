@@ -6,26 +6,27 @@ equivalence (equal basic powers), semi-strong power equivalence (equal
 relational basic powers) and plain power equivalence (equal forced-set
 families).  On neighborhood models, power bisimilarity matches plain boxes
 and instantial bisimilarity matches boxes with side formulas.
+
+All four relations and both bisimulations are greatest fixpoints of an
+Egli-Milner lift (``powers.egli_milner``): the profile bisimulation refines
+its column pairs through the lift of its row pairs and back, the three power
+equivalences lift the identity on members to families, and the model
+bisimulations lift the relation on worlds, or one half of it, to
+neighbourhoods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Any, Iterable
 
-from .games import (
-    ExtensiveGame,
-    Player,
-    StrategicGame,
-    to_strategic_form,
-)
-from .models import (
-    GAME_FRAME,
-    INSTANTIAL_FRAME,
-    NeighborhoodModel,
-    validate_frame,
-)
+from .games import Player, StrategicGame, to_strategic_form
+from .models import GAME_FRAME, INSTANTIAL_FRAME, NeighborhoodModel, validate_frame
 from .powers import (
+    _back,
+    _forth,
+    _lift,
     basic_powers,
     egli_milner,
     powers,
@@ -91,92 +92,61 @@ def semi_strongly_equivalent(g1, g2) -> EquivalenceVerdict:
     return _family_split(SEMI, relational_basic_powers, g1, g2)
 
 
+def _refine(m1, m2, cols: set, rows: set) -> set:
+    """The column pairs of cols whose columns lift to each other through the
+    row pairs of rows that meet in equal outcomes."""
+    return {
+        (j1, j2)
+        for j1, j2 in cols
+        if egli_milner(
+            {(i1, i2) for i1, i2 in rows if m1[i1][j1] == m2[i2][j2]},
+            range(len(m1)),
+            range(len(m2)),
+        )
+    }
+
+
 def strategic_form_equivalent(g1, g2) -> EquivalenceVerdict:
     """Greatest profile bisimulation, then a totality check.
 
     The bisimulation clauses for a profile pair factor through the row pair
     and the column pair alone: the A-clauses quantify rows with the columns
     held fixed and the B-clauses do the opposite.  The greatest fixpoint is
-    therefore Atomic /\\ fa(cols) /\\ fb(rows) for two boolean tables
-    refined to stability, which this computes directly.
+    therefore the profile pairs with equal outcomes whose column pair and row
+    pair survive, each refined through the other until both are stable.
     """
     _require_shared_outcomes(g1, g2)
     sg1 = g1 if isinstance(g1, StrategicGame) else to_strategic_form(g1)
     sg2 = g2 if isinstance(g2, StrategicGame) else to_strategic_form(g2)
     m1, m2 = sg1.matrix, sg2.matrix
-    a1, b1 = len(sg1.rows), len(sg1.cols)
-    a2, b2 = len(sg2.rows), len(sg2.cols)
-    fa = [[True] * b2 for _ in range(b1)]
-    fb = [[True] * a2 for _ in range(a1)]
-
-    def related(i1, j1, i2, j2):
-        return m1[i1][j1] == m2[i2][j2] and fa[j1][j2] and fb[i1][i2]
-
-    changed = True
-    while changed:
-        changed = False
-        for j1 in range(b1):
-            for j2 in range(b2):
-                if not fa[j1][j2]:
-                    continue
-                ok = all(
-                    any(related(i1, j1, i2, j2) for i2 in range(a2))
-                    for i1 in range(a1)
-                ) and all(
-                    any(related(i1, j1, i2, j2) for i1 in range(a1))
-                    for i2 in range(a2)
-                )
-                if not ok:
-                    fa[j1][j2] = False
-                    changed = True
-        for i1 in range(a1):
-            for i2 in range(a2):
-                if not fb[i1][i2]:
-                    continue
-                ok = all(
-                    any(related(i1, j1, i2, j2) for j2 in range(b2))
-                    for j1 in range(b1)
-                ) and all(
-                    any(related(i1, j1, i2, j2) for j1 in range(b1))
-                    for j2 in range(b2)
-                )
-                if not ok:
-                    fb[i1][i2] = False
-                    changed = True
-
-    for i1 in range(a1):
-        for j1 in range(b1):
-            if not any(
-                related(i1, j1, i2, j2)
-                for i2 in range(a2)
-                for j2 in range(b2)
-            ):
-                return EquivalenceVerdict(
-                    STRATEGIC,
-                    False,
-                    {"game": 1, "profile": [sg1.rows[i1], sg1.cols[j1]]},
-                )
-    for i2 in range(a2):
-        for j2 in range(b2):
-            if not any(
-                related(i1, j1, i2, j2)
-                for i1 in range(a1)
-                for j1 in range(b1)
-            ):
-                return EquivalenceVerdict(
-                    STRATEGIC,
-                    False,
-                    {"game": 2, "profile": [sg2.rows[i2], sg2.cols[j2]]},
-                )
-    relation = [
+    t1, t2 = tuple(zip(*m1)), tuple(zip(*m2))
+    cols = set(product(range(len(sg1.cols)), range(len(sg2.cols))))
+    rows = set(product(range(len(sg1.rows)), range(len(sg2.rows))))
+    while True:
+        new_cols = _refine(m1, m2, cols, rows)
+        new_rows = _refine(t1, t2, rows, new_cols)
+        if (new_cols, new_rows) == (cols, rows):
+            break
+        cols, rows = new_cols, new_rows
+    relation = sorted(
+        (i1, j1, i2, j2)
+        for i1, i2 in rows
+        for j1, j2 in cols
+        if m1[i1][j1] == m2[i2][j2]
+    )
+    for game, sg, covered in (
+        (1, sg1, {r[:2] for r in relation}),
+        (2, sg2, {r[2:] for r in relation}),
+    ):
+        for i, j in product(range(len(sg.rows)), range(len(sg.cols))):
+            if (i, j) not in covered:
+                witness = {"game": game, "profile": [sg.rows[i], sg.cols[j]]}
+                return EquivalenceVerdict(STRATEGIC, False, witness)
+    bisimulation = [
         [sg1.rows[i1], sg1.cols[j1], sg2.rows[i2], sg2.cols[j2]]
-        for i1 in range(a1)
-        for j1 in range(b1)
-        for i2 in range(a2)
-        for j2 in range(b2)
-        if related(i1, j1, i2, j2)
+        for i1, j1, i2, j2 in relation
     ]
-    return EquivalenceVerdict(STRATEGIC, True, {"bisimulation": relation})
+    return EquivalenceVerdict(STRATEGIC, True, {"bisimulation": bisimulation})
 
 
 EQUIVALENCES = {
@@ -195,24 +165,21 @@ def strategy_bisimulation_check(
     Every basic power of either game must stand in the Egli-Milner lift of
     r to some basic power of the other game, per player.
     """
-    pairs = list(r)
+    pairs = set(r)
+    flipped = {(b, a) for a, b in pairs}
     for p in (Player.A, Player.B):
         f1, f2 = basic_powers(g1, p), basic_powers(g2, p)
-        for z1 in f1.member_sets():
-            if not any(egli_milner(pairs, z1, z2) for z2 in f2.member_sets()):
-                return EquivalenceVerdict(
-                    "strategy-bisimulation",
-                    False,
-                    {"player": p.value, "member": sorted(z1), "side": "first"},
-                )
-        flipped = [(b, a) for a, b in pairs]
-        for z2 in f2.member_sets():
-            if not any(egli_milner(flipped, z2, z1) for z1 in f1.member_sets()):
-                return EquivalenceVerdict(
-                    "strategy-bisimulation",
-                    False,
-                    {"player": p.value, "member": sorted(z2), "side": "second"},
-                )
+        for side, relation, here, there in (
+            ("first", pairs, f1, f2),
+            ("second", flipped, f2, f1),
+        ):
+            for z in here:
+                if not any(egli_milner(relation, z, w) for w in there):
+                    return EquivalenceVerdict(
+                        "strategy-bisimulation",
+                        False,
+                        {"player": p.value, "member": sorted(z), "side": side},
+                    )
     return EquivalenceVerdict("strategy-bisimulation", True)
 
 
@@ -235,73 +202,62 @@ def _atomic_pairs(m1: NeighborhoodModel, m2: NeighborhoodModel) -> set:
 def _bisim_fixpoint(
     m1: NeighborhoodModel, m2: NeighborhoodModel, instantial: bool
 ) -> set:
+    """Greatest bisimulation below the atomic agreement.
+
+    Each neighbourhood of either side needs a partner on the other side.  A
+    power bisimulation asks the partner's points to be covered (one half of
+    the Egli-Milner lift, read toward the partner); an instantial
+    bisimulation asks the whole lift.
+    """
     rel = _atomic_pairs(m1, m2)
-
-    def covers_back(z1, z2):  # every point of z2 has a partner in z1
-        return all(any((v, vp) in rel for v in z1) for vp in z2)
-
-    def covers_forth(z1, z2):  # every point of z1 has a partner in z2
-        return all(any((v, vp) in rel for vp in z2) for v in z1)
-
-    def matches(z1, z2):
-        if instantial:
-            return covers_back(z1, z2) and covers_forth(z1, z2)
-        return covers_back(z1, z2)
-
-    def matches_back(z1, z2):
-        if instantial:
-            return covers_back(z1, z2) and covers_forth(z1, z2)
-        return covers_forth(z1, z2)
-
+    zig, zag = (_lift, _lift) if instantial else (_back, _forth)
     changed = True
     while changed:
         changed = False
         for u1, u2 in sorted(rel):
-            ok = True
-            for p in (Player.A, Player.B):
-                n1, n2 = m1.neigh(p, u1), m2.neigh(p, u2)
-                if not all(any(matches(z1, z2) for z2 in n2) for z1 in n1):
-                    ok = False
-                    break
-                if not all(any(matches_back(z1, z2) for z1 in n1) for z2 in n2):
-                    ok = False
-                    break
-            if not ok:
+            if not all(
+                all(any(zig(rel, z1, z2) for z2 in n2) for z1 in n1)
+                and all(any(zag(rel, z1, z2) for z1 in n1) for z2 in n2)
+                for n1, n2 in (
+                    (m1.neigh(p, u1), m2.neigh(p, u2)) for p in (Player.A, Player.B)
+                )
+            ):
                 rel.discard((u1, u2))
                 changed = True
     return rel
-
-
-def _check_models(kind: str, *models: NeighborhoodModel):
-    frame = GAME_FRAME if kind == "power" else INSTANTIAL_FRAME
-    for m in models:
-        profile = validate_frame(m, frame)
-        if not profile.all_hold:
-            raise InvalidModelError(
-                f"model is not a valid {frame} frame: "
-                + ", ".join(profile.failed())
-            )
 
 
 def power_bisimilar(
     m1: NeighborhoodModel, w1: str, m2: NeighborhoodModel, w2: str
 ) -> EquivalenceVerdict:
     """Greatest power bisimulation between two pointed game models."""
-    return _model_bisim("power", m1, w1, m2, w2, instantial=False)
+    return _model_bisim("power", GAME_FRAME, m1, w1, m2, w2)
 
 
 def instantial_bisimilar(
     m1: NeighborhoodModel, w1: str, m2: NeighborhoodModel, w2: str
 ) -> EquivalenceVerdict:
     """Greatest instantial bisimulation between two pointed models."""
-    return _model_bisim("instantial", m1, w1, m2, w2, instantial=True)
+    return _model_bisim("instantial", INSTANTIAL_FRAME, m1, w1, m2, w2)
 
 
-def _model_bisim(kind, m1, w1, m2, w2, instantial) -> EquivalenceVerdict:
+BISIMULATIONS = {
+    "power": power_bisimilar,
+    "instantial": instantial_bisimilar,
+}
+
+
+def _model_bisim(kind, frame, m1, w1, m2, w2) -> EquivalenceVerdict:
     if w1 not in m1.worlds or w2 not in m2.worlds:
         raise ValueError("pointed world missing from its model")
-    _check_models(kind, m1, m2)
-    rel = _bisim_fixpoint(m1, m2, instantial)
+    for m in (m1, m2):
+        profile = validate_frame(m, frame)
+        if not profile.all_hold:
+            raise InvalidModelError(
+                f"model is not a valid {frame} frame: "
+                + ", ".join(profile.failed())
+            )
+    rel = _bisim_fixpoint(m1, m2, instantial=frame == INSTANTIAL_FRAME)
     name = f"{kind}-bisimulation"
     if (w1, w2) in rel:
         return EquivalenceVerdict(
@@ -343,12 +299,7 @@ def hierarchy_audit(g1, g2) -> HierarchyReport:
     A violated implication is reported, never repaired: it would mean a bug
     in one of the power computations.
     """
-    verdicts = {
-        POWER: power_equivalent(g1, g2),
-        STRONG: strongly_equivalent(g1, g2),
-        SEMI: semi_strongly_equivalent(g1, g2),
-        STRATEGIC: strategic_form_equivalent(g1, g2),
-    }
+    verdicts = {kind: fn(g1, g2) for kind, fn in EQUIVALENCES.items()}
     violations = tuple(
         f"{stronger} holds but {weaker} fails"
         for stronger, weaker in _IMPLICATIONS

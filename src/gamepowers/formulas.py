@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Iterable
 
-from .games import Player, _as_player
+from .games import Player
 
 
 class Formula:
@@ -82,10 +82,6 @@ def big_or(forms: Iterable[Formula]) -> Formula:
     for f in items[1:]:
         out = lor(out, f)
     return out
-
-
-def box(player, insts: Iterable[Formula], scope: Formula) -> Box:
-    return Box(_as_player(player), frozenset(insts), scope)
 
 
 def atoms(f: Formula) -> frozenset[str]:

@@ -50,6 +50,18 @@ def _is_label_list(value) -> bool:
     return isinstance(value, list) and all(map(_is_label, value))
 
 
+def _is_sortable_label_list(value) -> bool:
+    # power families sort their members' labels, and JSON strings and numbers
+    # do not compare; every other label must name an outcome or a world
+    if not _is_label_list(value):
+        return False
+    try:
+        sorted(value)
+    except TypeError:
+        return False
+    return True
+
+
 class ExtensiveGame:
     """Immutable extensive game.
 
@@ -64,7 +76,6 @@ class ExtensiveGame:
         "outcome",
         "cells",
         "_children",
-        "_cell_of",
         "_internal",
         "_leaves",
     )
@@ -107,11 +118,6 @@ class ExtensiveGame:
             "_leaves",
             tuple(sorted(n for n in self.nodes if n not in children)),
         )
-        cell_of = {}
-        for cell in norm_cells:
-            for n in cell:
-                cell_of[n] = cell
-        object.__setattr__(self, "_cell_of", cell_of)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtensiveGame is immutable")
@@ -132,9 +138,6 @@ class ExtensiveGame:
 
     def is_leaf(self, w: Address) -> bool:
         return tuple(w) not in self._children
-
-    def cell_of(self, w: Address) -> tuple[Address, ...]:
-        return self._cell_of[tuple(w)]
 
     def player_cells(self, p: Player) -> tuple[tuple[Address, ...], ...]:
         """Information cells owned by p, in canonical order."""
@@ -255,8 +258,10 @@ def game_from_json(obj: Mapping) -> ExtensiveGame:
         tree = obj["tree"]
     except (KeyError, TypeError) as exc:
         raise GameFormatError("game object needs 'outcomes' and 'tree'") from exc
-    if not _is_label_list(outcomes):
-        raise GameFormatError("'outcomes' must be a list of labels")
+    if not _is_sortable_label_list(outcomes):
+        raise GameFormatError(
+            "'outcomes' must be a list of labels, all strings or all numbers"
+        )
     g = game(outcomes, tree)
     report = validate_game(g)
     if report:
@@ -506,14 +511,23 @@ def strategic_to_json(sg: StrategicGame) -> dict:
 
 def strategic_from_json(obj: Mapping) -> StrategicGame:
     try:
-        sg = StrategicGame(obj["outcomes"], obj["rows"], obj["cols"], obj["matrix"])
+        outcomes, rows, cols, matrix = (
+            obj[key] for key in ("outcomes", "rows", "cols", "matrix")
+        )
     except (KeyError, TypeError) as exc:
         raise GameFormatError(
             "strategic game needs 'outcomes', 'rows', 'cols', 'matrix'"
         ) from exc
-    for key in ("outcomes", "rows", "cols"):
-        if not _is_label_list(obj[key]):
+    if not _is_sortable_label_list(outcomes):
+        raise GameFormatError(
+            "'outcomes' must be a list of labels, all strings or all numbers"
+        )
+    for key, labels in (("rows", rows), ("cols", cols)):
+        if not _is_label_list(labels):
             raise GameFormatError(f"'{key}' must be a list of labels")
+    if not isinstance(matrix, list) or not all(map(_is_label_list, matrix)):
+        raise GameFormatError("'matrix' must be a list of lists of outcome labels")
+    sg = StrategicGame(outcomes, rows, cols, matrix)
     report = validate_strategic(sg)
     if report:
         raise GameFormatError("; ".join(str(v) for v in report))

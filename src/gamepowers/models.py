@@ -20,6 +20,7 @@ from .games import (
     _as_player,
     _is_label,
     _is_label_list,
+    _is_sortable_label_list,
     _read_json,
 )
 from .powers import (
@@ -66,8 +67,9 @@ class NeighborhoodModel:
                     raise ModelFormatError(f"unknown world {u!r} in relation")
                 z = frozenset(zs)
                 if not z <= wset:
+                    outside = min(z - wset, key=repr)  # need not sort with worlds
                     raise ModelFormatError(
-                        f"neighborhood {sorted(z)} of {u!r} leaves the world set"
+                        f"neighborhood of {u!r} names {outside!r}, not a world"
                     )
                 by_world[u].append(z)
             neigh[player] = {u: PowerFamily(worlds, z) for u, z in by_world.items()}
@@ -142,8 +144,10 @@ class NeighborhoodModel:
             val = obj.get("val", {})
         except TypeError as exc:
             raise ModelFormatError("model object expected") from exc
-        if not _is_label_list(worlds) or not worlds:
-            raise ModelFormatError("'worlds' must be a nonempty list of labels")
+        if not _is_sortable_label_list(worlds) or not worlds:
+            raise ModelFormatError(
+                "'worlds' must be a nonempty list of labels, all strings or all numbers"
+            )
         if len(set(worlds)) != len(worlds):
             raise ModelFormatError("duplicate world labels")
         for name, rel in (("RA", ra), ("RB", rb)):

@@ -196,39 +196,32 @@ def upward_closure(f: PowerFamily) -> PowerFamily:
 
 
 def union_closure(f: PowerFamily) -> PowerFamily:
-    # binary unions to a fixpoint equal closure under nonempty finite unions
-    out = set(f.member_sets())
-    grew = True
-    while grew:
-        grew = False
-        for x in list(out):
-            for y in list(out):
-                u = x | y
-                if u not in out:
-                    out.add(u)
-                    grew = True
-    return PowerFamily(f.outcomes, out)
+    """Every nonempty union of members of f."""
+    return PowerFamily(f.outcomes, _nonempty_joins({m} for m in f.member_sets()))
 
 
 # -- Egli-Milner lifting ------------------------------------------------------------
+
+
+def _forth(r, z1, z2) -> bool:
+    # every point of z1 has an r-partner in z2
+    return all(any((x, y) in r for y in z2) for x in z1)
+
+
+def _back(r, z1, z2) -> bool:
+    # every point of z2 has an r-partner in z1
+    return all(any((x, y) in r for x in z1) for y in z2)
+
+
+def _lift(r, z1, z2) -> bool:
+    return _forth(r, z1, z2) and _back(r, z1, z2)
 
 
 def egli_milner(
     r: Iterable[tuple[Any, Any]], z1: Iterable[Any], z2: Iterable[Any]
 ) -> bool:
     """Lift relation r to sets: z1 and z2 must cover each other through r."""
-    pairs = set(r)
-    z1, z2 = set(z1), set(z2)
-    right_of = {}
-    for x, y in pairs:
-        right_of.setdefault(x, set()).add(y)
-    for x in z1:
-        if not (right_of.get(x, set()) & z2):
-            return False
-    for y in z2:
-        if not any((x, y) in pairs for x in z1):
-            return False
-    return True
+    return _lift(set(r), set(z1), set(z2))
 
 
 # -- condition checking ----------------------------------------------------------

@@ -12,7 +12,13 @@ import itertools
 from random import Random
 from typing import Mapping
 
-from .games import Player, StrategicGame, _is_label_list, _read_json
+from .games import (
+    Player,
+    StrategicGame,
+    _is_label_list,
+    _is_sortable_label_list,
+    _read_json,
+)
 from .powers import (
     PowerFamily,
     basic_powers,
@@ -100,8 +106,10 @@ class RepresentationInput:
             if key not in obj:
                 raise ValueError(f"representation input needs {key!r}")
         outcomes = obj["outcomes"]
-        if not _is_label_list(outcomes):
-            raise ValueError("'outcomes' must be a list of labels")
+        if not _is_sortable_label_list(outcomes):
+            raise ValueError(
+                "'outcomes' must be a list of labels, all strings or all numbers"
+            )
         known = set(outcomes)
         families = []
         for key in ("FA", "FB"):
@@ -145,7 +153,7 @@ def _triples(inp: RepresentationInput) -> tuple[Triple, ...]:
 
 def _triple_label(t: Triple) -> str:
     member, u, j = t
-    return f"({'+'.join(member)},{u},{j})"
+    return f"({'+'.join(map(str, member))},{u},{j})"
 
 
 def construction_cost(inp: RepresentationInput) -> int:

@@ -1,6 +1,6 @@
 """Shared fixtures and brute-force oracles for the test suite."""
 
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 from gamepowers.games import (
     ExtensiveGame,
@@ -115,6 +115,51 @@ def oracle_union_closure(members):
             u |= members[i]
         out.add(u)
     return {tuple(sorted(m)) for m in out}
+
+
+def oracle_profile_bisimulation(sg1, sg2):
+    """Greatest profile bisimulation by definition, and its totality.
+
+    A pair of profiles stays while its outcomes agree and, for each player,
+    every deviation of that player from one profile (the opponent's strategy
+    held fixed) is answered by a deviation from the other profile that is
+    related to it, in both directions.  Returns whether every profile of
+    either game is related, and the relation as (row1, col1, row2, col2).
+    """
+    prof1 = list(product(range(len(sg1.rows)), range(len(sg1.cols))))
+    prof2 = list(product(range(len(sg2.rows)), range(len(sg2.cols))))
+    z = {
+        (s, t)
+        for s in prof1
+        for t in prof2
+        if sg1.matrix[s[0]][s[1]] == sg2.matrix[t[0]][t[1]]
+    }
+
+    def deviations(sg, s, p):
+        if p is Player.A:
+            return [(i, s[1]) for i in range(len(sg.rows))]
+        return [(s[0], j) for j in range(len(sg.cols))]
+
+    def clauses_hold(s, t):
+        for p in (Player.A, Player.B):
+            d1, d2 = deviations(sg1, s, p), deviations(sg2, t, p)
+            if not all(any((x, y) in z for y in d2) for x in d1):
+                return False
+            if not all(any((x, y) in z for x in d1) for y in d2):
+                return False
+        return True
+
+    while True:
+        kept = {pair for pair in z if clauses_hold(*pair)}
+        if kept == z:
+            break
+        z = kept
+    total = {s for s, _ in z} == set(prof1) and {t for _, t in z} == set(prof2)
+    relation = {
+        (sg1.rows[s[0]], sg1.cols[s[1]], sg2.rows[t[0]], sg2.cols[t[1]])
+        for s, t in z
+    }
+    return total, relation
 
 
 def oracle_frame_conditions(m, kind):

@@ -1,0 +1,53 @@
+"""The benchmark's tracer finds every function it reports, and puts it back.
+
+``perfbench/tracing.py`` wraps the library's functions by name, so a rename
+or a deletion in the library would only surface in a traced benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import gamepowers.cli  # noqa: F401  (imports every module the tracer wraps)
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reachable_wrappers():
+    # every tracer wrapper bound where the program can reach it
+    found = []
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("gamepowers"):
+            continue
+        for value in vars(module).values():
+            values = [value]
+            if isinstance(value, dict):
+                values += value.values()
+            elif isinstance(value, type):
+                values += vars(value).values()
+            found += [
+                v for v in values
+                if getattr(v, "__qualname__", "").startswith("Tracer._wrap.")
+            ]
+    return found
+
+
+def test_tracer_wraps_every_reported_name_and_uninstalls():
+    tracing = _load_tracing()
+    traced = tracing.REPORTED + tracing.COUNTED_ONLY
+    assert all(f"gamepowers.{layer}" in sys.modules for layer, _ in traced)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        wrapped = {w.__wrapped__ for w in _reachable_wrappers()}
+    finally:
+        tracer.uninstall()
+    assert len(wrapped) == len(traced)
+    assert _reachable_wrappers() == []

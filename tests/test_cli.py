@@ -269,6 +269,7 @@ def test_deeply_nested_model_and_family_files_are_input_errors(capsys, tmp_path)
 
 POWERS = ("powers", "--player", "A", "--kind", "basic")
 REPRESENT = ("represent",)
+FRAME = ("frame", "--kind", "instantial")
 
 
 @pytest.mark.parametrize(
@@ -287,14 +288,46 @@ REPRESENT = ("represent",)
         (REPRESENT, {"outcomes": "xy", "FA": [["x"]], "FB": [["x", "y"]]}),
         (REPRESENT, {"outcomes": ["x", "y"], "FA": ["xy"], "FB": [["x", "y"]]}),
         (REPRESENT, {"outcomes": ["x", "y"], "FA": [["z"]], "FB": [["x", "y"]]}),
+        # labels of mixed types, which canonical orders cannot sort
+        (REPRESENT, {"outcomes": [1, "x"], "FA": [[1, "x"]], "FB": [[1, "x"]]}),
+        (FRAME, {"worlds": [1, "a"], "RA": [[1, [1, "a"]]], "RB": [["a", ["a"]]]}),
+        (FRAME, {"worlds": ["a"], "RA": [["a", ["a", 1]]], "RB": []}),
+        (POWERS, {"outcomes": [1, "x"],
+                  "tree": {"player": "A",
+                           "children": [{"outcome": 1}, {"outcome": "x"}]}}),
+        # strategic matrices whose rows are not lists
+        (POWERS, {"outcomes": ["a", "b"], "rows": ["r0", "r1"], "cols": ["c"],
+                  "matrix": "ab"}),
+        (POWERS, {"outcomes": ["a", "b"], "rows": ["r0", "r1"], "cols": ["c"],
+                  "matrix": ["a", "b"]}),
     ],
     ids=["outcome-list", "info-list", "row-list", "member-label-list",
-         "outcomes-string", "member-string", "unknown-outcome"],
+         "outcomes-string", "member-string", "unknown-outcome",
+         "family-mixed-outcomes", "model-mixed-worlds", "neighborhood-mixed-world",
+         "game-mixed-outcomes", "matrix-string", "matrix-row-strings"],
 )
 def test_malformed_files_are_input_errors(capsys, tmp_path, command, data):
     p = tmp_path / "input.json"
     p.write_text(json.dumps(data))
     assert_input_error(capsys, command[0], str(p), *command[1:])
+
+
+def test_numeric_labels_are_accepted(capsys, tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"outcomes": [2, 1], "tree": {
+        "player": "B", "children": [{"outcome": 2}, {"outcome": 1}]}}))
+    code, out = run(capsys, "powers", str(g), "--player", "B", "--kind", "basic")
+    assert code == 0 and json.loads(out)["members"] == [[1], [2]]
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"outcomes": [1, 2, 3], "FA": [[1, 2], [3]],
+                             "FB": [[1, 3], [2, 3]]}))
+    code, out = run(capsys, "represent", str(f), "--verify")
+    assert code == 0 and json.loads(out)["roundtrip"]["ok"]
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"worlds": [1, 2], "RA": [[1, [1]], [2, [1, 2]]],
+                             "RB": [[1, [1]], [2, [1, 2]]]}))
+    code, out = run(capsys, "frame", str(m), "--kind", "instantial")
+    assert code == 0 and json.loads(out)["valid"]
 
 
 def test_deeply_nested_formula_is_an_input_error(capsys):

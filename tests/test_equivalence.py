@@ -19,7 +19,8 @@ from gamepowers.equivalence import (
     strategy_bisimulation_check,
     strongly_equivalent,
 )
-from gamepowers.games import StrategicGame, game, leaf, node
+from gamepowers.algebra import op_dual, op_plus, op_times, random_game
+from gamepowers.games import StrategicGame, game, leaf, node, to_strategic_form
 from gamepowers.models import (
     NeighborhoodModel,
     encode_game_as_model,
@@ -28,6 +29,7 @@ from gamepowers.models import (
 from helpers import (
     double_move_then_b_choice,
     one_then_two_or_three,
+    oracle_profile_bisimulation,
     single_move_then_b_choice,
     two_or_three_after_one,
     zero_one_matrix_2x3,
@@ -97,6 +99,36 @@ def test_strategic_equivalence_tolerates_duplicated_rows():
     assert verdict
     pairs = {tuple(p) for p in verdict.witness["bisimulation"]}
     assert ("a0", "b0", "a1", "b0") in pairs
+
+
+def _seeded_game_pairs(n):
+    # a small max_cost keeps the strategic forms small enough for the oracle
+    for seed in range(n):
+        outcomes = ("0", "1", "2") if seed % 3 == 0 else ("0", "1")
+        a = random_game(seed, max_cost=8, outcomes=outcomes)
+        b = random_game(seed + 5000, max_cost=8, outcomes=outcomes)
+        yield a, b
+        yield op_plus(a, b), op_plus(b, a)
+        yield op_times(a, b), op_times(b, a)
+        yield op_dual(op_dual(a)), a
+
+
+def test_strategic_equivalence_matches_the_definition():
+    seen = {True: 0, False: 0}
+    for g1, g2 in _seeded_game_pairs(75):
+        verdict = strategic_form_equivalent(g1, g2)
+        total, relation = oracle_profile_bisimulation(
+            to_strategic_form(g1), to_strategic_form(g2)
+        )
+        assert verdict.verdict == total
+        if verdict:
+            assert {tuple(p) for p in verdict.witness["bisimulation"]} == relation
+        else:
+            side = 2 * (verdict.witness["game"] - 1)
+            covered = {r[side:side + 2] for r in relation}
+            assert tuple(verdict.witness["profile"]) not in covered
+        seen[total] += 1
+    assert seen[True] >= 150 and seen[False] >= 40
 
 
 def test_strategic_equivalence_accepts_extensive_inputs():
