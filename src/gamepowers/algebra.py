@@ -204,7 +204,7 @@ def composed_power_relation(r1: Mapping, r2: Mapping, u) -> PowerFamily:
     found = set()
     for y_set in r1[u]:
         if y_set:  # joining no families would give the empty set
-            found |= _joins(union_closure(r2[y]) for y in y_set)
+            found |= _joins(union_closure(r2[y])._index for y in y_set)
     return PowerFamily(tuple(sorted(r1)), found)
 
 

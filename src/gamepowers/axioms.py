@@ -37,6 +37,7 @@ from .models import (
     GAME_FRAME,
     INSTANTIAL_FRAME,
     NeighborhoodModel,
+    _evaluator,
     model_check,
     random_model,
 )
@@ -180,12 +181,6 @@ def schema_instance(name: str, seed: int | Random) -> Formula:
     return _BUILDERS[name][0](rng)
 
 
-def schema_frame_kind(name: str) -> str:
-    if name not in _BUILDERS:
-        raise ValueError(f"unknown schema: {name!r}")
-    return _BUILDERS[name][1]
-
-
 @dataclass(frozen=True)
 class SoundnessReport:
     seed: int
@@ -303,11 +298,13 @@ def countermodel_search(
         raise ValueError("max_worlds must be at least 1")
     text = format_formula(f)
     names = tuple(sorted(atoms(f)))
+    evaluate = _evaluator(f)
     budget = max(1, budget_ms) * 10
     spent = 0
 
     for k in range(1, min(EXHAUSTIVE_WORLDS, max_worlds) + 1):
         worlds = tuple(f"w{i}" for i in range(k))
+        everywhere = frozenset(worlds)
         pairs = _legal_world_pairs(worlds, _FAMILY_CAPS[k])
         per_atom = [[(a, combo) for combo in _subsets(worlds)] for a in names]
         truth_rows = list(product(*per_atom))
@@ -322,8 +319,8 @@ def countermodel_search(
                     return SearchResult(text, False, None, None, "budget", spent, budget)
                 m = base.with_valuation(dict(row))
                 spent += 1
-                extension = model_check(m, f)
-                if extension != frozenset(worlds):
+                extension = evaluate(m)
+                if extension != everywhere:
                     world = min(set(worlds) - extension)
                     return SearchResult(text, True, m, world, "exhaustive", spent, budget)
 
@@ -331,7 +328,7 @@ def countermodel_search(
     while spent < budget:
         m = random_model(rng, INSTANTIAL_FRAME, max_worlds, names)
         spent += 1
-        extension = model_check(m, f)
+        extension = evaluate(m)
         if extension != frozenset(m.worlds):
             world = min(set(m.worlds) - extension)
             return SearchResult(text, True, m, world, "random", spent, budget)

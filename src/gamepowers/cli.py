@@ -46,9 +46,15 @@ def _cmd_equiv(args) -> tuple[int, dict]:
     return (0 if verdict else 1), verdict.to_json()
 
 
+def _world(m, arg: str):
+    # a world is named by its label as printed, so a numeric label matches too
+    return next((u for u in m.worlds if str(u) == arg), arg)
+
+
 def _cmd_bisim(args) -> tuple[int, dict]:
     m1, m2 = load_model(args.model1), load_model(args.model2)
-    verdict = BISIMULATIONS[args.kind](m1, args.world1, m2, args.world2)
+    w1, w2 = _world(m1, args.world1), _world(m2, args.world2)
+    verdict = BISIMULATIONS[args.kind](m1, w1, m2, w2)
     return (0 if verdict else 1), verdict.to_json()
 
 

@@ -357,21 +357,6 @@ def parse_formula(text: str) -> Formula:
     return f
 
 
-def read_formula_file(path: str) -> list[Formula]:
-    """Parse a text file holding one formula per line; blank lines skipped."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(parse_formula(line))
-            except ParseError as exc:
-                raise ParseError(f"line {lineno}: bad formula", exc.pos) from exc
-    return out
-
-
 # -- random generation ---------------------------------------------------------
 
 

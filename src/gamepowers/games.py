@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, product
 from typing import Any, Iterable, Mapping
 
 Address = tuple[int, ...]
@@ -386,24 +386,6 @@ def enumerate_strategies(
     return out
 
 
-def check_strategy(g: ExtensiveGame, s: Strategy) -> list[str]:
-    """Diagnostics for a hand-built strategy; empty iff well-formed."""
-    problems = []
-    owned = {n for n in g.internal_nodes if g.turn[n] is s.owner}
-    if set(s.choice) != owned:
-        problems.append("domain is not exactly the owner's internal nodes")
-    for w in sorted(set(s.choice) & owned):
-        moves = s.moves_at(w)
-        if not moves:
-            problems.append(f"empty move set at {w}")
-        if any(not 0 <= i < g.num_children(w) for i in moves):
-            problems.append(f"move out of range at {w}")
-    for cell in g.player_cells(s.owner):
-        if len({s.choice.get(n) for n in cell}) > 1:
-            problems.append(f"choice not constant on cell {cell}")
-    return problems
-
-
 def guided_matches(g: ExtensiveGame, s: Strategy) -> tuple[Address, ...]:
     """Leaves of the maximal branches compatible with s.
 
@@ -562,33 +544,6 @@ def strategic_to_extensive(sg: StrategicGame) -> ExtensiveGame:
         for i in range(len(sg.rows))
     ]
     return game(sg.outcomes, node(Player.A, kids))
-
-
-def strategic_isomorphic(sg1: StrategicGame, sg2: StrategicGame) -> bool:
-    """True iff some row and column bijections carry one matrix to the other."""
-    if (
-        len(sg1.rows) != len(sg2.rows)
-        or len(sg1.cols) != len(sg2.cols)
-        or set(sg1.outcomes) != set(sg2.outcomes)
-    ):
-        return False
-    # permute the smaller dimension, compare the other as a multiset
-    if len(sg1.cols) <= len(sg1.rows):
-        target = sorted(sg2.matrix)
-        for cperm in permutations(range(len(sg1.cols))):
-            shuffled = sorted(tuple(row[c] for c in cperm) for row in sg1.matrix)
-            if shuffled == target:
-                return True
-    else:
-        ncols = len(sg1.cols)
-        target = sorted(tuple(row[j] for row in sg2.matrix) for j in range(ncols))
-        for rperm in permutations(range(len(sg1.rows))):
-            shuffled = sorted(
-                tuple(sg1.matrix[i][j] for i in rperm) for j in range(ncols)
-            )
-            if shuffled == target:
-                return True
-    return False
 
 
 # -- file IO --------------------------------------------------------------------

@@ -9,9 +9,8 @@ Z inside the truth set of phi and Z meeting every truth set of a psi_i.
 
 from __future__ import annotations
 
-from functools import partial
 from random import Random
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .formulas import And, Atom, Box, Formula, Not, Top
 from .games import (
@@ -27,7 +26,6 @@ from .powers import (
     CONSISTENCY,
     NON_EMPTINESS,
     POWER_KINDS,
-    ConditionCheck,
     ConditionProfile,
     PowerFamily,
     check_conditions,
@@ -197,19 +195,21 @@ def validate_frame(m: NeighborhoodModel, kind: str) -> ConditionProfile:
     fams_a, fams_b = m._neigh[Player.A], m._neigh[Player.B]
     at_world = [(u, check_conditions(fams_a[u], fams_b[u])) for u in m.worlds]
 
-    def frame_check(name: str) -> ConditionCheck:
+    def failures(name: str):
         # Consistency is one joint check, shared by both profiles of a world
         sides = (Player.A,) if name == CONSISTENCY else (Player.A, Player.B)
         for u, profiles in at_world:
             for p, profile in zip(sides, profiles):
-                check = profile[name]
-                if not check.holds:
-                    return ConditionCheck(
-                        name, False, _frame_witness(name, u, p, check.witness)
-                    )
-        return ConditionCheck(name, True)
+                if not profile.holds(name):
+                    yield u, p, profile
 
-    return ConditionProfile({n: partial(frame_check, n) for n in names})
+    def witness(name: str) -> dict:
+        u, p, profile = next(failures(name))
+        return _frame_witness(name, u, p, profile[name].witness)
+
+    return ConditionProfile(
+        names, lambda name: next(failures(name), None) is None, witness
+    )
 
 
 def _frame_witness(name: str, u: str, p: Player, witness: dict) -> dict:
@@ -229,49 +229,57 @@ def _frame_witness(name: str, u: str, p: Player, witness: dict) -> dict:
 
 def model_check(m: NeighborhoodModel, f: Formula) -> frozenset[str]:
     """Truth set of f in m; total on any model, valid or not."""
+    return _evaluator(f)(m)
+
+
+def _evaluator(f: Formula) -> Callable[[NeighborhoodModel], frozenset[str]]:
+    """f compiled once into a function from models to truth sets.
+
+    Each connective becomes a closure over its operands' closures, so the
+    formula is dispatched on once, however many models it is checked on.
+    """
+    truth = _closure(f)
+    return lambda m: truth(m, frozenset(m.worlds))
+
+
+_NOWHERE: frozenset = frozenset()
+
+
+def _closure(f: Formula):
+    # a function of a model and its world set, giving f's truth set
     if isinstance(f, Atom):
-        return m.truth_set(f.name)
+        name = f.name
+        return lambda m, top: m.valuation.get(name, _NOWHERE)
     if isinstance(f, Top):
-        return frozenset(m.worlds)
+        return lambda m, top: top
     if isinstance(f, Not):
-        return frozenset(m.worlds) - model_check(m, f.sub)
+        sub = _closure(f.sub)
+        return lambda m, top: top - sub(m, top)
     if isinstance(f, And):
-        return model_check(m, f.left) & model_check(m, f.right)
+        left, right = _closure(f.left), _closure(f.right)
+        return lambda m, top: left(m, top) & right(m, top)
     if isinstance(f, Box):
-        scope = model_check(m, f.scope)
-        sides = [model_check(m, g) for g in f.instants]
-        families = m._neigh[_as_player(f.player)]
-        out = set()
+        instants = [_closure(g) for g in f.instants]
+        return _box(_as_player(f.player), _closure(f.scope), instants)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _box(player: Player, scope, instants):
+    # u satisfies [P](psi..; phi) when a neighborhood of u lies inside the
+    # truth set of phi and meets the truth set of every psi
+    def box(m, top):
+        inside = scope(m, top)
+        sides = [s(m, top) for s in instants]
+        families = m._neigh[player]
+        out = []
         for u in m.worlds:
-            for z in families[u]:
-                if z <= scope and all(z & s for s in sides):
-                    out.add(u)
+            for z in families[u]._index:
+                if z <= inside and not any(map(z.isdisjoint, sides)):
+                    out.append(u)
                     break
         return frozenset(out)
-    raise TypeError(f"not a formula: {f!r}")
 
-
-def model_check_boxes_exact(m: NeighborhoodModel, f: Formula) -> frozenset[str]:
-    """Box-as-preimage reading: u satisfies [P]phi iff the truth set of phi
-    itself is a neighborhood of u.  Defined for side-condition-free formulas
-    only; agrees with :func:`model_check` on monotone frames.
-    """
-    if isinstance(f, Atom):
-        return m.truth_set(f.name)
-    if isinstance(f, Top):
-        return frozenset(m.worlds)
-    if isinstance(f, Not):
-        return frozenset(m.worlds) - model_check_boxes_exact(m, f.sub)
-    if isinstance(f, And):
-        return model_check_boxes_exact(m, f.left) & model_check_boxes_exact(
-            m, f.right
-        )
-    if isinstance(f, Box):
-        if f.instants:
-            raise ValueError("exact box reading is defined for plain boxes only")
-        scope = model_check_boxes_exact(m, f.scope)
-        return frozenset(u for u in m.worlds if scope in m.neigh(f.player, u))
-    raise TypeError(f"not a formula: {f!r}")
+    return box
 
 
 # -- encoding games -------------------------------------------------------------------

@@ -9,7 +9,6 @@ relational basic powers are the exact outcome sets of relational strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
 from itertools import chain, combinations, product
 from random import Random
 from typing import Any, Callable, Iterable, Mapping
@@ -25,49 +24,56 @@ from .games import (
 
 
 class PowerFamily:
-    """An immutable family of outcome subsets in canonical sorted order.
+    """An immutable family of outcome subsets.
 
-    ``members`` holds each subset as a tuple of sorted labels, and
-    ``member_sets()`` the same subsets, in the same order, as frozensets;
-    both are built once, on construction.
+    Size, membership, equality and hashing read an unordered index of the
+    member frozensets.  The canonical order, ``members`` as tuples of
+    sorted labels and ``member_sets()`` as the same subsets in the same
+    order, is built the first time either is read.
     """
 
-    __slots__ = ("outcomes", "members", "_sets", "_index")
+    __slots__ = ("outcomes", "_index", "_order")
 
     def __init__(self, outcomes: Iterable[str], members: Iterable[Iterable[str]]):
-        index = frozenset(map(frozenset, members))
-        by_key = dict(zip(map(tuple, map(sorted, index)), index))
-        keys = tuple(sorted(by_key))
         object.__setattr__(self, "outcomes", tuple(outcomes))
-        object.__setattr__(self, "members", keys)
-        object.__setattr__(self, "_sets", tuple(map(by_key.__getitem__, keys)))
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", frozenset(map(frozenset, members)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerFamily is immutable")
 
+    def _ordered(self) -> tuple[tuple, tuple]:
+        try:
+            return self._order
+        except AttributeError:
+            by_key = dict(zip(map(tuple, map(sorted, self._index)), self._index))
+            keys = tuple(sorted(by_key))
+            order = (keys, tuple(map(by_key.__getitem__, keys)))
+            object.__setattr__(self, "_order", order)
+            return order
+
+    @property
+    def members(self) -> tuple[tuple[str, ...], ...]:
+        return self._ordered()[0]
+
     def member_sets(self) -> tuple[frozenset[str], ...]:
-        return self._sets
+        return self._ordered()[1]
 
     def __contains__(self, member) -> bool:
         return frozenset(member) in self._index
 
     def __iter__(self):
-        return iter(self._sets)
+        return iter(self.member_sets())
 
     def __len__(self):
-        return len(self._sets)
+        return len(self._index)
 
     def __eq__(self, other):
         if not isinstance(other, PowerFamily):
             return NotImplemented
-        return (
-            set(self.outcomes) == set(other.outcomes)
-            and self.members == other.members
-        )
+        return self._index == other._index and set(self.outcomes) == set(other.outcomes)
 
     def __hash__(self):
-        return hash((frozenset(self.outcomes), self.members))
+        return hash((frozenset(self.outcomes), self._index))
 
     def __repr__(self):
         shown = ",".join("{" + ",".join(m) + "}" for m in self.members)
@@ -188,16 +194,15 @@ POWER_KINDS = {
 def upward_closure(f: PowerFamily) -> PowerFamily:
     out = set()
     universe = frozenset(f.outcomes)
-    for m in f.member_sets():
-        rest = tuple(sorted(universe - m))
-        for extra in _subsets(rest):
+    for m in f._index:
+        for extra in _subsets(tuple(universe - m)):
             out.add(m | frozenset(extra))
     return PowerFamily(f.outcomes, out)
 
 
 def union_closure(f: PowerFamily) -> PowerFamily:
     """Every nonempty union of members of f."""
-    return PowerFamily(f.outcomes, _nonempty_joins({m} for m in f.member_sets()))
+    return PowerFamily(f.outcomes, _nonempty_joins({m} for m in f._index))
 
 
 # -- Egli-Milner lifting ------------------------------------------------------------
@@ -240,43 +245,67 @@ class ConditionCheck:
 class ConditionProfile:
     """Ordered bundle of named condition checks.
 
-    Each check is given as a function of no arguments and is computed the
-    first time it is read, then kept.
+    ``verdict(name)`` decides a condition and ``witness(name)`` finds the
+    witness of one that fails.  A verdict is decided the first time it is
+    read; a witness is found only when a failing check is read.  Both are
+    kept.
     """
 
-    def __init__(self, checks: Mapping[str, Callable[[], ConditionCheck]]):
-        self._pending = dict(checks)
+    __slots__ = ("_names", "_verdict", "_witness", "_verdicts", "_checks")
+
+    def __init__(
+        self,
+        names: Iterable[str],
+        verdict: Callable[[str], bool],
+        witness: Callable[[str], Any],
+    ):
+        self._names = tuple(names)
+        self._verdict = verdict
+        self._witness = witness
+        self._verdicts: dict[str, bool] = {}
         self._checks: dict[str, ConditionCheck] = {}
 
     def __getitem__(self, name: str) -> ConditionCheck:
-        if name not in self._checks:
-            self._checks[name] = self._pending[name]()
-        return self._checks[name]
+        check = self._checks.get(name)
+        if check is None:
+            ok = self.holds(name)
+            check = ConditionCheck(name, ok, None if ok else self._witness(name))
+            self._checks[name] = check
+        return check
 
     def __contains__(self, name: str) -> bool:
-        return name in self._pending
+        return name in self._names
 
     def names(self) -> tuple[str, ...]:
-        return tuple(self._pending)
+        return self._names
 
     @property
     def all_hold(self) -> bool:
-        return not self.failed()
+        return self.holds(*self._names)
 
     def holds(self, *names: str) -> bool:
-        """Whether the named checks hold, computing them in order up to the
-        first that fails."""
-        return all(self[n].holds for n in names)
+        """Whether the named conditions hold, deciding them in order up to
+        the first that fails; no witness is searched for."""
+        verdicts = self._verdicts
+        for name in names:
+            ok = verdicts.get(name)
+            if ok is None:
+                if name not in self._names:
+                    raise KeyError(name)
+                ok = verdicts[name] = self._verdict(name)
+            if not ok:
+                return False
+        return True
 
     def failed(self) -> tuple[str, ...]:
-        return tuple(n for n in self._pending if not self[n].holds)
+        return tuple(n for n in self._names if not self.holds(n))
 
     def to_json(self) -> dict:
-        return {n: self[n].to_json() for n in self._pending}
+        return {n: self[n].to_json() for n in self._names}
 
     def __repr__(self):
         body = ", ".join(
-            f"{n}={'ok' if self[n].holds else 'FAIL'}" for n in self._pending
+            f"{n}={'ok' if self.holds(n) else 'FAIL'}" for n in self._names
         )
         return f"ConditionProfile({body})"
 
@@ -289,70 +318,97 @@ INSTANTIATEDNESS = "Instantiatedness"
 UNION_CLOSURE = "UnionClosure"
 
 
-def _check_non_emptiness(fam: PowerFamily) -> ConditionCheck:
-    return ConditionCheck(
-        NON_EMPTINESS,
-        len(fam) > 0,
-        None if len(fam) else {"family": "empty"},
-    )
+def _consistency_witness(fa: PowerFamily, fb: PowerFamily) -> dict:
+    for p in fa.member_sets():
+        for q in fb.member_sets():
+            if not (p & q):
+                return {"A": sorted(p), "B": sorted(q)}
 
 
-def _check_monotonicity(fam: PowerFamily) -> ConditionCheck:
+def _monotone(fam: PowerFamily, other: PowerFamily) -> bool:
+    # closure under one-element extensions gives every superset
+    index, universe = fam._index, frozenset(fam.outcomes)
+    return all(m.union((x,)) in index for m in index for x in universe - m)
+
+
+def _monotonicity_witness(fam: PowerFamily, other: PowerFamily) -> dict:
     universe = frozenset(fam.outcomes)
     for mset in fam.member_sets():
         for extra in _subsets(tuple(sorted(universe - mset))):
             sup = mset | frozenset(extra)
             if sup not in fam._index:
-                return ConditionCheck(
-                    MONOTONICITY,
-                    False,
-                    {"member": sorted(mset), "superset": sorted(sup)},
-                )
-    return ConditionCheck(MONOTONICITY, True)
+                return {"member": sorted(mset), "superset": sorted(sup)}
 
 
-def _check_consistency(fa: PowerFamily, fb: PowerFamily) -> ConditionCheck:
-    for p in fa.member_sets():
-        for q in fb.member_sets():
-            if not (p & q):
-                return ConditionCheck(
-                    CONSISTENCY, False, {"A": sorted(p), "B": sorted(q)}
-                )
-    return ConditionCheck(CONSISTENCY, True)
-
-
-def _check_determinacy(fam: PowerFamily, other: PowerFamily) -> ConditionCheck:
+def _undetermined(fam: PowerFamily, other: PowerFamily) -> frozenset | None:
+    # the first subset that fam lacks while other lacks its complement
     universe = tuple(sorted(set(fam.outcomes)))
     for sub in _subsets(universe):
         p = frozenset(sub)
         if p not in fam._index and (frozenset(universe) - p) not in other._index:
-            return ConditionCheck(DETERMINACY, False, {"subset": sorted(p)})
-    return ConditionCheck(DETERMINACY, True)
+            return p
+    return None
 
 
-def _check_instantiatedness(fam: PowerFamily, other: PowerFamily) -> ConditionCheck:
+def _reach(fam: PowerFamily) -> frozenset:
+    return frozenset().union(*fam._index)
+
+
+def _instantiatedness_witness(fam: PowerFamily, other: PowerFamily) -> dict:
+    reached = _reach(other)
     for p in fam.member_sets():
-        for x in sorted(p):
-            if not any(x in q for q in other.member_sets()):
-                return ConditionCheck(
-                    INSTANTIATEDNESS, False, {"member": sorted(p), "element": x}
-                )
-    return ConditionCheck(INSTANTIATEDNESS, True)
+        if not p <= reached:
+            return {"member": sorted(p), "element": min(p - reached)}
 
 
-def _check_union_closure(fam: PowerFamily) -> ConditionCheck:
-    # pairwise closure is equivalent to closure under nonempty unions
+def _union_closure_witness(fam: PowerFamily, other: PowerFamily) -> dict:
     pairs = tuple(zip(fam.members, fam.member_sets()))
     for x, xs in pairs:
         for y, ys in pairs:
             u = xs | ys
             if u not in fam._index:
-                return ConditionCheck(
-                    UNION_CLOSURE,
-                    False,
-                    {"parts": [list(x), list(y)], "union": sorted(u)},
-                )
-    return ConditionCheck(UNION_CLOSURE, True)
+                return {"parts": [list(x), list(y)], "union": sorted(u)}
+
+
+# Every condition, in profile order, as (verdict, witness), each read from
+# one family toward the other.  A verdict is set algebra on the unordered
+# member index.  A witness search walks the members in canonical order; it
+# runs only after its verdict has failed, so it always finds one.
+_CONDITIONS = {
+    NON_EMPTINESS: (
+        lambda fam, other: bool(fam._index),
+        lambda fam, other: {"family": "empty"},
+    ),
+    MONOTONICITY: (_monotone, _monotonicity_witness),
+    CONSISTENCY: (
+        lambda fam, other: all(p & q for p in fam._index for q in other._index),
+        _consistency_witness,
+    ),
+    DETERMINACY: (
+        lambda fam, other: _undetermined(fam, other) is None,
+        lambda fam, other: {"subset": sorted(_undetermined(fam, other))},
+    ),
+    INSTANTIATEDNESS: (
+        lambda fam, other: _reach(fam) <= _reach(other),
+        _instantiatedness_witness,
+    ),
+    # pairwise closure is equivalent to closure under nonempty unions
+    UNION_CLOSURE: (
+        lambda fam, other: all(x | y in fam._index for x in fam._index for y in fam._index),
+        _union_closure_witness,
+    ),
+}
+
+
+def _family_profile(fam, other, fa, fb) -> ConditionProfile:
+    def witness(name: str):
+        # Consistency is joint, so both sides name A's member first
+        args = (fa, fb) if name == CONSISTENCY else (fam, other)
+        return _CONDITIONS[name][1](*args)
+
+    return ConditionProfile(
+        _CONDITIONS, lambda name: _CONDITIONS[name][0](fam, other), witness
+    )
 
 
 def check_conditions(
@@ -361,27 +417,13 @@ def check_conditions(
     """Profiles of all six conditions from each player's side.
 
     NonEmptiness, Monotonicity and UnionClosure describe one family;
-    Consistency is joint and symmetric, computed once for both profiles;
-    Determinacy and Instantiatedness are read from the given side toward
-    the other.  Each check runs when a profile first reads it.
+    Consistency is joint and symmetric, with the same witness in both
+    profiles; Determinacy and Instantiatedness are read from the given side
+    toward the other.  A verdict is decided when a profile first reads it.
     """
     if set(fa.outcomes) != set(fb.outcomes):
         raise ValueError("families must share an outcome set")
-    consistency = cache(partial(_check_consistency, fa, fb))
-
-    def profile(fam: PowerFamily, other: PowerFamily) -> ConditionProfile:
-        return ConditionProfile(
-            {
-                NON_EMPTINESS: partial(_check_non_emptiness, fam),
-                MONOTONICITY: partial(_check_monotonicity, fam),
-                CONSISTENCY: consistency,
-                DETERMINACY: partial(_check_determinacy, fam, other),
-                INSTANTIATEDNESS: partial(_check_instantiatedness, fam, other),
-                UNION_CLOSURE: partial(_check_union_closure, fam),
-            }
-        )
-
-    return profile(fa, fb), profile(fb, fa)
+    return _family_profile(fa, fb, fa, fb), _family_profile(fb, fa, fa, fb)
 
 
 # -- seeded sampling --------------------------------------------------------------

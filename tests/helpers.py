@@ -1,7 +1,9 @@
 """Shared fixtures and brute-force oracles for the test suite."""
 
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 
+from gamepowers.axioms import _BUILDERS
+from gamepowers.formulas import And, Atom, Box, Formula, Not, ParseError, Top, parse_formula
 from gamepowers.games import (
     ExtensiveGame,
     Player,
@@ -73,6 +75,53 @@ def zero_one_matrix_2x3():
         ["c0", "c1", "c2"],
         [["1", "1", "0"], ["0", "0", "0"]],
     )
+
+
+# -- game helpers ------------------------------------------------------------
+
+def check_strategy(g, s) -> list[str]:
+    """Diagnostics for a hand-built strategy; empty iff well-formed."""
+    problems = []
+    owned = {n for n in g.internal_nodes if g.turn[n] is s.owner}
+    if set(s.choice) != owned:
+        problems.append("domain is not exactly the owner's internal nodes")
+    for w in sorted(set(s.choice) & owned):
+        moves = s.moves_at(w)
+        if not moves:
+            problems.append(f"empty move set at {w}")
+        if any(not 0 <= i < g.num_children(w) for i in moves):
+            problems.append(f"move out of range at {w}")
+    for cell in g.player_cells(s.owner):
+        if len({s.choice.get(n) for n in cell}) > 1:
+            problems.append(f"choice not constant on cell {cell}")
+    return problems
+
+
+def strategic_isomorphic(sg1, sg2) -> bool:
+    """True iff some row and column bijections carry one matrix to the other."""
+    if (
+        len(sg1.rows) != len(sg2.rows)
+        or len(sg1.cols) != len(sg2.cols)
+        or set(sg1.outcomes) != set(sg2.outcomes)
+    ):
+        return False
+    # permute the smaller dimension, compare the other as a multiset
+    if len(sg1.cols) <= len(sg1.rows):
+        target = sorted(sg2.matrix)
+        for cperm in permutations(range(len(sg1.cols))):
+            shuffled = sorted(tuple(row[c] for c in cperm) for row in sg1.matrix)
+            if shuffled == target:
+                return True
+    else:
+        ncols = len(sg1.cols)
+        target = sorted(tuple(row[j] for row in sg2.matrix) for j in range(ncols))
+        for rperm in permutations(range(len(sg1.rows))):
+            shuffled = sorted(
+                tuple(sg1.matrix[i][j] for i in rperm) for j in range(ncols)
+            )
+            if shuffled == target:
+                return True
+    return False
 
 
 # -- oracles -----------------------------------------------------------------
@@ -194,3 +243,137 @@ def oracle_frame_conditions(m, kind):
 
 def family(members):
     return {tuple(sorted(m)) for m in members}
+
+
+# -- eager references for set families and their conditions -------------------
+
+class EagerFamily:
+    """A family sorted canonically on construction, as PowerFamily's order
+    is defined: members as tuples of sorted labels, in sorted order."""
+
+    def __init__(self, outcomes, members):
+        index = frozenset(map(frozenset, members))
+        by_key = dict(zip(map(tuple, map(sorted, index)), index))
+        self.outcomes = tuple(outcomes)
+        self.members = tuple(sorted(by_key))
+        self.sets = tuple(map(by_key.__getitem__, self.members))
+        self.index = index
+
+    def __eq__(self, other):
+        return set(self.outcomes) == set(other.outcomes) and self.members == other.members
+
+    def __repr__(self):
+        shown = ",".join("{" + ",".join(m) + "}" for m in self.members)
+        return f"PowerFamily[{shown}]"
+
+    def to_json(self):
+        return {"outcomes": list(self.outcomes), "members": [list(m) for m in self.members]}
+
+
+def _eager_monotonicity(fam, other):
+    universe = frozenset(fam.outcomes)
+    for mset in fam.sets:
+        for extra in subsets(universe - mset):
+            sup = mset | frozenset(extra)
+            if sup not in fam.index:
+                return False, {"member": sorted(mset), "superset": sorted(sup)}
+    return True, None
+
+
+def _eager_consistency(fa, fb):
+    for p in fa.sets:
+        for q in fb.sets:
+            if not (p & q):
+                return False, {"A": sorted(p), "B": sorted(q)}
+    return True, None
+
+
+def _eager_determinacy(fam, other):
+    universe = tuple(sorted(set(fam.outcomes)))
+    for sub in subsets(universe):
+        p = frozenset(sub)
+        if p not in fam.index and (frozenset(universe) - p) not in other.index:
+            return False, {"subset": sorted(p)}
+    return True, None
+
+
+def _eager_instantiatedness(fam, other):
+    for p in fam.sets:
+        for x in sorted(p):
+            if not any(x in q for q in other.sets):
+                return False, {"member": sorted(p), "element": x}
+    return True, None
+
+
+def _eager_union_closure(fam, other):
+    pairs = tuple(zip(fam.members, fam.sets))
+    for x, xs in pairs:
+        for y, ys in pairs:
+            u = xs | ys
+            if u not in fam.index:
+                return False, {"parts": [list(x), list(y)], "union": sorted(u)}
+    return True, None
+
+
+def eager_conditions(fa: EagerFamily, fb: EagerFamily):
+    """Every condition with its canonical-order witness, from A's side and
+    from B's, as ``check_conditions(...)[i].to_json()`` reports them; each
+    check searches the family in canonical order from the start."""
+
+    def side(fam, other):
+        checks = {
+            "NonEmptiness": (bool(fam.members), None if fam.members else {"family": "empty"}),
+            "Monotonicity": _eager_monotonicity(fam, other),
+            "Consistency": _eager_consistency(fa, fb),
+            "Determinacy": _eager_determinacy(fam, other),
+            "Instantiatedness": _eager_instantiatedness(fam, other),
+            "UnionClosure": _eager_union_closure(fam, other),
+        }
+        return {n: {"holds": h, "witness": w} for n, (h, w) in checks.items()}
+
+    return side(fa, fb), side(fb, fa)
+
+
+# -- logic helpers -------------------------------------------------------------
+
+def schema_frame_kind(name):
+    """The frame kind the schema registry evaluates an axiom schema on."""
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown schema: {name!r}")
+    return _BUILDERS[name][1]
+
+
+def read_formula_file(path):
+    """Parse a text file holding one formula per line; blank lines skipped."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append(parse_formula(line))
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: bad formula", exc.pos) from exc
+    return out
+
+
+def model_check_boxes_exact(m, f: Formula):
+    """Box-as-preimage reading: u satisfies [P]phi iff the truth set of phi
+    itself is a neighborhood of u.  Defined for side-condition-free formulas
+    only; agrees with ``model_check`` on monotone frames.
+    """
+    if isinstance(f, Atom):
+        return m.truth_set(f.name)
+    if isinstance(f, Top):
+        return frozenset(m.worlds)
+    if isinstance(f, Not):
+        return frozenset(m.worlds) - model_check_boxes_exact(m, f.sub)
+    if isinstance(f, And):
+        return model_check_boxes_exact(m, f.left) & model_check_boxes_exact(m, f.right)
+    if isinstance(f, Box):
+        if f.instants:
+            raise ValueError("exact box reading is defined for plain boxes only")
+        scope = model_check_boxes_exact(m, f.scope)
+        return frozenset(u for u in m.worlds if scope in m.neigh(f.player, u))
+    raise TypeError(f"not a formula: {f!r}")

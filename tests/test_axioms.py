@@ -10,7 +10,6 @@ from gamepowers.axioms import (
     SoundnessReport,
     axiom_soundness_suite,
     countermodel_search,
-    schema_frame_kind,
     schema_instance,
 )
 from gamepowers.formulas import Box, Top, parse_formula
@@ -23,6 +22,7 @@ from gamepowers.models import (
     random_model,
     validate_frame,
 )
+from helpers import schema_frame_kind
 
 
 def small_model():

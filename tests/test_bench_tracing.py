@@ -8,6 +8,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import gamepowers
 import gamepowers.cli  # noqa: F401  (imports every module the tracer wraps)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -51,3 +52,21 @@ def test_tracer_wraps_every_reported_name_and_uninstalls():
         tracer.uninstall()
     assert len(wrapped) == len(traced)
     assert _reachable_wrappers() == []
+
+
+def test_every_rejection_try_is_a_traced_condition_check():
+    # the bench's tries_per_draw counts check_conditions spans directly under
+    # random_family_pair; a draw that skipped the checker would read as 0
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        for seed in range(40):
+            for kind in (gamepowers.GAME_FRAME, gamepowers.INSTANTIAL_FRAME):
+                gamepowers.random_model(seed, kind)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["calls"]["models.random_model"] == 80
+    assert summary["calls"]["powers.random_family_pair"] == 250
+    assert summary["tries_in_draws"] == summary["calls"]["powers.check_conditions"]
+    assert summary["tries_in_draws"] == 1702

@@ -330,6 +330,16 @@ def test_numeric_labels_are_accepted(capsys, tmp_path):
     assert code == 0 and json.loads(out)["valid"]
 
 
+def test_bisim_points_at_numeric_world_labels(capsys, tmp_path):
+    # pointed worlds arrive as strings and name the model's labels as printed
+    m = model_file(tmp_path, "m.json", [1, 2], [[1, [1]], [2, [1, 2]]],
+                   [[1, [1]], [2, [1, 2]]], {})
+    code, out = run(capsys, "bisim", m, "1", m, "1", "--kind", "instantial")
+    assert code == 0 and [1, 1] in json.loads(out)["witness"]["bisimulation"]
+    code, out = run(capsys, "bisim", m, "3", m, "1", "--kind", "instantial")
+    assert code == 2 and "error" in json.loads(out)
+
+
 def test_deeply_nested_formula_is_an_input_error(capsys):
     # 500 levels parse, but would overflow the printer and the evaluator
     for depth in (500, 5000):

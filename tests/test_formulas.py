@@ -22,9 +22,10 @@ from gamepowers.formulas import (
     lor,
     parse_formula,
     random_formula,
-    read_formula_file,
 )
 from random import Random
+
+from helpers import read_formula_file
 
 
 def test_derived_connectives_normalize():

@@ -13,7 +13,6 @@ from gamepowers.games import (
     Player,
     RelationalStrategy,
     StrategicGame,
-    check_strategy,
     enumerate_strategies,
     game,
     game_from_json,
@@ -26,16 +25,17 @@ from gamepowers.games import (
     node,
     outcome_set,
     strategic_from_json,
-    strategic_isomorphic,
     strategic_to_extensive,
     strategic_to_json,
     to_strategic_form,
     validate_game,
 )
 from helpers import (
+    check_strategy,
     double_move_then_b_choice,
     one_then_two_or_three,
     single_move_then_b_choice,
+    strategic_isomorphic,
     two_or_three_after_one,
     zero_one_matrix_2x3,
 )

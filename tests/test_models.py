@@ -12,7 +12,6 @@ from gamepowers.models import (
     NeighborhoodModel,
     encode_game_as_model,
     model_check,
-    model_check_boxes_exact,
     outcome_valuation,
     random_model,
     validate_frame,
@@ -25,6 +24,7 @@ from gamepowers.powers import (
 )
 from helpers import (
     double_move_then_b_choice,
+    model_check_boxes_exact,
     one_then_two_or_three,
     oracle_frame_conditions,
     single_move_then_b_choice,

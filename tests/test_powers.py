@@ -30,13 +30,16 @@ from gamepowers.powers import (
     upward_closure,
 )
 from helpers import (
+    EagerFamily,
     double_move_then_b_choice,
+    eager_conditions,
     family,
     one_then_two_or_three,
     oracle_outcome_sets,
     oracle_plain_powers,
     oracle_union_closure,
     single_move_then_b_choice,
+    subsets,
     two_or_three_after_one,
     zero_one_matrix_2x3,
     zero_one_matrix_3x3,
@@ -332,3 +335,59 @@ def test_profile_json():
         UNION_CLOSURE,
     }
     assert blob[NON_EMPTINESS]["holds"] is True
+
+
+@st.composite
+def family_pairs(draw):
+    """Member lists over 1-4 outcomes, some closed under unions or supersets
+    and some of those thinned by one member: most pairs are illegal, a few
+    only just."""
+    outcomes = draw(st.permutations("abcd"[: draw(st.integers(1, 4))]))
+    member = st.lists(st.sampled_from(outcomes), max_size=4)
+
+    def members_():
+        ms = draw(st.lists(member, max_size=6))
+        closure = draw(st.sampled_from(["none", "unions", "supersets"]))
+        if closure == "unions":
+            ms = [list(m) for m in oracle_union_closure(ms)]
+        elif closure == "supersets":
+            ms = [list(s) for s in subsets(outcomes) if any(set(m) <= set(s) for m in ms)]
+        if ms and draw(st.booleans()):
+            del ms[draw(st.integers(0, len(ms) - 1))]
+        return ms
+
+    return outcomes, members_(), members_()
+
+
+@settings(max_examples=400, deadline=None)
+@given(family_pairs())
+def test_verdicts_and_witnesses_match_the_eager_checks(case):
+    outcomes, ma, mb = case
+    expected = eager_conditions(EagerFamily(outcomes, ma), EagerFamily(outcomes, mb))
+    # verdicts first, on families never put in canonical order
+    verdicts = check_conditions(PowerFamily(outcomes, ma), PowerFamily(outcomes, mb))
+    checks = check_conditions(PowerFamily(outcomes, ma), PowerFamily(outcomes, mb))
+    for by_verdict, by_check, want in zip(verdicts, checks, expected):
+        assert by_verdict.names() == tuple(want)
+        for name in want:
+            assert by_verdict.holds(name) == by_check[name].holds
+        assert by_check.to_json() == want
+        assert by_verdict.to_json() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_pairs())
+def test_lazily_ordered_families_read_like_eagerly_sorted_ones(case):
+    outcomes, ma, mb = case
+    for members_ in (ma, mb):
+        lazy, eager = PowerFamily(outcomes, members_), EagerFamily(outcomes, members_)
+        assert len(lazy) == len(eager.members)
+        assert all(m in lazy for m in members_)
+        assert repr(lazy) == repr(eager) and lazy.to_json() == eager.to_json()
+        assert lazy.members == eager.members
+        assert lazy.member_sets() == eager.sets and tuple(lazy) == eager.sets
+    fa, fb = PowerFamily(outcomes, ma), PowerFamily(outcomes, mb)
+    same = PowerFamily(outcomes[::-1], [m[::-1] for m in ma[::-1]])
+    assert (fa == fb) == (EagerFamily(outcomes, ma) == EagerFamily(outcomes, mb))
+    assert fa == same and hash(fa) == hash(same)
+    assert len({fa, fb, same}) == (1 if fa == fb else 2)
