@@ -34,6 +34,7 @@ from .powers import PowerFamily, _joins, relational_basic_powers, union_closure
 
 
 def _prefixed(g: ExtensiveGame, prefix: Address):
+    # prefixing keeps every cell sorted and the cells in first-node order
     nodes = {prefix + n for n in g.nodes}
     turn = {prefix + n: p for n, p in g.turn.items()}
     outcome = {prefix + n: o for n, o in g.outcome.items()}
@@ -46,9 +47,9 @@ def _rooted_choice(owner: Player, g1: ExtensiveGame, g2: ExtensiveGame):
         raise ValueError("games must share an outcome set")
     n1, t1, o1, c1 = _prefixed(g1, (0,))
     n2, t2, o2, c2 = _prefixed(g2, (1,))
-    nodes = {ROOT} | n1 | n2
+    nodes = frozenset({ROOT} | n1 | n2)
     turn = {ROOT: owner, **t1, **t2}
-    cells = [(ROOT,)] + c1 + c2
+    cells = ((ROOT,), *c1, *c2)
     return ExtensiveGame(g1.outcomes, nodes, turn, {**o1, **o2}, cells)
 
 
@@ -93,7 +94,9 @@ class DynamicGame:
                     f"game at state {u!r} uses outcomes outside the state set"
                 )
             # redeclare over the full state tuple so statewise ops type-check
-            fixed[u] = ExtensiveGame(states, g.nodes, g.turn, g.outcome, g.cells)
+            if g.outcomes != states:
+                g = ExtensiveGame(states, g.nodes, g.turn, g.outcome, g.cells)
+            fixed[u] = g
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "games", fixed)
 
@@ -183,7 +186,9 @@ def _graft(g1: ExtensiveGame, d2: DynamicGame) -> ExtensiveGame:
         turn.update(t2)
         outcome.update(o2)
         cells.extend(c2)
-    return ExtensiveGame(d2.states, nodes, turn, outcome, cells)
+    return ExtensiveGame(
+        d2.states, frozenset(nodes), turn, outcome, tuple(sorted(cells))
+    )
 
 
 def relational_power_map(d: DynamicGame, p: Player) -> dict[str, PowerFamily]:
@@ -444,7 +449,8 @@ def _merge_cells(rng: Random, g: ExtensiveGame) -> ExtensiveGame:
             cell_key[i] = key
         cells[i].append(n)
         cell_of[n] = i
-    return ExtensiveGame(g.outcomes, g.nodes, g.turn, g.outcome, cells)
+    merged = tuple(sorted(tuple(sorted(c)) for c in cells))
+    return ExtensiveGame(g.outcomes, g.nodes, g.turn, g.outcome, merged)
 
 
 def _enumeration_cost(g: ExtensiveGame) -> int:

@@ -120,10 +120,6 @@ def _consistency(rng: Random) -> Formula:
     )
 
 
-def _plain_non_emptiness(rng: Random) -> Formula:
-    return Box(_player(rng), frozenset(), TOP)
-
-
 def _plain_monotonicity(rng: Random) -> Formula:
     p = _player(rng)
     scope = _meta(rng, instantial=False)
@@ -167,7 +163,7 @@ _BUILDERS = {
     "non-emptiness": (_non_emptiness, INSTANTIAL_FRAME),
     "instantiatedness": (_instantiatedness, INSTANTIAL_FRAME),
     "consistency": (_consistency, INSTANTIAL_FRAME),
-    "plain-non-emptiness": (_plain_non_emptiness, GAME_FRAME),
+    "plain-non-emptiness": (_non_emptiness, GAME_FRAME),
     "plain-monotonicity": (_plain_monotonicity, GAME_FRAME),
     "plain-consistency": (_plain_consistency, GAME_FRAME),
 }
@@ -231,6 +227,9 @@ def axiom_soundness_suite(seed: int, samples: int = 1000, max_worlds: int = 5) -
 # -- countermodel search ------------------------------------------------------------
 
 EXHAUSTIVE_WORLDS = 3
+# each random draw lists all 2^n - 1 nonempty subsets of its n worlds, so
+# memory doubles and time grows about 1.65-fold with every world added
+_MAX_WORLDS = 8
 # family-size caps per world count keep the frame space enumerable
 _FAMILY_CAPS = {1: 3, 2: 2, 3: 1}
 
@@ -287,15 +286,16 @@ def countermodel_search(
     """Look for a valid instantial model and world where ``f`` fails.
 
     Exhausts models with up to three worlds first (under the family-size
-    caps), then samples seeded random models up to ``max_worlds``.  The
+    caps), then samples seeded random models up to ``max_worlds``, which
+    must lie between 1 and 8 (ValueError otherwise).  The
     budget is spent as ten model evaluations per nominal millisecond, so
     runs replay exactly.  A not-found result is only a bounded search
     coming up empty, never a validity proof.
     """
     if isinstance(f, str):
         f = parse_formula(f)
-    if max_worlds < 1:
-        raise ValueError("max_worlds must be at least 1")
+    if not 1 <= max_worlds <= _MAX_WORLDS:
+        raise ValueError(f"max_worlds must be between 1 and {_MAX_WORLDS}")
     text = format_formula(f)
     names = tuple(sorted(atoms(f)))
     evaluate = _evaluator(f)

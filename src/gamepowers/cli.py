@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("refute", parents=[common], help="search for a countermodel")
     p.add_argument("formula")
-    p.add_argument("--max-worlds", type=int, default=5, dest="max_worlds")
+    p.add_argument("--max-worlds", type=int, default=5, dest="max_worlds",
+                   help="largest random model, 1 to 8 worlds")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--budget", type=int, default=1000, help="evaluation budget, ms scale")
     p.set_defaults(handler=_cmd_refute)

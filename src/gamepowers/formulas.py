@@ -73,17 +73,6 @@ def iff(a: Formula, b: Formula) -> Formula:
     return And(implies(a, b), implies(b, a))
 
 
-def big_or(forms: Iterable[Formula]) -> Formula:
-    """Disjunction folded in printed order; empty disjunction is falsity."""
-    items = sorted(forms, key=format_formula)
-    if not items:
-        return FALSUM
-    out = items[0]
-    for f in items[1:]:
-        out = lor(out, f)
-    return out
-
-
 def atoms(f: Formula) -> frozenset[str]:
     if isinstance(f, Atom):
         return frozenset([f.name])
@@ -98,20 +87,6 @@ def atoms(f: Formula) -> frozenset[str]:
         for g in f.instants:
             out |= atoms(g)
         return out
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def depth(f: Formula) -> int:
-    """Modal depth; boxes count one step over scope and side formulas."""
-    if isinstance(f, (Atom, Top)):
-        return 0
-    if isinstance(f, Not):
-        return depth(f.sub)
-    if isinstance(f, And):
-        return max(depth(f.left), depth(f.right))
-    if isinstance(f, Box):
-        inner = [depth(f.scope)] + [depth(g) for g in f.instants]
-        return 1 + max(inner)
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -65,79 +65,66 @@ def _is_sortable_label_list(value) -> bool:
 class ExtensiveGame:
     """Immutable extensive game.
 
-    Construction normalizes everything into canonical order but performs no
-    validation; use :func:`validate_game` to obtain a violation report.
+    The constructor stores canonical parts as given: ``outcomes`` a tuple,
+    ``nodes`` a frozenset of address tuples, ``turn`` mapping internal nodes
+    to `Player`, ``outcome`` mapping leaves to labels, and ``cells`` a tuple
+    of sorted address tuples ordered by their first node.  It neither
+    normalizes nor validates; :func:`game` puts a nested tree spec into this
+    form and validates it, and :func:`validate_game` reports what is wrong
+    with a game built here directly.  The children map, ``internal_nodes``
+    and ``leaves`` are derived from ``nodes`` the first time one is read.
     """
 
-    __slots__ = (
-        "outcomes",
-        "nodes",
-        "turn",
-        "outcome",
-        "cells",
-        "_children",
-        "_internal",
-        "_leaves",
-    )
+    __slots__ = ("outcomes", "nodes", "turn", "outcome", "cells", "_tree")
 
     def __init__(
         self,
-        outcomes: Iterable[str],
-        nodes: Iterable[Address],
+        outcomes: tuple[str, ...],
+        nodes: frozenset[Address],
         turn: Mapping[Address, Player],
         outcome: Mapping[Address, str],
-        cells: Iterable[Iterable[Address]],
+        cells: tuple[tuple[Address, ...], ...],
     ):
-        object.__setattr__(self, "outcomes", tuple(outcomes))
-        object.__setattr__(self, "nodes", frozenset(tuple(n) for n in nodes))
-        object.__setattr__(
-            self, "turn", {tuple(k): _as_player(v) for k, v in turn.items()}
-        )
-        object.__setattr__(
-            self, "outcome", {tuple(k): v for k, v in outcome.items()}
-        )
-        norm_cells = tuple(
-            sorted(
-                (tuple(sorted(tuple(n) for n in cell)) for cell in cells),
-                key=lambda c: c[0] if c else (),
-            )
-        )
-        object.__setattr__(self, "cells", norm_cells)
-        children: dict[Address, list[Address]] = {}
-        for n in self.nodes:
-            if n and n[:-1] in self.nodes:
-                children.setdefault(n[:-1], []).append(n)
-        for v in children.values():
-            v.sort()
-        object.__setattr__(self, "_children", children)
-        object.__setattr__(
-            self, "_internal", tuple(sorted(children.keys()))
-        )
-        object.__setattr__(
-            self,
-            "_leaves",
-            tuple(sorted(n for n in self.nodes if n not in children)),
-        )
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "turn", turn)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "cells", cells)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtensiveGame is immutable")
 
+    def _views(self) -> tuple[dict, tuple, tuple]:
+        try:
+            return self._tree
+        except AttributeError:
+            nodes = self.nodes
+            kids: dict[Address, list[Address]] = {}
+            for n in nodes:
+                if n and n[:-1] in nodes:
+                    kids.setdefault(n[:-1], []).append(n)
+            children = {w: tuple(sorted(v)) for w, v in kids.items()}
+            leaves = tuple(sorted(n for n in nodes if n not in children))
+            views = (children, tuple(sorted(children)), leaves)
+            object.__setattr__(self, "_tree", views)
+            return views
+
     @property
     def internal_nodes(self) -> tuple[Address, ...]:
-        return self._internal
+        return self._views()[1]
 
     @property
     def leaves(self) -> tuple[Address, ...]:
-        return self._leaves
+        return self._views()[2]
 
     def children(self, w: Address) -> tuple[Address, ...]:
-        return tuple(self._children.get(tuple(w), ()))
+        return self._views()[0].get(w, ())
 
     def num_children(self, w: Address) -> int:
-        return len(self._children.get(tuple(w), ()))
+        return len(self._views()[0].get(w, ()))
 
     def is_leaf(self, w: Address) -> bool:
-        return tuple(w) not in self._children
+        return w not in self._views()[0]
 
     def player_cells(self, p: Player) -> tuple[tuple[Address, ...], ...]:
         """Information cells owned by p, in canonical order."""
@@ -152,8 +139,7 @@ class ExtensiveGame:
             and self.nodes == other.nodes
             and self.turn == other.turn
             and self.outcome == other.outcome
-            and frozenset(map(frozenset, self.cells))
-            == frozenset(map(frozenset, other.cells))
+            and self.cells == other.cells
         )
 
     def __hash__(self):
@@ -189,7 +175,12 @@ def node(player, children: list, info=None) -> dict:
 
 
 def game(outcomes: Iterable[str], tree: Mapping) -> ExtensiveGame:
-    """Build an ExtensiveGame from a nested tree spec."""
+    """Build an ExtensiveGame from a nested tree spec.
+
+    The parts are put into the canonical form the constructor stores, and
+    the game is validated: a spec that does not describe a valid game over
+    ``outcomes`` raises GameFormatError listing every violation.
+    """
     nodes = []
     turn = {}
     outcome = {}
@@ -224,8 +215,14 @@ def game(outcomes: Iterable[str], tree: Mapping) -> ExtensiveGame:
             walk(child, addr + (i,))
 
     walk(tree, ROOT)
-    cells = list(cells_by_id.values()) + singletons
-    return ExtensiveGame(outcomes, nodes, turn, outcome, cells)
+    cells = sorted(tuple(sorted(c)) for c in (*cells_by_id.values(), *singletons))
+    g = ExtensiveGame(
+        tuple(outcomes), frozenset(nodes), turn, outcome, tuple(cells)
+    )
+    report = validate_game(g)
+    if report:
+        raise GameFormatError("; ".join(str(v) for v in report))
+    return g
 
 
 def game_to_spec(g: ExtensiveGame) -> dict:
@@ -262,11 +259,7 @@ def game_from_json(obj: Mapping) -> ExtensiveGame:
         raise GameFormatError(
             "'outcomes' must be a list of labels, all strings or all numbers"
         )
-    g = game(outcomes, tree)
-    report = validate_game(g)
-    if report:
-        raise GameFormatError("; ".join(str(v) for v in report))
-    return g
+    return game(outcomes, tree)
 
 
 # -- validation ----------------------------------------------------------------

@@ -313,13 +313,6 @@ def encode_game_as_model(
     return NeighborhoodModel._from_families(worlds, neigh, {}), root
 
 
-def outcome_valuation(
-    outcomes: Iterable[str], prefix: str = "p"
-) -> dict[str, frozenset[str]]:
-    """One atom per outcome label, true exactly at that outcome's world."""
-    return {f"{prefix}{o}": frozenset([o]) for o in outcomes}
-
-
 # -- seeded model generation -----------------------------------------------------------
 
 

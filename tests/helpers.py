@@ -3,7 +3,19 @@
 from itertools import chain, combinations, permutations, product
 
 from gamepowers.axioms import _BUILDERS
-from gamepowers.formulas import And, Atom, Box, Formula, Not, ParseError, Top, parse_formula
+from gamepowers.formulas import (
+    FALSUM,
+    And,
+    Atom,
+    Box,
+    Formula,
+    Not,
+    ParseError,
+    Top,
+    format_formula,
+    lor,
+    parse_formula,
+)
 from gamepowers.games import (
     ExtensiveGame,
     Player,
@@ -341,6 +353,36 @@ def schema_frame_kind(name):
     if name not in _BUILDERS:
         raise ValueError(f"unknown schema: {name!r}")
     return _BUILDERS[name][1]
+
+
+def big_or(forms):
+    """Disjunction folded in printed order; empty disjunction is falsity."""
+    items = sorted(forms, key=format_formula)
+    if not items:
+        return FALSUM
+    out = items[0]
+    for f in items[1:]:
+        out = lor(out, f)
+    return out
+
+
+def depth(f: Formula) -> int:
+    """Modal depth; boxes count one step over scope and side formulas."""
+    if isinstance(f, (Atom, Top)):
+        return 0
+    if isinstance(f, Not):
+        return depth(f.sub)
+    if isinstance(f, And):
+        return max(depth(f.left), depth(f.right))
+    if isinstance(f, Box):
+        inner = [depth(f.scope)] + [depth(g) for g in f.instants]
+        return 1 + max(inner)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def outcome_valuation(outcomes, prefix="p"):
+    """One atom per outcome label, true exactly at that outcome's world."""
+    return {f"{prefix}{o}": frozenset([o]) for o in outcomes}
 
 
 def read_formula_file(path):

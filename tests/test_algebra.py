@@ -37,6 +37,7 @@ from gamepowers.games import (
     Player,
     game,
     game_from_json,
+    game_to_spec,
     is_perfect_information,
     leaf,
     node,
@@ -260,6 +261,37 @@ def test_random_game_is_deterministic_and_valid():
         g2 = random_game(seed, 4, 3, ("0", "1", "2"))
         assert g1 == g2
         assert validate_game(g1) == []
+
+
+def _built_games(seed):
+    rng = Random(seed)
+    outcomes = ("0", "1", "2")[: 2 + seed % 2]
+    a = random_game(rng, 4, 3, outcomes)
+    b = random_game(rng, 4, 2, outcomes, perfect_info=True)
+    # deep enough that merged cells join nodes of different depths
+    c = random_game(rng, 5, 2, outcomes)
+    d1 = random_dynamic_game(rng, outcomes, 2, 3)
+    d2 = random_dynamic_game(rng, outcomes, 3, 2, perfect_info=True)
+    composed = seq_compose(d1, d2)
+    yield from (a, b, c, op_plus(a, b), op_times(c, a), op_dual(c))
+    for d in (d1, d2, composed, seq_compose(composed, d1)):
+        yield from d.games.values()
+
+
+def test_builders_hand_the_constructor_canonical_parts():
+    # every builder's game equals its spec rebuilt by game(), part for part
+    # and in the same order, so no builder needs the constructor to sort
+    for seed in range(40):
+        for g in _built_games(seed):
+            h = game(g.outcomes, game_to_spec(g))
+            assert (g.outcomes, g.nodes, g.turn, g.outcome) == (
+                h.outcomes, h.nodes, h.turn, h.outcome)
+            assert g.cells == h.cells
+            assert g.internal_nodes == h.internal_nodes
+            assert g.leaves == h.leaves
+            for w in g.nodes:
+                assert g.children(w) == h.children(w)
+                assert type(g.children(w)) is tuple
 
 
 def test_random_game_perfect_info_flag():

@@ -137,8 +137,10 @@ def test_search_accepts_formula_objects_and_replays():
 
 
 def test_search_rejects_bad_world_cap():
-    with pytest.raises(ValueError):
-        countermodel_search("p", max_worlds=0, seed=0)
+    # the cap is checked before any model is built
+    for cap in (0, 9, 40):
+        with pytest.raises(ValueError, match="between 1 and 8"):
+            countermodel_search("p", max_worlds=cap, seed=0)
 
 
 def test_search_respects_budget():

@@ -70,3 +70,20 @@ def test_every_rejection_try_is_a_traced_condition_check():
     assert summary["calls"]["powers.random_family_pair"] == 250
     assert summary["tries_in_draws"] == summary["calls"]["powers.check_conditions"]
     assert summary["tries_in_draws"] == 1702
+
+
+def test_sequential_law_check_builds_each_game_once():
+    # a dynamic game keeps games already declared over its states, and the
+    # builders hand canonical parts straight to the constructor; before
+    # that, this check constructed 2,058 games
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        report = gamepowers.check_equation(
+            "(x + y) o z", "(x o z) + (y o z)", "semi", seed=3, samples=2)
+    finally:
+        tracer.uninstall()
+    calls = tracer.summary()["calls"]
+    assert report.samples == 66
+    assert calls["algebra.seq_compose"] == 198
+    assert calls["games.ExtensiveGame.init"] == 1038

@@ -207,6 +207,11 @@ def test_refute_codes(capsys):
     assert json.loads(out)["found"] is False
 
 
+def test_refute_rejects_a_world_cap_past_eight(capsys):
+    assert_input_error(capsys, "refute", "p", "--seed", "1", "--max-worlds", "9")
+    assert_input_error(capsys, "refute", "p", "--seed", "1", "--max-worlds", "0")
+
+
 def test_stochastic_commands_require_a_seed(capsys):
     assert run(capsys, "axioms")[0] == 2
     assert run(capsys, "refute", "p")[0] == 2

@@ -21,15 +21,12 @@ from gamepowers.equivalence import (
 )
 from gamepowers.algebra import op_dual, op_plus, op_times, random_game
 from gamepowers.games import StrategicGame, game, leaf, node, to_strategic_form
-from gamepowers.models import (
-    NeighborhoodModel,
-    encode_game_as_model,
-    outcome_valuation,
-)
+from gamepowers.models import NeighborhoodModel, encode_game_as_model
 from helpers import (
     double_move_then_b_choice,
     one_then_two_or_three,
     oracle_profile_bisimulation,
+    outcome_valuation,
     single_move_then_b_choice,
     two_or_three_after_one,
     zero_one_matrix_2x3,

@@ -14,8 +14,6 @@ from gamepowers.formulas import (
     ParseError,
     Player,
     atoms,
-    big_or,
-    depth,
     format_formula,
     implies,
     iff,
@@ -25,7 +23,7 @@ from gamepowers.formulas import (
 )
 from random import Random
 
-from helpers import read_formula_file
+from helpers import big_or, depth, read_formula_file
 
 
 def test_derived_connectives_normalize():

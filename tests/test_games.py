@@ -54,11 +54,11 @@ def test_valid_fixture_games_pass_validation():
 
 def test_sibling_downward_closure_violation():
     g = ExtensiveGame(
-        ["x"],
-        [(), (0,), (0, 1)],
+        ("x",),
+        frozenset([(), (0,), (0, 1)]),
         {(): Player.A, (0,): Player.B},
         {(0, 1): "x"},
-        [[()], [(0,)]],
+        (((),), ((0,),)),
     )
     rules = {v.rule for v in validate_game(g)}
     assert "sibling-downward-closure" in rules
@@ -66,50 +66,61 @@ def test_sibling_downward_closure_violation():
 
 def test_prefix_closure_violation():
     g = ExtensiveGame(
-        ["x"],
-        [(), (0, 0)],
+        ("x",),
+        frozenset([(), (0, 0)]),
         {(): Player.A},
         {(0, 0): "x"},
-        [[()]],
+        (((),),),
     )
     rules = {v.rule for v in validate_game(g)}
     assert "prefix-closure" in rules
 
 
-def test_cell_constraints_checked():
+# specs game() must refuse, with the rule validate_game flags for each
+MALFORMED_SPECS = (
     # two internal nodes with different child counts forced into one cell
-    g = game(
-        ["x", "y"],
-        node(
-            "A",
-            [
-                node("A", [leaf("x")], info="i"),
-                node("A", [leaf("x"), leaf("y")], info="i"),
-            ],
-        ),
+    (("x", "y"), node("A", [
+        node("A", [leaf("x")], info="i"),
+        node("A", [leaf("x"), leaf("y")], info="i"),
+    ]), "cell-mixed-child-count"),
+    (("x", "y"), node("A", [
+        node("A", [leaf("x"), leaf("y")], info="i"),
+        node("B", [leaf("x"), leaf("y")], info="i"),
+    ]), "cell-mixed-turn"),
+    (("x",), node("A", [leaf("z")]), "unknown-outcome-label"),
+    (("w",), leaf("zz"), "unknown-outcome-label"),
+    (("x", "x"), leaf("x"), "duplicate-outcome-labels"),
+)
+
+
+def test_cell_constraints_checked():
+    a, b = Player.A, Player.B
+    g = ExtensiveGame(
+        ("x", "y"),
+        frozenset([(), (0,), (1,), (0, 0), (1, 0), (1, 1)]),
+        {(): a, (0,): a, (1,): a},
+        {(0, 0): "x", (1, 0): "x", (1, 1): "y"},
+        (((),), ((0,), (1,))),
     )
     rules = {v.rule for v in validate_game(g)}
     assert "cell-mixed-child-count" in rules
-    g2 = game(
-        ["x", "y"],
-        node(
-            "A",
-            [
-                node("A", [leaf("x"), leaf("y")], info="i"),
-                node("B", [leaf("x"), leaf("y")], info="i"),
-            ],
-        ),
+    g2 = ExtensiveGame(
+        ("x", "y"),
+        frozenset([(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]),
+        {(): a, (0,): a, (1,): b},
+        {(0, 0): "x", (0, 1): "y", (1, 0): "x", (1, 1): "y"},
+        (((),), ((0,), (1,))),
     )
     assert "cell-mixed-turn" in {v.rule for v in validate_game(g2)}
 
 
 def test_turn_and_outcome_totality_checks():
     g = ExtensiveGame(
-        ["x"],
-        [(), (0,), (1,)],
+        ("x",),
+        frozenset([(), (0,), (1,)]),
         {},
         {(0,): "x"},
-        [[()]],
+        (((),),),
     )
     rules = {v.rule for v in validate_game(g)}
     assert "turn-missing" in rules
@@ -117,8 +128,22 @@ def test_turn_and_outcome_totality_checks():
 
 
 def test_unknown_outcome_label_flagged():
-    g = game(["x"], node("A", [leaf("z")]))
+    g = ExtensiveGame(
+        ("x",),
+        frozenset([(), (0,)]),
+        {(): Player.A},
+        {(0,): "z"},
+        (((),),),
+    )
     assert "unknown-outcome-label" in {v.rule for v in validate_game(g)}
+
+
+@pytest.mark.parametrize("outcomes,spec,rule", MALFORMED_SPECS)
+def test_game_rejects_what_validation_flags(outcomes, spec, rule):
+    with pytest.raises(GameFormatError, match=rule):
+        game(outcomes, spec)
+    with pytest.raises(GameFormatError, match=rule):
+        game_from_json({"outcomes": list(outcomes), "tree": spec})
 
 
 def test_strategy_enumeration_counts():

@@ -12,7 +12,6 @@ from gamepowers.models import (
     NeighborhoodModel,
     encode_game_as_model,
     model_check,
-    outcome_valuation,
     random_model,
     validate_frame,
 )
@@ -27,6 +26,7 @@ from helpers import (
     model_check_boxes_exact,
     one_then_two_or_three,
     oracle_frame_conditions,
+    outcome_valuation,
     single_move_then_b_choice,
     two_or_three_after_one,
 )

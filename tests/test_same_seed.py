@@ -1,4 +1,4 @@
-"""Same seed, same output: pinned digests of the logic layer's seeded reports.
+"""Same seed, same output: pinned digests of the seeded reports.
 
 Each digest is the sha256 of the reports written one JSON document per
 line.  A change that is meant to alter seeded output re-pins the digest it
@@ -12,8 +12,10 @@ from random import Random
 import pytest
 
 import gamepowers
+from gamepowers.algebra import random_dynamic_game, seq_compose
 from gamepowers.axioms import ALL_SCHEMATA, schema_instance
 from gamepowers.formulas import format_formula
+from gamepowers.games import game_to_json
 from gamepowers.models import GAME_FRAME, INSTANTIAL_FRAME
 from gamepowers.powers import random_family_pair
 
@@ -24,6 +26,26 @@ REFUTABLE = (
     "p -> [B]p",
     "[A]p -> [B]p",
     "[A](p;q) -> [A](q;p)",
+)
+
+# the laws, non-laws and congruences the algebra checks are probed on
+ONE_SHOT_LAWS = (
+    ("x + y", "y + x"),
+    ("x + (y + z)", "(x + y) + z"),
+    ("x * y", "y * x"),
+    ("x * (y * z)", "(x * y) * z"),
+    ("--x", "x"),
+    ("-(x + y)", "(-x) * (-y)"),
+    ("-(x * y)", "(-x) + (-y)"),
+)
+SEQUENTIAL_LAWS = (
+    ("x o (y o z)", "(x o y) o z"),
+    ("-(x o y)", "(-x) o (-y)"),
+    ("(x + y) o z", "(x o z) + (y o z)"),
+)
+NON_LAWS = (
+    ("x * x", "x", "strong", ("0", "1")),
+    ("x * (y + z)", "(x * y) + (x * z)", "semi", ("0", "1", "2")),
 )
 
 
@@ -52,6 +74,56 @@ def _searches():
         yield gamepowers.countermodel_search(text, seed=i).to_json()
 
 
+def _equations():
+    for i, (lhs, rhs) in enumerate(ONE_SHOT_LAWS):
+        for equiv in ("strong", "power"):
+            yield gamepowers.check_equation(
+                lhs, rhs, equiv, seed=i, samples=10).to_json()
+    for i, (lhs, rhs) in enumerate(SEQUENTIAL_LAWS):
+        yield gamepowers.check_equation(
+            lhs, rhs, "semi", seed=i, samples=2).to_json()
+    for i, (lhs, rhs, equiv, outcomes) in enumerate(NON_LAWS):
+        for samples in (0, 5):
+            yield gamepowers.check_equation(
+                lhs, rhs, equiv, seed=i, samples=samples,
+                outcomes=outcomes).to_json()
+
+
+def _congruences():
+    for i, op in enumerate(("+", "*", "-", "o")):
+        yield gamepowers.check_congruence(op, "strong", seed=i, samples=3).to_json()
+
+
+def _hierarchy_audits():
+    for seed in range(24):
+        rng = Random(seed)
+        outcomes = ("x", "y", "z")[: 2 + seed % 2]
+        a = gamepowers.random_game(rng, 3, 2, outcomes, perfect_info=seed % 3 == 0)
+        b = gamepowers.random_game(rng, 3, 2, outcomes)
+        for pair in (
+            (a, a),
+            (a, b),
+            (gamepowers.op_plus(a, b), gamepowers.op_plus(b, a)),
+            (gamepowers.op_times(a, b), gamepowers.op_times(b, a)),
+            (gamepowers.op_dual(gamepowers.op_dual(a)), a),
+            (gamepowers.op_dual(a), b),
+        ):
+            yield gamepowers.hierarchy_audit(*pair).to_json()
+
+
+def _built_games():
+    for seed in range(60):
+        rng = Random(seed)
+        outcomes = ("0", "1", "2")[: 1 + seed % 3]
+        yield game_to_json(gamepowers.random_game(
+            rng, 1 + seed % 4, 1 + seed % 3, outcomes, perfect_info=seed % 2 == 0))
+        d1 = random_dynamic_game(rng, outcomes, 2, 2)
+        d2 = random_dynamic_game(rng, outcomes, 2, 2, perfect_info=True)
+        yield d1.to_json()
+        yield seq_compose(d1, d2).to_json()
+        yield seq_compose(d2, d1).to_json()
+
+
 SEEDED = {
     "random_model/game": lambda: (
         gamepowers.random_model(s, GAME_FRAME).to_json() for s in range(100)),
@@ -63,11 +135,19 @@ SEEDED = {
     "countermodel_search": _searches,
     "axiom_soundness_suite": lambda: (
         gamepowers.axiom_soundness_suite(s, 66).to_json() for s in (3, 8)),
+    "check_equation": _equations,
+    "check_congruence": _congruences,
+    "hierarchy_audit": _hierarchy_audits,
+    "built_games": _built_games,
 }
 
 PINNED = {
     "axiom_soundness_suite": "3105912afd831af24f8a81846fbb13f82f8174a7b6ae7ee5cca2b37633d4bc3b",
+    "built_games": "1dc77e47afac74e2a284aa30025f351fc548f8444e937ca130707c516a5e00b3",
+    "check_congruence": "026541f177ab1025be6844eb3464a18ac1f644fbb6306fae23d878bde3c0fe72",
+    "check_equation": "aeda8b16a9f1a80e042392d6161d0dc4baecea9e558465cb55c16815b773fce7",
     "countermodel_search": "751246397987c100cb086db16fe26c5bb5ef444859e72d835c6c72ee2f9ccad8",
+    "hierarchy_audit": "bcde27e987a2e393d3fd354ec72ab01ce7dbee5efd3ebf27be722c898a737418",
     "random_family_pair/basic": "26c033b581302cbc8ee27d029766e72bb213e6953b8f1844a146014f78277793",
     "random_family_pair/plain": "d89be04979166b670dc69d4bc838880c664cb4a6fbead9442f17418c0fe9ca68",
     "random_family_pair/relational": "890687c75e0ffe86d82a0bdd3d4f6e5d5a8891415941ca63463918d072cbd08d",
