@@ -6,7 +6,9 @@ games assign a game over the state set to each state, which gives sequential
 composition a home: compose by grafting a fresh copy of the continuation at
 every leaf.  check_equation and check_congruence probe laws on deterministic
 pools first and seeded random games after, and only ever report a
-counterexample that re-verifies.
+counterexample that re-verifies.  check_equation decides each binding on the
+bound games' power families, folded through the term; it builds composed
+trees only for strong equivalence with o, whose basic powers they decide.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import partial
 from random import Random
 from typing import Mapping, Union
 
-from .equivalence import EQUIVALENCES, POWER, SEMI, STRONG
+from .equivalence import EQUIVALENCES, POWER, SEMI, STRONG, _pair_split
 from .games import (
     ROOT,
     Address,
@@ -30,7 +33,14 @@ from .games import (
     leaf,
     node,
 )
-from .powers import PowerFamily, _joins, relational_basic_powers, union_closure
+from .powers import (
+    POWER_KINDS,
+    PowerFamily,
+    _joins,
+    _nonempty_joins,
+    relational_basic_powers,
+    union_closure,
+)
 
 
 def _prefixed(g: ExtensiveGame, prefix: Address):
@@ -206,11 +216,14 @@ def composed_power_relation(r1: Mapping, r2: Mapping, u) -> PowerFamily:
         raise ValueError("power maps must share a state set")
     if u not in r1:
         raise ValueError(f"unknown state {u!r}")
-    found = set()
-    for y_set in r1[u]:
-        if y_set:  # joining no families would give the empty set
-            found |= _joins(union_closure(r2[y])._index for y in y_set)
-    return PowerFamily(tuple(sorted(r1)), found)
+    closed = {y: union_closure(f)._index for y, f in r2.items()}
+    return PowerFamily(tuple(sorted(r1)), _composed(r1[u]._index, closed))
+
+
+def _composed(y_sets, closed: Mapping) -> set:
+    # every Z that joins, over some nonempty Y in y_sets, a member of closed[y]
+    # for each y in Y; closed maps each state to a union-closed member set
+    return {z for ys in y_sets if ys for z in _joins(closed[y] for y in ys)}
 
 
 # -- terms -------------------------------------------------------------------------
@@ -403,6 +416,51 @@ def evaluate(term: GameTerm, env: Mapping):
     return seq_compose(left, right)
 
 
+def _value_powers(fn, value):
+    """The member sets of a game's (A, B) families, per state for a dynamic game."""
+    if isinstance(value, DynamicGame):
+        return {u: _value_powers(fn, g) for u, g in value.games.items()}
+    return fn(value, Player.A)._index, fn(value, Player.B)._index
+
+
+def _statewise(op, *values):
+    if isinstance(values[0], dict):
+        return {u: op(*(v[u] for v in values)) for u in values[0]}
+    return op(*values)
+
+
+def _union(families) -> set:
+    return set().union(*families)
+
+
+def _term_powers(term: GameTerm, env: Mapping, kind: str):
+    """The member sets of a term's (A, B) families of a power kind.
+
+    ``env`` maps each variable to its value's pair, or to a dict of pairs
+    per state for a dynamic value.  At + or * the mover gets the union of
+    the operands' families (their nonempty joins for relational powers) and
+    the other player their joins; - swaps the players.  o composes the
+    union-closed plain or relational families statewise; basic powers of a
+    composition lose multiplicity, so the basic kind takes no o.
+    """
+    if isinstance(term, Var):
+        return env[term.name]
+    if isinstance(term, Dual):
+        return _statewise(lambda pair: pair[::-1], _term_powers(term.sub, env, kind))
+    left = _term_powers(term.left, env, kind)
+    right = _term_powers(term.right, env, kind)
+    if isinstance(term, Comp):
+        cont = [{y: pair[i] for y, pair in right.items()} for i in (0, 1)]
+        return {u: tuple(map(_composed, pair, cont)) for u, pair in left.items()}
+    mover = _nonempty_joins if kind == "relational" else _union
+    ops = (mover, _joins) if isinstance(term, Plus) else (_joins, mover)
+    return _statewise(
+        lambda p1, p2: tuple(op(fams) for op, fams in zip(ops, zip(p1, p2))),
+        left,
+        right,
+    )
+
+
 # -- seeded generation -------------------------------------------------------------
 
 
@@ -513,19 +571,21 @@ def random_dynamic_game(
 
 # -- law checking ------------------------------------------------------------------
 
-# the law checkers probe the three power equivalences only
-_LAW_EQUIVALENCES = (POWER, STRONG, SEMI)
+# the law checkers probe the three power equivalences only, each on its kind
+_LAW_KINDS = {POWER: "plain", STRONG: "basic", SEMI: "relational"}
 
 
-def _values_equivalent(kind: str, v1, v2):
-    fn = EQUIVALENCES[kind]
+def _values_equivalent(split, v1, v2):
+    # split two games or two power pairs, statewise for dynamic values
     if isinstance(v1, DynamicGame):
-        for u in v1.states:
-            verdict = fn(v1.games[u], v2.games[u])
+        v1, v2 = v1.games, v2.games
+    if isinstance(v1, dict):
+        for u in v1:
+            verdict = split(v1[u], v2[u])
             if not verdict:
                 return False, {"state": u, **(verdict.witness or {})}
         return True, None
-    verdict = fn(v1, v2)
+    verdict = split(v1, v2)
     return bool(verdict), verdict.witness
 
 
@@ -595,54 +655,61 @@ def check_equation(
     A deterministic pool of small games (or dynamic games, when either side
     composes) is exhausted first, then `samples` further random bindings are
     drawn.  The reported sample count includes both phases.  A hold verdict
-    is evidence, not proof.
+    is evidence, not proof.  Each binding is decided on the bound games'
+    power families of the equivalence's kind; only strong equivalence with o
+    evaluates the terms as trees.  A counterexample reports its games.
     """
     lhs_t = parse_term(lhs) if isinstance(lhs, str) else lhs
     rhs_t = parse_term(rhs) if isinstance(rhs, str) else rhs
-    if equiv not in _LAW_EQUIVALENCES:
+    if equiv not in _LAW_KINDS:
         raise ValueError(f"unknown equivalence {equiv!r}")
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     names = sorted(term_variables(lhs_t) | term_variables(rhs_t))
     dynamic = term_uses_composition(lhs_t) or term_uses_composition(rhs_t)
     outcomes = tuple(outcomes)
-    pool = _dynamic_pool(outcomes) if dynamic else _plain_pool(outcomes)
+    kind = _LAW_KINDS[equiv]
+    # basic powers of a composition lose multiplicity: only trees decide
+    trees = dynamic and equiv == STRONG
+    fold = evaluate if trees else partial(_term_powers, kind=kind)
+    split = EQUIVALENCES[equiv] if trees else partial(_pair_split, equiv)
+
+    def drawn(v):
+        return v, v if trees else _value_powers(POWER_KINDS[kind], v)
+
     rng = Random(seed)
+    if dynamic:
+        # dynamic bindings stay shallow so composed trees remain enumerable
+        pool = _dynamic_pool(outcomes)
+        draw = partial(random_dynamic_game, rng, outcomes, min(max_depth, 2), max_branch)
+    else:
+        pool = _plain_pool(outcomes)
+        draw = partial(random_game, rng, max_depth, max_branch, outcomes)
     tried = 0
 
-    def outcome_of(binding, phase):
+    def outcome_of(values, phase):
+        # each value comes with its entry in the environment that fold reads
         nonlocal tried
         tried += 1
-        ok, witness = _values_equivalent(
-            equiv, evaluate(lhs_t, binding), evaluate(rhs_t, binding)
-        )
+        env = {name: entry for name, (_, entry) in zip(names, values)}
+        ok, witness = _values_equivalent(split, fold(lhs_t, env), fold(rhs_t, env))
         if ok:
             return None
         return {
             "phase": phase,
             "witness": witness,
-            "binding": {name: _value_json(v) for name, v in binding.items()},
+            "binding": {name: _value_json(v) for name, (v, _) in zip(names, values)},
         }
 
     counter = None
-    assignments = itertools.product(pool, repeat=len(names))
+    assignments = itertools.product(map(drawn, pool), repeat=len(names))
     for values in itertools.islice(assignments, 2048):
-        counter = outcome_of(dict(zip(names, values)), "pool")
+        counter = outcome_of(values, "pool")
         if counter:
             break
     if counter is None:
-        # dynamic bindings stay shallow so composed trees remain enumerable
-        dyn_depth = min(max_depth, 2)
         for _ in range(samples):
-            if dynamic:
-                binding = {
-                    name: random_dynamic_game(rng, outcomes, dyn_depth, max_branch)
-                    for name in names
-                }
-            else:
-                binding = {
-                    name: random_game(rng, max_depth, max_branch, outcomes)
-                    for name in names
-                }
-            counter = outcome_of(binding, "random")
+            counter = outcome_of([drawn(draw()) for _ in names], "random")
             if counter:
                 break
     return EquationReport(
@@ -677,25 +744,10 @@ class CongruenceReport:
         }
 
 
-def _single_then_choice(states) -> DynamicGame:
-    # at the first state: one forced move, then return there
-    first = states[0]
+def _at_first_state(states, tree) -> DynamicGame:
+    # the identity, except that the first state plays the given tree
     games = {u: game(states, leaf(u)) for u in states}
-    games[first] = game(states, node(Player.A, [leaf(first)]))
-    return DynamicGame(states, games)
-
-
-def _double_then_choice(states) -> DynamicGame:
-    first = states[0]
-    games = {u: game(states, leaf(u)) for u in states}
-    games[first] = game(states, node(Player.A, [leaf(first), leaf(first)]))
-    return DynamicGame(states, games)
-
-
-def _branching_continuation(states) -> DynamicGame:
-    first, second = states[0], states[min(1, len(states) - 1)]
-    games = {u: game(states, leaf(u)) for u in states}
-    games[first] = game(states, node(Player.B, [leaf(first), leaf(second)]))
+    games[states[0]] = game(states, tree)
     return DynamicGame(states, games)
 
 
@@ -718,18 +770,25 @@ def check_congruence(
     """
     if op not in ("+", "*", "-", "o"):
         raise ValueError(f"unknown operation {op!r}")
-    if equiv not in _LAW_EQUIVALENCES:
+    if equiv not in _LAW_KINDS:
         raise ValueError(f"unknown equivalence {equiv!r}")
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
+    split = EQUIVALENCES[equiv]
     outcomes = tuple(outcomes)
     rng = Random(seed)
     dynamic = op == "o"
     # shallow dynamic draws keep composed trees enumerable
     dyn_depth = min(max_depth, 2)
+    first, second = outcomes[0], outcomes[min(1, len(outcomes) - 1)]
+    choice = node(Player.B, [leaf(first), leaf(second)])
     tried = 0
 
     def candidate_pairs():
         if dynamic:
-            yield _single_then_choice(outcomes), _double_then_choice(outcomes)
+            # one forced move or two at the first state, then back there
+            one, two = (node(Player.A, [leaf(first)] * k) for k in (1, 2))
+            yield _at_first_state(outcomes, one), _at_first_state(outcomes, two)
             d = random_dynamic_game(rng, outcomes, dyn_depth, max_branch)
             yield d, d
             a = random_dynamic_game(rng, outcomes, dyn_depth, max_branch)
@@ -745,21 +804,8 @@ def check_congruence(
             yield op_plus(a, b), op_plus(b, a)
             yield op_times(a, b), op_times(b, a)
             yield op_dual(op_dual(a)), a
-            first, second = outcomes[0], outcomes[min(1, len(outcomes) - 1)]
-            single = game(
-                outcomes, node(Player.A, [node(Player.B, [leaf(first), leaf(second)])])
-            )
-            double = game(
-                outcomes,
-                node(
-                    Player.A,
-                    [
-                        node(Player.B, [leaf(first), leaf(second)]),
-                        node(Player.B, [leaf(first), leaf(second)]),
-                    ],
-                ),
-            )
-            yield single, double
+            single = game(outcomes, node(Player.A, [choice]))
+            yield single, game(outcomes, node(Player.A, [choice, choice]))
 
     def contexts(pair):
         p, q = pair
@@ -769,7 +815,7 @@ def check_congruence(
             return
         if dynamic:
             partner = random_dynamic_game(rng, outcomes, dyn_depth, max_branch)
-            named = _branching_continuation(outcomes)
+            named = _at_first_state(outcomes, choice)
             for h, tag in ((named, "branching"), (partner, "random")):
                 yield seq_compose(p, h), seq_compose(q, h), f"left-of-{tag}"
                 yield seq_compose(h, p), seq_compose(h, q), f"right-of-{tag}"
@@ -781,12 +827,12 @@ def check_congruence(
 
     for _ in range(samples):
         for pair in candidate_pairs():
-            ok, _ = _values_equivalent(equiv, *pair)
+            ok, _ = _values_equivalent(split, *pair)
             if not ok:
                 continue
             for c1, c2, side in contexts(pair):
                 tried += 1
-                ok, witness = _values_equivalent(equiv, c1, c2)
+                ok, witness = _values_equivalent(split, c1, c2)
                 if not ok:
                     return CongruenceReport(
                         op=op,

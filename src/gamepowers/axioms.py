@@ -202,6 +202,8 @@ def axiom_soundness_suite(seed: int, samples: int = 1000, max_worlds: int = 5) -
     Every instance must hold at every world of its model; any other
     outcome is recorded as a violation with the failing worlds attached.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     rng = Random(seed)
     counts = {name: 0 for name in ALL_SCHEMATA}
     violations = []

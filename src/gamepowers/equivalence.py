@@ -63,17 +63,27 @@ def _require_shared_outcomes(g1, g2):
 
 def _family_split(kind, fn, g1, g2) -> EquivalenceVerdict:
     _require_shared_outcomes(g1, g2)
-    for p in (Player.A, Player.B):
-        f1, f2 = fn(g1, p), fn(g2, p)
+    players = (Player.A, Player.B)
+    # generators, so B's families are built only when A's agree
+    return _pair_split(
+        kind,
+        (fn(g1, p)._index for p in players),
+        (fn(g2, p)._index for p in players),
+    )
+
+
+def _pair_split(kind, pair1, pair2) -> EquivalenceVerdict:
+    """Compare the member sets of two (A, B) family pairs, A first; the
+    witness is the least member in canonical order where they differ."""
+    for p, f1, f2 in zip((Player.A, Player.B), pair1, pair2):
         if f1 != f2:
-            left, right = set(f1.members), set(f2.members)
-            for member in sorted(left ^ right):
-                side = "first" if member in left else "second"
-                return EquivalenceVerdict(
-                    kind,
-                    False,
-                    {"player": p.value, "member": list(member), "only_in": side},
-                )
+            member = min(f1 ^ f2, key=sorted)
+            side = "first" if member in f1 else "second"
+            return EquivalenceVerdict(
+                kind,
+                False,
+                {"player": p.value, "member": sorted(member), "only_in": side},
+            )
     return EquivalenceVerdict(kind, True)
 
 

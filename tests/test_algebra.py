@@ -3,6 +3,10 @@
 import pytest
 from random import Random
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import gamepowers.algebra as algebra
 from gamepowers.algebra import (
     Comp,
     DynamicGame,
@@ -27,6 +31,7 @@ from gamepowers.algebra import (
     random_game,
     relational_power_map,
     seq_compose,
+    term_uses_composition,
     term_variables,
 )
 from gamepowers.equivalence import (
@@ -43,7 +48,12 @@ from gamepowers.games import (
     node,
     validate_game,
 )
-from gamepowers.powers import PowerFamily, basic_powers, relational_basic_powers
+from gamepowers.powers import (
+    POWER_KINDS,
+    PowerFamily,
+    basic_powers,
+    relational_basic_powers,
+)
 from helpers import (
     double_move_then_b_choice,
     one_then_two_or_three,
@@ -379,6 +389,85 @@ def test_equation_rejects_unknown_equivalence():
         check_equation("x", "x", "weak", seed=0)
     with pytest.raises(ValueError):
         check_equation("x", "x", "strategic", seed=0)
+
+
+def test_negative_sample_counts_are_rejected():
+    with pytest.raises(ValueError):
+        check_equation("x", "x", "semi", seed=0, samples=-1)
+    with pytest.raises(ValueError):
+        check_congruence("+", "strong", seed=0, samples=-1)
+    assert check_equation("x", "x", "semi", seed=0, samples=0).samples == 5
+    assert check_congruence("+", "strong", seed=0, samples=0).samples == 0
+
+
+# -- the power domain against the tree oracle ----------------------------------
+
+DIFFERENTIAL_TERMS = (
+    "x + y",
+    "x * y",
+    "-x",
+    "-(x + y) * z",
+    "x + (y * -z)",
+    "(x * y) + (x * z)",
+    "x o y",
+    "-(x o y)",
+    "(x + y) o z",
+    "x o (y * -z)",
+    "(x o y) o z",
+    "-x o (y + z)",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(DIFFERENTIAL_TERMS),
+    st.sampled_from(sorted(POWER_KINDS)),
+    st.integers(0, 10**6),
+    st.sampled_from([2, 3]),
+    st.booleans(),
+)
+def test_term_powers_match_the_powers_of_the_evaluated_tree(
+    text, kind, seed, n, perfect_info
+):
+    term = parse_term(text)
+    dynamic = term_uses_composition(term)
+    # basic powers of a composition lose multiplicity
+    assume(not (dynamic and kind == "basic"))
+    rng = Random(seed)
+    outcomes = ("0", "1", "2")[:n]
+    binding = {
+        name: random_dynamic_game(rng, outcomes, 2, 2, perfect_info)
+        if dynamic
+        else random_game(rng, 3, 2, outcomes, perfect_info)
+        for name in sorted(term_variables(term))
+    }
+    fn = POWER_KINDS[kind]
+    env = {name: algebra._value_powers(fn, v) for name, v in binding.items()}
+    got = algebra._term_powers(term, env, kind)
+    tree = evaluate(term, binding)
+    if dynamic:
+        assert set(got) == set(outcomes)
+        cases = [(got[u], tree.games[u]) for u in outcomes]
+    else:
+        cases = [(got, tree)]
+    for pair, g in cases:
+        assert pair == tuple(set(fn(g, p).member_sets()) for p in Player)
+
+
+def test_only_strong_laws_with_composition_build_composed_trees(monkeypatch):
+    calls = []
+
+    def counted(d1, d2):
+        calls.append(1)
+        return seq_compose(d1, d2)
+
+    monkeypatch.setattr(algebra, "seq_compose", counted)
+    for equiv in ("power", "semi"):
+        assert check_equation("-(x o y)", "(-x) o (-y)", equiv, seed=1, samples=2)
+    assert calls == []
+    assert check_equation("-(x o y)", "(-x) o (-y)", "strong", seed=1, samples=2)
+    # 16 pool bindings and 2 random ones, one composition on each side
+    assert len(calls) == 2 * 18
 
 
 def test_congruence_of_plus_under_strong():

@@ -198,6 +198,17 @@ def test_axioms_sweep(capsys):
     assert report["violations"] == []
 
 
+def test_negative_sample_counts_are_input_errors(capsys):
+    assert_input_error(capsys, "axioms", "--seed", "1", "--samples", "-5")
+    assert_input_error(capsys, "congruence", "+", "--equiv", "strong",
+                       "--seed", "0", "--samples", "-2")
+    assert_input_error(capsys, "algebra", "x + y = y + x", "--equiv", "semi",
+                       "--seed", "0", "--samples", "-1")
+    code, out = run(capsys, "axioms", "--seed", "1", "--samples", "0")
+    assert code == 0
+    assert json.loads(out)["samples"] == 0
+
+
 def test_refute_codes(capsys):
     code, out = run(capsys, "refute", "[A](p;p|q) -> [A](p;p)", "--seed", "1")
     assert code == 1

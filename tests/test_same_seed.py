@@ -47,6 +47,12 @@ NON_LAWS = (
     ("x * x", "x", "strong", ("0", "1")),
     ("x * (y + z)", "(x * y) + (x * z)", "semi", ("0", "1", "2")),
 )
+# distributive equations that hold under some equivalences and fail under
+# others, so their counterexample witnesses are pinned too
+DISTRIBUTIONS = (
+    ("x o (y + z)", "(x o y) + (x o z)"),
+    ("x + (y * z)", "(x + y) * (x + z)"),
+)
 
 
 def _digest(reports) -> str:
@@ -87,6 +93,20 @@ def _equations():
             yield gamepowers.check_equation(
                 lhs, rhs, equiv, seed=i, samples=samples,
                 outcomes=outcomes).to_json()
+
+
+def _sequential_equations():
+    for i, (lhs, rhs) in enumerate(SEQUENTIAL_LAWS):
+        for equiv in ("power", "strong"):
+            yield gamepowers.check_equation(
+                lhs, rhs, equiv, seed=i, samples=2).to_json()
+
+
+def _distributions():
+    for i, (lhs, rhs) in enumerate(DISTRIBUTIONS):
+        for equiv in ("power", "strong", "semi"):
+            yield gamepowers.check_equation(
+                lhs, rhs, equiv, seed=i, samples=5).to_json()
 
 
 def _congruences():
@@ -136,6 +156,8 @@ SEEDED = {
     "axiom_soundness_suite": lambda: (
         gamepowers.axiom_soundness_suite(s, 66).to_json() for s in (3, 8)),
     "check_equation": _equations,
+    "check_equation/sequential": _sequential_equations,
+    "check_equation/distributions": _distributions,
     "check_congruence": _congruences,
     "hierarchy_audit": _hierarchy_audits,
     "built_games": _built_games,
@@ -146,6 +168,8 @@ PINNED = {
     "built_games": "1dc77e47afac74e2a284aa30025f351fc548f8444e937ca130707c516a5e00b3",
     "check_congruence": "026541f177ab1025be6844eb3464a18ac1f644fbb6306fae23d878bde3c0fe72",
     "check_equation": "aeda8b16a9f1a80e042392d6161d0dc4baecea9e558465cb55c16815b773fce7",
+    "check_equation/distributions": "f0ee3c6c42cb46545739c16c74a5234ce742209242821826109cf3c061413434",
+    "check_equation/sequential": "35d31ace7076830071efb8a0b1634b35bf304f144d86ae600af5ea75d9ef4687",
     "countermodel_search": "751246397987c100cb086db16fe26c5bb5ef444859e72d835c6c72ee2f9ccad8",
     "hierarchy_audit": "bcde27e987a2e393d3fd354ec72ab01ce7dbee5efd3ebf27be722c898a737418",
     "random_family_pair/basic": "26c033b581302cbc8ee27d029766e72bb213e6953b8f1844a146014f78277793",
