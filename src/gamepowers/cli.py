@@ -29,7 +29,6 @@ from .powers import POWER_KINDS
 from .representation import (
     IllegalFamilies,
     construct_game,
-    construction_cost,
     load_representation_input,
     verify_roundtrip,
 )
@@ -105,7 +104,6 @@ def _cmd_represent(args) -> tuple[int, dict]:
     report = {
         "legal": True,
         "mode": inp.mode,
-        "cost": construction_cost(inp),
         "game": strategic_to_json(built),
     }
     code = 0

@@ -1,14 +1,15 @@
 """Build a strategic game that realizes prescribed basic power families.
 
 Given legal families fa and fb over an outcome set, `construct_game` produces
-a matrix game whose basic powers are exactly fa and fb.  Column strategies are
-indexed triples (Z, u, j) with Z drawn from fb; row strategies are the choice
-maps c with c(Z, u, j) in Z whose image is a member of fa.  `verify_roundtrip`
-recomputes the powers of the result by brute force and compares.
+a matrix game whose basic powers are exactly fa and fb.  Row strategies are
+indexed triples (X, v, i) with X drawn from fa, v in X and i in {0, 1};
+column strategies are the triples (Z, u, j) drawn from fb alike.
+`verify_roundtrip` recomputes the powers of the result by brute force and
+compares.
 """
 
 from dataclasses import dataclass
-import itertools
+from math import prod
 from random import Random
 from typing import Mapping
 
@@ -31,8 +32,8 @@ from .powers import (
 BASIC = "basic"
 RELATIONAL = "relational"
 
-# triple: (member tuple from fb, outcome, copy index)
-Triple = tuple[tuple[str, ...], str, int]
+# a strategy: (member of its player's family, outcome in it, copy index)
+Triple = tuple[frozenset, str, int]
 
 
 class IllegalFamilies(ValueError):
@@ -57,6 +58,8 @@ class RepresentationInput:
         if mode not in (BASIC, RELATIONAL):
             raise ValueError(f"unknown mode {mode!r}")
         outcomes = tuple(outcomes)
+        if len(set(outcomes)) != len(outcomes):
+            raise ValueError("duplicate outcome labels")
         if set(fa.outcomes) != set(outcomes) or set(fb.outcomes) != set(outcomes):
             raise ValueError("families must range over the declared outcomes")
         object.__setattr__(self, "outcomes", outcomes)
@@ -85,10 +88,6 @@ class RepresentationInput:
             f"RepresentationInput({len(self.outcomes)} outcomes, "
             f"|FA|={len(self.fa)}, |FB|={len(self.fb)}, {self.mode})"
         )
-
-    def swapped(self) -> "RepresentationInput":
-        """The same instance with the players' roles exchanged."""
-        return RepresentationInput(self.outcomes, self.fb, self.fa, self.mode)
 
     def to_json(self) -> dict:
         return {
@@ -142,92 +141,70 @@ def check_input(inp: RepresentationInput):
     return pa, pb
 
 
-def _triples(inp: RepresentationInput) -> tuple[Triple, ...]:
+def _strategies(family: PowerFamily) -> tuple[Triple, ...]:
     return tuple(
-        (member, u, j)
-        for member in inp.fb.members
-        for u in sorted(inp.outcomes)
-        for j in (0, 1)
+        (member, v, i)
+        for member in family.member_sets()
+        for v in sorted(member)
+        for i in (0, 1)
     )
 
 
-def _triple_label(t: Triple) -> str:
-    member, u, j = t
-    return f"({'+'.join(map(str, member))},{u},{j})"
+def _strategy_label(t: Triple) -> str:
+    member, v, i = t
+    return f"({'+'.join(map(str, sorted(member)))},{v},{i})"
 
 
 def construction_cost(inp: RepresentationInput) -> int:
-    """Number of candidate choice maps enumerated by construct_game."""
-    triples = _triples(inp)
-    total = 0
-    for target in inp.fa.member_sets():
-        product = 1
-        for member, _, _ in triples:
-            product *= len(target.intersection(member))
-        total += product
-    return total
+    """Choice maps the reference construction enumerates for this input.
 
-
-def construct_game(
-    inp: RepresentationInput, indexed_player: Player = Player.B
-) -> StrategicGame:
-    """The realization with column strategies fb x O x {0,1}.
-
-    Row strategies are enumerated per target image: a choice map with image
-    exactly S only ever picks values in S, so running over the per-triple
-    candidate sets Z & S and keeping the maps whose image is all of S yields
-    every legal map exactly once.
-
-    The construction indexes one player's family; pass indexed_player=A to
-    get the mirror image (built on the swapped input, then transposed).
+    That construction gives B the columns fb x O x {0,1} and A every choice
+    map c(Z, u, j) in Z whose image is a member X of fa, which is
+    sum over X of prod over Z of |X & Z| ** (2|O|) candidate maps.
+    `sample_legal_families` bounds its draws by this count.
     """
-    if indexed_player is Player.A:
-        return _transpose(construct_game(inp.swapped()))
-    check_input(inp)
-    triples = _triples(inp)
-    maps: list[tuple[str, ...]] = []
-    for target in inp.fa.member_sets():
-        candidates = [
-            tuple(sorted(target.intersection(member))) for member, _, _ in triples
-        ]
-        for values in itertools.product(*candidates):
-            if set(values) == target:
-                maps.append(values)
-    rows = [f"c{i}" for i in range(len(maps))]
-    cols = [_triple_label(t) for t in triples]
-    return StrategicGame(inp.outcomes, rows, cols, maps)
+    copies = 2 * len(inp.outcomes)
+    return sum(
+        prod(len(x & z) ** copies for z in inp.fb.member_sets())
+        for x in inp.fa.member_sets()
+    )
 
 
-def _transpose(sg: StrategicGame) -> StrategicGame:
-    flipped = [
-        [sg.matrix[i][j] for i in range(len(sg.rows))] for j in range(len(sg.cols))
-    ]
-    return StrategicGame(sg.outcomes, sg.cols, sg.rows, flipped)
+def _cell(row: Triple, col: Triple):
+    (x, v, i), (z, u, j) = row, col
+    # Every cell lies in X & Z.  On equal copies the column's u wins inside
+    # X, so row (X, v, i) meets every x in X at a column (Z, x, i), which
+    # instantiatedness provides; on unequal copies the row's v wins inside
+    # Z, so column (Z, u, j) meets every z in Z at a row (X, z, 1 - j).
+    if i == j:
+        if u in x:
+            return u
+        if v in z:
+            return v
+    else:
+        if v in z:
+            return v
+        if u in x:
+            return u
+    return min(x & z)
 
 
-def claim_witness(inp: RepresentationInput, z) -> dict[Triple, str]:
-    """A legal choice map whose image is exactly z.
+def construct_game(inp: RepresentationInput) -> StrategicGame:
+    """The realization with rows (X, v, i) and columns (Z, u, j).
 
-    Picks a containing fb member g(u) for every u in z, routes the triple
-    (g(u), u, 0) to u, and fills every other triple with the least element
-    of z & Z' in label order.
+    Rows run over X in fa, v in X and i in {0, 1}; columns over Z in fb,
+    u in Z and j in {0, 1}.  Row (X, v, i) yields exactly the outcomes X and
+    column (Z, u, j) exactly Z, so the game has 2 sum|X| rows, 2 sum|Z|
+    columns, and basic powers fa and fb.
     """
     check_input(inp)
-    z = frozenset(z)
-    if z not in inp.fa:
-        raise ValueError(f"{sorted(z)} is not a member of FA")
-    g: dict[str, tuple[str, ...]] = {}
-    for u in sorted(z):
-        g[u] = next(m for m in inp.fb.members if u in m)
-    tagged = {(g[u], u, 0): u for u in z}
-    choice: dict[Triple, str] = {}
-    for t in _triples(inp):
-        if t in tagged:
-            choice[t] = tagged[t]
-        else:
-            member = t[0]
-            choice[t] = min(z.intersection(member))
-    return choice
+    rows, cols = _strategies(inp.fa), _strategies(inp.fb)
+    return StrategicGame(
+        inp.outcomes,
+        [_strategy_label(r) for r in rows],
+        [_strategy_label(c) for c in cols],
+        [[_cell(r, c) for c in cols] for r in rows],
+    )
 
 
 @dataclass(frozen=True)
@@ -235,13 +212,13 @@ class RoundTripReport:
     mode: str
     fa_ok: bool
     fb_ok: bool
-    columns_ok: bool
+    strategies_ok: bool
     rows: int
     cols: int
 
     @property
     def ok(self) -> bool:
-        return self.fa_ok and self.fb_ok and self.columns_ok
+        return self.fa_ok and self.fb_ok and self.strategies_ok
 
     def __bool__(self):
         return self.ok
@@ -251,7 +228,7 @@ class RoundTripReport:
             "mode": self.mode,
             "FA_recovered": self.fa_ok,
             "FB_recovered": self.fb_ok,
-            "columns_exact": self.columns_ok,
+            "strategies_exact": self.strategies_ok,
             "rows": self.rows,
             "cols": self.cols,
             "ok": self.ok,
@@ -261,9 +238,10 @@ class RoundTripReport:
 def verify_roundtrip(inp: RepresentationInput) -> RoundTripReport:
     """Recompute the powers of the constructed game and compare exactly.
 
-    Also rechecks that each column realizes precisely the fb member named in
-    its triple.  In relational mode the comparison runs against relational
-    basic powers instead; any mismatch is reported, never repaired.
+    Also rechecks that each row and each column realizes precisely the
+    member named in its label.  In relational mode the comparison runs
+    against relational basic powers instead; any mismatch is reported, never
+    repaired.
     """
     sg = construct_game(inp)
     if inp.mode == RELATIONAL:
@@ -272,16 +250,16 @@ def verify_roundtrip(inp: RepresentationInput) -> RoundTripReport:
     else:
         fa_got = basic_powers(sg, Player.A)
         fb_got = basic_powers(sg, Player.B)
-    columns_ok = True
-    for j, t in enumerate(_triples(inp)):
-        if sg.col_set(j) != frozenset(t[0]):
-            columns_ok = False
-            break
+    strategies_ok = all(
+        sg.row_set(k) == x for k, (x, _, _) in enumerate(_strategies(inp.fa))
+    ) and all(
+        sg.col_set(k) == z for k, (z, _, _) in enumerate(_strategies(inp.fb))
+    )
     return RoundTripReport(
         mode=inp.mode,
         fa_ok=fa_got == inp.fa,
         fb_ok=fb_got == inp.fb,
-        columns_ok=columns_ok,
+        strategies_ok=strategies_ok,
         rows=len(sg.rows),
         cols=len(sg.cols),
     )
@@ -295,10 +273,10 @@ def sample_legal_families(
     max_cost: int = 20000,
     max_tries: int = 2000,
 ) -> RepresentationInput:
-    """Seeded legal family pair whose construction stays enumerable.
+    """Seeded legal family pair of bounded size.
 
     Rejection sampling: draw a condition-respecting pair, then re-draw while
-    the number of candidate choice maps exceeds max_cost.
+    its `construction_cost` exceeds max_cost.
     """
     if o_size < 1:
         raise ValueError("o_size must be at least 1")

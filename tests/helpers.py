@@ -26,6 +26,7 @@ from gamepowers.games import (
     node,
     outcome_set,
 )
+from gamepowers.representation import check_input
 
 
 # -- worked games ------------------------------------------------------------
@@ -419,3 +420,58 @@ def model_check_boxes_exact(m, f: Formula):
         scope = model_check_boxes_exact(m, f.scope)
         return frozenset(u for u in m.worlds if scope in m.neigh(f.player, u))
     raise TypeError(f"not a formula: {f!r}")
+
+
+# -- reference representation construction ----------------------------------------
+
+def choice_map_columns(inp):
+    """B's strategies in the choice-map construction: (Z, u, j) in fb x O x {0,1}."""
+    return tuple(
+        (member, u, j)
+        for member in inp.fb.members
+        for u in sorted(inp.outcomes)
+        for j in (0, 1)
+    )
+
+
+def choice_map_game(inp) -> StrategicGame:
+    """The choice-map realization of a legal pair, exponential in its size.
+
+    Columns are the triples of ``choice_map_columns``; rows are the choice
+    maps c with c(Z, u, j) in Z whose image is a member of fa.  A map with
+    image exactly S only ever picks values in S, so running over the
+    per-triple candidates Z & S and keeping the maps whose image is all of S
+    yields every such map exactly once.
+    """
+    check_input(inp)
+    columns = choice_map_columns(inp)
+    maps = []
+    for target in inp.fa.member_sets():
+        candidates = [sorted(target.intersection(m)) for m, _, _ in columns]
+        maps.extend(v for v in product(*candidates) if set(v) == target)
+    return StrategicGame(
+        inp.outcomes,
+        [f"c{i}" for i in range(len(maps))],
+        [f"({'+'.join(map(str, m))},{u},{j})" for m, u, j in columns],
+        maps,
+    )
+
+
+def claim_witness(inp, z) -> dict:
+    """A choice map of ``choice_map_game`` whose image is exactly z.
+
+    Picks a containing fb member g(u) for every u in z, routes the triple
+    (g(u), u, 0) to u, and fills every other triple with the least element
+    of z & Z' in label order.
+    """
+    check_input(inp)
+    z = frozenset(z)
+    if z not in inp.fa:
+        raise ValueError(f"{sorted(z)} is not a member of FA")
+    tagged = {
+        (next(m for m in inp.fb.members if u in m), u, 0): u for u in sorted(z)
+    }
+    return {
+        t: tagged[t] if t in tagged else min(z.intersection(t[0]))
+        for t in choice_map_columns(inp)
+    }

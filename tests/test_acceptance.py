@@ -49,11 +49,13 @@ from gamepowers.powers import (
     check_conditions,
     family_conditions,
     powers,
+    random_family_pair,
     relational_basic_powers,
 )
 from gamepowers.representation import (
     BASIC,
     RELATIONAL,
+    RepresentationInput,
     sample_legal_families,
     verify_roundtrip,
 )
@@ -129,8 +131,17 @@ def test_criterion_04_representation_roundtrip():
         inp = sample_legal_families(2 + i % 3, seed=900 + i, mode=RELATIONAL)
         report = verify_roundtrip(inp)
         rel_good += bool(report.fa_ok and report.fb_ok)
-    ok = good == 200 and rel_good == 100
-    _verdict(4, f"family realization {good}/200 exact, {rel_good}/100 relational", ok)
+    # unbounded draws past 4 outcomes, where no choice-map cost bound applies
+    big_good = 0
+    for i in range(300):
+        mode, size = (BASIC, RELATIONAL)[i % 2], (5, 6, 8)[i % 3]
+        outcomes = [str(k) for k in range(size)]
+        fa, fb = random_family_pair(Random(4000 + i), outcomes, mode)
+        report = verify_roundtrip(RepresentationInput(outcomes, fa, fb, mode))
+        big_good += report.ok
+    ok = good == 200 and rel_good == 100 and big_good == 300
+    _verdict(4, f"family realization {good}/200 exact, {rel_good}/100 relational, "
+                f"{big_good}/300 on 5-8 outcomes", ok)
 
 
 def test_criterion_05_forward_conditions():

@@ -318,6 +318,9 @@ def test_random_game_depth_one_is_a_leaf():
 def test_random_game_rejects_bad_caps():
     with pytest.raises(ValueError):
         random_game(0, 0, 2)
+    with pytest.raises(ValueError, match="max_depth"):
+        random_game(0, 13, 2)
+    assert random_game(0, 12, 2).nodes
     # every game costs at least one strategy per player
     with pytest.raises(ValueError, match="max_cost"):
         random_game(0, max_cost=1)
@@ -398,6 +401,18 @@ def test_negative_sample_counts_are_rejected():
         check_congruence("+", "strong", seed=0, samples=-1)
     assert check_equation("x", "x", "semi", seed=0, samples=0).samples == 5
     assert check_congruence("+", "strong", seed=0, samples=0).samples == 0
+
+
+@pytest.mark.parametrize("max_depth", [0, 13])
+def test_depth_caps_are_checked_before_the_pool(max_depth):
+    # the pool alone refutes x * x = x, and composition draws at depth 2
+    # whatever the cap, so only an up-front check sees the bad argument
+    for lhs, rhs in (("x * x", "x"), ("x o y", "y o x")):
+        with pytest.raises(ValueError, match="max_depth"):
+            check_equation(lhs, rhs, "strong", seed=1, samples=0,
+                           outcomes=("0", "1"), max_depth=max_depth)
+    with pytest.raises(ValueError, match="max_depth"):
+        check_congruence("+", "strong", seed=0, samples=0, max_depth=max_depth)
 
 
 # -- the power domain against the tree oracle ----------------------------------

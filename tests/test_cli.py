@@ -135,9 +135,10 @@ def test_represent_builds_and_verifies(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["legal"] is True
-    assert report["cost"] == 2
+    assert "cost" not in report
     assert report["roundtrip"]["ok"] is True
-    assert report["game"]["rows"] == ["c0", "c1"]
+    assert report["roundtrip"]["strategies_exact"] is True
+    assert report["game"]["rows"] == ["(0,0,0)", "(0,0,1)", "(1,1,0)", "(1,1,1)"]
 
 
 def test_represent_flags_illegal_families(capsys, tmp_path):
@@ -216,6 +217,15 @@ def test_refute_codes(capsys):
     code, out = run(capsys, "refute", "p | !p", "--seed", "1", "--budget", "20")
     assert code == 0
     assert json.loads(out)["found"] is False
+
+
+def test_algebra_rejects_a_depth_cap_past_twelve(capsys):
+    for depth in ("13", "40", "0"):
+        assert_input_error(capsys, "algebra", "x + y = y + x", "--equiv", "strong",
+                           "--seed", "0", "--samples", "5", "--max-depth", depth)
+    code, _ = run(capsys, "algebra", "x + y = y + x", "--equiv", "strong",
+                  "--seed", "0", "--samples", "1", "--max-depth", "12")
+    assert code == 0
 
 
 def test_refute_rejects_a_world_cap_past_eight(capsys):
@@ -316,11 +326,14 @@ FRAME = ("frame", "--kind", "instantial")
                   "matrix": "ab"}),
         (POWERS, {"outcomes": ["a", "b"], "rows": ["r0", "r1"], "cols": ["c"],
                   "matrix": ["a", "b"]}),
+        # an outcome alphabet that repeats a label
+        (REPRESENT, {"outcomes": ["0", "0"], "FA": [["0"]], "FB": [["0"]]}),
     ],
     ids=["outcome-list", "info-list", "row-list", "member-label-list",
          "outcomes-string", "member-string", "unknown-outcome",
          "family-mixed-outcomes", "model-mixed-worlds", "neighborhood-mixed-world",
-         "game-mixed-outcomes", "matrix-string", "matrix-row-strings"],
+         "game-mixed-outcomes", "matrix-string", "matrix-row-strings",
+         "family-duplicate-outcomes"],
 )
 def test_malformed_files_are_input_errors(capsys, tmp_path, command, data):
     p = tmp_path / "input.json"

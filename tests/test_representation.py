@@ -8,6 +8,7 @@ from gamepowers.games import Player
 from gamepowers.powers import (
     CONSISTENCY,
     INSTANTIATEDNESS,
+    POWER_KINDS,
     UNION_CLOSURE,
     PowerFamily,
     basic_powers,
@@ -19,14 +20,20 @@ from gamepowers.representation import (
     IllegalFamilies,
     RepresentationInput,
     check_input,
-    claim_witness,
     construct_game,
     construction_cost,
     load_representation_input,
     sample_legal_families,
     verify_roundtrip,
 )
-from helpers import two_or_three_after_one
+from helpers import (
+    choice_map_columns,
+    choice_map_game,
+    claim_witness,
+    oracle_union_closure,
+    subsets,
+    two_or_three_after_one,
+)
 
 
 def two_singletons_vs_pair():
@@ -36,19 +43,36 @@ def two_singletons_vs_pair():
     return RepresentationInput(outcomes, fa, fb)
 
 
+def legal_pairs(n: int, mode: str):
+    """Every legal pair of the mode's families over n outcomes."""
+    outcomes = tuple("abc"[:n])
+    families = [
+        PowerFamily(outcomes, f)
+        for f in subsets(s for s in subsets(outcomes) if s)
+        if f
+    ]
+    required = family_conditions(mode)
+    for fa in families:
+        for fb in families:
+            pa, pb = check_conditions(fa, fb)
+            if pa.holds(*required) and pb.holds(*required):
+                yield RepresentationInput(outcomes, fa, fb, mode)
+
+
 def test_two_outcome_example_shape():
     sg = construct_game(two_singletons_vs_pair())
+    # 2 sum|X| rows and 2 sum|Z| columns
+    assert len(sg.rows) == 4
     assert len(sg.cols) == 4
-    assert len(sg.rows) == 2
-    # the only legal maps are the two constant ones
-    assert sorted(set(row) for row in sg.matrix) == [{"0"}, {"1"}]
+    assert [set(row) for row in sg.matrix] == [{"0"}, {"0"}, {"1"}, {"1"}]
+    assert sg.rows == ("(0,0,0)", "(0,0,1)", "(1,1,0)", "(1,1,1)")
     assert sg.cols[0] == "(0+1,0,0)"
 
 
 def test_two_outcome_example_roundtrip():
     report = verify_roundtrip(two_singletons_vs_pair())
     assert report.ok
-    assert report.fa_ok and report.fb_ok and report.columns_ok
+    assert report.fa_ok and report.fb_ok and report.strategies_ok
     assert report.to_json()["ok"] is True
 
 
@@ -57,7 +81,7 @@ def test_single_outcome_trivial_families():
     fam = PowerFamily(outcomes, [["o"]])
     inp = RepresentationInput(outcomes, fam, fam)
     sg = construct_game(inp)
-    assert len(sg.rows) == 1
+    assert len(sg.rows) == 2
     assert len(sg.cols) == 2
     assert verify_roundtrip(inp).ok
 
@@ -72,6 +96,39 @@ def test_realizes_families_of_a_known_game():
     assert strongly_equivalent(built, g)
 
 
+@pytest.mark.parametrize("mode", ["basic", "relational"])
+def test_direct_matrix_realizes_every_small_legal_pair(mode):
+    counts = []
+    for n in (1, 2, 3):
+        pairs = list(legal_pairs(n, mode))
+        counts.append(len(pairs))
+        for inp in pairs:
+            sg = construct_game(inp)
+            rows = {sg.row_set(i) for i in range(len(sg.rows))}
+            cols = {sg.col_set(j) for j in range(len(sg.cols))}
+            if mode == "relational":
+                rows, cols = oracle_union_closure(rows), oracle_union_closure(cols)
+            assert {frozenset(m) for m in rows} == set(inp.fa.member_sets())
+            assert {frozenset(m) for m in cols} == set(inp.fb.member_sets())
+    assert counts == ([1, 13, 845] if mode == "basic" else [1, 11, 384])
+
+
+@pytest.mark.parametrize("mode", ["basic", "relational"])
+def test_direct_matrix_agrees_with_the_choice_map_reference(mode):
+    kind = POWER_KINDS[mode]
+    inputs = [inp for n in (1, 2, 3) for inp in legal_pairs(n, mode)]
+    inputs += [sample_legal_families(4, s, mode, max_cost=2000) for s in range(20)]
+    compared = 0
+    for inp in inputs:
+        if construction_cost(inp) > 2000:
+            continue
+        direct, reference = construct_game(inp), choice_map_game(inp)
+        for p, fam in ((Player.A, inp.fa), (Player.B, inp.fb)):
+            assert kind(direct, p) == kind(reference, p) == fam
+        compared += 1
+    assert compared >= 100
+
+
 def test_claim_witness_constant_map():
     inp = two_singletons_vs_pair()
     witness = claim_witness(inp, {"0"})
@@ -84,15 +141,13 @@ def test_claim_witness_image_is_exact_and_playable():
     fa = basic_powers(g, Player.A)
     fb = basic_powers(g, Player.B)
     inp = RepresentationInput(g.outcomes, fa, fb)
-    sg = construct_game(inp)
+    sg = choice_map_game(inp)
     for z in fa.member_sets():
         witness = claim_witness(inp, z)
         assert set(witness.values()) == set(z)
-        # the witness map is one of the constructed rows
-        ordered = tuple(witness[t] for t in sorted(witness))
-        rows = {tuple(sorted(zip(sorted(witness), row)))
-                for row in sg.matrix}
-        assert tuple(sorted(zip(sorted(witness), ordered))) in rows
+        # the witness map is one of the reference construction's rows
+        row = tuple(witness[t] for t in choice_map_columns(inp))
+        assert row in sg.matrix
 
 
 def test_claim_witness_rejects_non_members():
@@ -106,15 +161,6 @@ def test_every_column_offers_its_whole_member():
     sg = construct_game(inp)
     for j in range(len(sg.cols)):
         assert sg.col_set(j) == {"0", "1"}
-
-
-def test_indexed_player_swap_realizes_same_families():
-    inp = two_singletons_vs_pair()
-    sg = construct_game(inp, indexed_player=Player.A)
-    assert basic_powers(sg, Player.A) == inp.fa
-    assert basic_powers(sg, Player.B) == inp.fb
-    # now the rows carry the indexed triples, one per fa member and copy
-    assert len(sg.rows) == 8
 
 
 def test_inconsistent_families_rejected():
@@ -169,6 +215,8 @@ def test_bad_mode_and_mismatched_outcomes_rejected():
     other = PowerFamily(["a"], [["a"]])
     with pytest.raises(ValueError):
         RepresentationInput(outcomes, fam, other)
+    with pytest.raises(ValueError, match="duplicate"):
+        RepresentationInput(["0", "0", "1"], fam, fam)
 
 
 def test_json_roundtrip(tmp_path):

@@ -15,7 +15,7 @@ import gamepowers
 from gamepowers.algebra import random_dynamic_game, seq_compose
 from gamepowers.axioms import ALL_SCHEMATA, schema_instance
 from gamepowers.formulas import format_formula
-from gamepowers.games import game_to_json
+from gamepowers.games import game_to_json, strategic_to_json
 from gamepowers.models import GAME_FRAME, INSTANTIAL_FRAME
 from gamepowers.powers import random_family_pair
 
@@ -144,6 +144,14 @@ def _built_games():
         yield seq_compose(d2, d1).to_json()
 
 
+def _representations():
+    for mode in ("basic", "relational"):
+        for seed in range(40):
+            inp = gamepowers.sample_legal_families(1 + seed % 4, seed, mode)
+            yield strategic_to_json(gamepowers.construct_game(inp))
+            yield gamepowers.verify_roundtrip(inp).to_json()
+
+
 SEEDED = {
     "random_model/game": lambda: (
         gamepowers.random_model(s, GAME_FRAME).to_json() for s in range(100)),
@@ -161,6 +169,7 @@ SEEDED = {
     "check_congruence": _congruences,
     "hierarchy_audit": _hierarchy_audits,
     "built_games": _built_games,
+    "represent": _representations,
 }
 
 PINNED = {
@@ -177,6 +186,7 @@ PINNED = {
     "random_family_pair/relational": "890687c75e0ffe86d82a0bdd3d4f6e5d5a8891415941ca63463918d072cbd08d",
     "random_model/game": "bab349c8a492936e6343188986288a8191d065a44e36349cc335552129b5d8dd",
     "random_model/instantial": "bf4c7595dc62c712b69c5bd7418613c7cc8305a7a54fe288707170e599ae6fb2",
+    "represent": "a8dd2f76ccc31e88a411c5e92585ad7ae035d7059712725d097877c74e669a6e",
 }
 
 
