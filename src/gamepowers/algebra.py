@@ -6,9 +6,10 @@ games assign a game over the state set to each state, which gives sequential
 composition a home: compose by grafting a fresh copy of the continuation at
 every leaf.  check_equation and check_congruence probe laws on deterministic
 pools first and seeded random games after, and only ever report a
-counterexample that re-verifies.  check_equation decides each binding on the
-bound games' power families, folded through the term; it builds composed
-trees only for strong equivalence with o, whose basic powers they decide.
+counterexample that re-verifies.  Both fold their terms (for a congruence, a
+pair and its one-hole contexts) over the bound games' power families; they
+build trees only for strong with o, whose basic powers lose multiplicity,
+and for a counterexample they report.
 """
 
 from __future__ import annotations
@@ -146,39 +147,13 @@ def identity_dynamic(states) -> DynamicGame:
     return DynamicGame(states, {u: game(states, leaf(u)) for u in states})
 
 
-def _same_states(d1: DynamicGame, d2: DynamicGame):
-    if set(d1.states) != set(d2.states):
-        raise ValueError("dynamic games must share a state set")
-
-
-def dynamic_plus(d1: DynamicGame, d2: DynamicGame) -> DynamicGame:
-    _same_states(d1, d2)
-    return DynamicGame(
-        d1.states, {u: op_plus(d1.games[u], d2.games[u]) for u in d1.states}
-    )
-
-
-def dynamic_times(d1: DynamicGame, d2: DynamicGame) -> DynamicGame:
-    _same_states(d1, d2)
-    return DynamicGame(
-        d1.states, {u: op_times(d1.games[u], d2.games[u]) for u in d1.states}
-    )
-
-
-def dynamic_dual(d: DynamicGame) -> DynamicGame:
-    return DynamicGame(d.states, {u: op_dual(d.games[u]) for u in d.states})
-
-
 def seq_compose(d1: DynamicGame, d2: DynamicGame) -> DynamicGame:
     """Graft a fresh copy of d2's continuation at every leaf of every d1 game.
 
     Grafted copies keep their information cells to themselves, so cells never
     span two copies of the continuation.
     """
-    _same_states(d1, d2)
-    return DynamicGame(
-        d1.states, {u: _graft(d1.games[u], d2) for u in d1.states}
-    )
+    return _statewise(lambda g1, _: _graft(g1, d2), d1, d2)
 
 
 def _graft(g1: ExtensiveGame, d2: DynamicGame) -> ExtensiveGame:
@@ -402,18 +377,14 @@ def evaluate(term: GameTerm, env: Mapping):
         except KeyError:
             raise ValueError(f"unbound variable {term.name!r}") from None
     if isinstance(term, Dual):
-        sub = evaluate(term.sub, env)
-        return dynamic_dual(sub) if isinstance(sub, DynamicGame) else op_dual(sub)
+        return _statewise(op_dual, evaluate(term.sub, env))
     left = evaluate(term.left, env)
     right = evaluate(term.right, env)
-    dyn = isinstance(left, DynamicGame)
-    if isinstance(term, Plus):
-        return dynamic_plus(left, right) if dyn else op_plus(left, right)
-    if isinstance(term, Times):
-        return dynamic_times(left, right) if dyn else op_times(left, right)
-    if not dyn:
-        raise ValueError("sequential composition needs dynamic games")
-    return seq_compose(left, right)
+    if isinstance(term, Comp):
+        if not isinstance(left, DynamicGame):
+            raise ValueError("sequential composition needs dynamic games")
+        return seq_compose(left, right)
+    return _statewise(op_plus if isinstance(term, Plus) else op_times, left, right)
 
 
 def _value_powers(fn, value):
@@ -424,9 +395,21 @@ def _value_powers(fn, value):
 
 
 def _statewise(op, *values):
-    if isinstance(values[0], dict):
-        return {u: op(*(v[u] for v in values)) for u in values[0]}
-    return op(*values)
+    # op on games or power pairs, state by state on dynamic games (which must
+    # share a state set and cannot mix with games) and on dicts of pairs
+    first = values[0]
+    if isinstance(first, dict):
+        return {u: op(*(v[u] for v in values)) for u in first}
+    dynamic = [isinstance(v, DynamicGame) for v in values]
+    if not any(dynamic):
+        return op(*values)
+    if not all(dynamic):
+        raise ValueError("cannot combine a game with a dynamic game")
+    if any(set(v.states) != set(first.states) for v in values):
+        raise ValueError("dynamic games must share a state set")
+    return DynamicGame(
+        first.states, {u: op(*(v.games[u] for v in values)) for u in first.states}
+    )
 
 
 def _union(families) -> set:
@@ -603,6 +586,25 @@ def _values_equivalent(split, v1, v2):
     return bool(verdict), verdict.witness
 
 
+def _binding_decision(equiv: str, dynamic: bool):
+    # drawn(value) -> (value, entry) pairs a game with its entry in the env
+    # that decide(lhs, rhs, env) -> (ok, witness) folds both terms over: its
+    # power pairs, or the game itself for strong with o, since basic powers
+    # of a composition lose multiplicity and only trees decide them
+    kind = _LAW_KINDS[equiv]
+    trees = dynamic and equiv == STRONG
+    fold = evaluate if trees else partial(_term_powers, kind=kind)
+    split = EQUIVALENCES[equiv] if trees else partial(_pair_split, equiv)
+
+    def drawn(v):
+        return v, v if trees else _value_powers(POWER_KINDS[kind], v)
+
+    def decide(lhs, rhs, env):
+        return _values_equivalent(split, fold(lhs, env), fold(rhs, env))
+
+    return drawn, decide
+
+
 def _value_json(value) -> dict:
     return value.to_json() if isinstance(value, DynamicGame) else game_to_json(value)
 
@@ -683,15 +685,7 @@ def check_equation(
     names = sorted(term_variables(lhs_t) | term_variables(rhs_t))
     dynamic = term_uses_composition(lhs_t) or term_uses_composition(rhs_t)
     outcomes = tuple(outcomes)
-    kind = _LAW_KINDS[equiv]
-    # basic powers of a composition lose multiplicity: only trees decide
-    trees = dynamic and equiv == STRONG
-    fold = evaluate if trees else partial(_term_powers, kind=kind)
-    split = EQUIVALENCES[equiv] if trees else partial(_pair_split, equiv)
-
-    def drawn(v):
-        return v, v if trees else _value_powers(POWER_KINDS[kind], v)
-
+    drawn, decide = _binding_decision(equiv, dynamic)
     rng = Random(seed)
     if dynamic:
         # dynamic bindings stay shallow so composed trees remain enumerable
@@ -707,7 +701,7 @@ def check_equation(
         nonlocal tried
         tried += 1
         env = {name: entry for name, (_, entry) in zip(names, values)}
-        ok, witness = _values_equivalent(split, fold(lhs_t, env), fold(rhs_t, env))
+        ok, witness = decide(lhs_t, rhs_t, env)
         if ok:
             return None
         return {
@@ -777,11 +771,13 @@ def check_congruence(
 ) -> CongruenceReport:
     """Probe whether the equivalence survives the operation in context.
 
-    Candidate pairs are re-verified to be equivalent before any context is
-    applied, so a counterexample always exhibits a genuine pair that the
-    operation tears apart.  For composition the candidate list includes the
-    pair of factors whose one-move difference a branching continuation
-    amplifies.
+    Candidate pairs are terms over a and b, re-verified to be equivalent
+    before any context is applied, so a counterexample always exhibits a
+    genuine pair that the operation tears apart.  Pairs and contexts are
+    decided as check_equation decides bindings; only a reported
+    counterexample evaluates its pair and contexts as games.  For
+    composition the candidate list includes the pair of factors whose
+    one-move difference a branching continuation amplifies.
     """
     if op not in ("+", "*", "-", "o"):
         raise ValueError(f"unknown operation {op!r}")
@@ -790,82 +786,80 @@ def check_congruence(
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
     _check_depth(max_depth)
-    split = EQUIVALENCES[equiv]
     outcomes = tuple(outcomes)
     rng = Random(seed)
     dynamic = op == "o"
-    # shallow dynamic draws keep composed trees enumerable
-    dyn_depth = min(max_depth, 2)
+    drawn, decide = _binding_decision(equiv, dynamic)
+    if dynamic:
+        # shallow dynamic draws keep composed trees enumerable
+        draw = partial(random_dynamic_game, rng, outcomes, min(max_depth, 2), max_branch)
+    else:
+        draw = partial(random_game, rng, max_depth, max_branch, outcomes)
     first, second = outcomes[0], outcomes[min(1, len(outcomes) - 1)]
     choice = node(Player.B, [leaf(first), leaf(second)])
+    a, b, h = Var("a"), Var("b"), Var("h")
+    combine = {"+": Plus, "*": Times, "o": Comp}.get(op)
+    holes = (("left", lambda t: combine(t, h)), ("right", lambda t: combine(h, t)))
     tried = 0
 
     def candidate_pairs():
+        # (lhs, rhs, binding of a and b); draws happen as the pairs are read
         if dynamic:
             # one forced move or two at the first state, then back there
             one, two = (node(Player.A, [leaf(first)] * k) for k in (1, 2))
-            yield _at_first_state(outcomes, one), _at_first_state(outcomes, two)
-            d = random_dynamic_game(rng, outcomes, dyn_depth, max_branch)
-            yield d, d
-            a = random_dynamic_game(rng, outcomes, dyn_depth, max_branch)
-            b = random_dynamic_game(rng, outcomes, dyn_depth, max_branch)
-            yield dynamic_plus(a, b), dynamic_plus(b, a)
-            yield dynamic_times(a, b), dynamic_times(b, a)
-            yield dynamic_dual(dynamic_dual(a)), a
-        else:
-            g = random_game(rng, max_depth, max_branch, outcomes)
-            yield g, g
-            a = random_game(rng, max_depth, max_branch, outcomes)
-            b = random_game(rng, max_depth, max_branch, outcomes)
-            yield op_plus(a, b), op_plus(b, a)
-            yield op_times(a, b), op_times(b, a)
-            yield op_dual(op_dual(a)), a
-            single = game(outcomes, node(Player.A, [choice]))
-            yield single, game(outcomes, node(Player.A, [choice, choice]))
+            yield a, b, {"a": drawn(_at_first_state(outcomes, one)),
+                         "b": drawn(_at_first_state(outcomes, two))}
+        g = drawn(draw())
+        yield a, b, {"a": g, "b": g}
+        binding = {"a": drawn(draw()), "b": drawn(draw())}
+        yield Plus(a, b), Plus(b, a), binding
+        yield Times(a, b), Times(b, a), binding
+        yield Dual(Dual(a)), a, binding
+        if not dynamic:
+            single, double = (
+                game(outcomes, node(Player.A, [choice] * k)) for k in (1, 2))
+            yield a, b, {"a": drawn(single), "b": drawn(double)}
 
-    def contexts(pair):
-        p, q = pair
+    def contexts():
+        # (side, hole filler, partner bound to h), drawn for each accepted pair
         if op == "-":
-            dual = dynamic_dual if dynamic else op_dual
-            yield dual(p), dual(q), "dual"
-            return
+            return [("dual", Dual, None)]
+        tagged = {"": drawn(draw())}
         if dynamic:
-            partner = random_dynamic_game(rng, outcomes, dyn_depth, max_branch)
-            named = _at_first_state(outcomes, choice)
-            for h, tag in ((named, "branching"), (partner, "random")):
-                yield seq_compose(p, h), seq_compose(q, h), f"left-of-{tag}"
-                yield seq_compose(h, p), seq_compose(h, q), f"right-of-{tag}"
-            return
-        combine = op_plus if op == "+" else op_times
-        h = random_game(rng, max_depth, max_branch, outcomes)
-        yield combine(p, h), combine(q, h), "left"
-        yield combine(h, p), combine(h, q), "right"
+            named = drawn(_at_first_state(outcomes, choice))
+            tagged = {"-of-branching": named, "-of-random": tagged[""]}
+        return [(side + tag, fill, p) for tag, p in tagged.items() for side, fill in holes]
 
-    for _ in range(samples):
-        for pair in candidate_pairs():
-            ok, _ = _values_equivalent(split, *pair)
-            if not ok:
-                continue
-            for c1, c2, side in contexts(pair):
-                tried += 1
-                ok, witness = _values_equivalent(split, c1, c2)
-                if not ok:
-                    return CongruenceReport(
-                        op=op,
-                        equiv=equiv,
-                        samples=tried,
-                        verdict="counterexample",
-                        counterexample={
-                            "pair": [_value_json(pair[0]), _value_json(pair[1])],
+    def entries(binding):
+        return {name: entry for name, (_, entry) in binding.items()}
+
+    def first_counterexample():
+        nonlocal tried
+        for _ in range(samples):
+            for lhs, rhs, binding in candidate_pairs():
+                if not decide(lhs, rhs, entries(binding))[0]:
+                    continue
+                for side, fill, partner in contexts():
+                    values = {**binding, "h": partner} if partner else binding
+                    tried += 1
+                    ok, witness = decide(fill(lhs), fill(rhs), entries(values))
+                    if not ok:
+                        games = {name: v for name, (v, _) in values.items()}
+                        return {
+                            "pair": [_value_json(evaluate(t, games)) for t in (lhs, rhs)],
                             "context": side,
-                            "composed": [_value_json(c1), _value_json(c2)],
+                            "composed": [
+                                _value_json(evaluate(fill(t), games)) for t in (lhs, rhs)
+                            ],
                             "witness": witness,
-                        },
-                    )
+                        }
+        return None
+
+    counter = first_counterexample()
     return CongruenceReport(
         op=op,
         equiv=equiv,
         samples=tried,
-        verdict="congruent-on-sample",
-        counterexample=None,
+        verdict="counterexample" if counter else "congruent-on-sample",
+        counterexample=counter,
     )

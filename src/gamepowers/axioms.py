@@ -289,19 +289,21 @@ def countermodel_search(
 
     Exhausts models with up to three worlds first (under the family-size
     caps), then samples seeded random models up to ``max_worlds``, which
-    must lie between 1 and 8 (ValueError otherwise).  The
-    budget is spent as ten model evaluations per nominal millisecond, so
-    runs replay exactly.  A not-found result is only a bounded search
-    coming up empty, never a validity proof.
+    must lie between 1 and 8 (ValueError otherwise).  The budget, at
+    least 1 nominal millisecond, is spent as ten model evaluations per
+    millisecond, so runs replay exactly.  A not-found result is only a
+    bounded search coming up empty, never a validity proof.
     """
     if isinstance(f, str):
         f = parse_formula(f)
     if not 1 <= max_worlds <= _MAX_WORLDS:
         raise ValueError(f"max_worlds must be between 1 and {_MAX_WORLDS}")
+    if budget_ms < 1:
+        raise ValueError(f"budget_ms must be at least 1, got {budget_ms}")
     text = format_formula(f)
     names = tuple(sorted(atoms(f)))
     evaluate = _evaluator(f)
-    budget = max(1, budget_ms) * 10
+    budget = budget_ms * 10
     spent = 0
 
     for k in range(1, min(EXHAUSTIVE_WORLDS, max_worlds) + 1):

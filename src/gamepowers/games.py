@@ -42,8 +42,9 @@ class GameFormatError(ValueError):
 
 
 def _is_label(value) -> bool:
-    # JSON lists and objects are unhashable, so they cannot name anything
-    return not isinstance(value, (list, dict))
+    # JSON lists and objects are unhashable, so they cannot name anything, and
+    # true and false would stand for 1 and 0 in every set and dict
+    return not isinstance(value, (list, dict, bool))
 
 
 def _is_label_list(value) -> bool:
@@ -196,6 +197,8 @@ def game(outcomes: Iterable[str], tree: Mapping) -> ExtensiveGame:
                 raise GameFormatError(
                     f"node at {addr}: leaf cannot carry player or children"
                 )
+            if not _is_label(spec["outcome"]):
+                raise GameFormatError(f"node at {addr}: 'outcome' must be a label")
             outcome[addr] = spec["outcome"]
             return
         try:

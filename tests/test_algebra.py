@@ -18,8 +18,6 @@ from gamepowers.algebra import (
     check_congruence,
     check_equation,
     composed_power_relation,
-    dynamic_dual,
-    dynamic_plus,
     evaluate,
     format_term,
     identity_dynamic,
@@ -258,8 +256,20 @@ def test_evaluate_dynamic_environment():
     d2 = random_dynamic_game(6, states)
     env = {"a": d1, "b": d2}
     assert evaluate(parse_term("a o b"), env) == seq_compose(d1, d2)
-    assert evaluate(parse_term("a + b"), env) == dynamic_plus(d1, d2)
-    assert evaluate(parse_term("-a"), env) == dynamic_dual(d1)
+    # + and - act state by state
+    assert evaluate(parse_term("a + b"), env) == DynamicGame(
+        states, {u: op_plus(d1.games[u], d2.games[u]) for u in states})
+    assert evaluate(parse_term("-a"), env) == DynamicGame(
+        states, {u: op_dual(d1.games[u]) for u in states})
+
+
+def test_evaluate_rejects_mixed_and_mismatched_operands():
+    states = ("0", "1")
+    env = {"a": identity_dynamic(states), "b": game(states, leaf("0")),
+           "c": identity_dynamic(("0", "1", "2"))}
+    for text in ("a + b", "b + a", "a * b", "a o b", "a + c", "a o c"):
+        with pytest.raises(ValueError):
+            evaluate(parse_term(text), env)
 
 
 # -- seeded generation -------------------------------------------------------------
@@ -472,17 +482,25 @@ def test_term_powers_match_the_powers_of_the_evaluated_tree(
 def test_only_strong_laws_with_composition_build_composed_trees(monkeypatch):
     calls = []
 
-    def counted(d1, d2):
-        calls.append(1)
-        return seq_compose(d1, d2)
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(algebra, "seq_compose", counted)
+    monkeypatch.setattr(algebra, "op_plus", counted(op_plus))
+    monkeypatch.setattr(algebra, "seq_compose", counted(seq_compose))
     for equiv in ("power", "semi"):
         assert check_equation("-(x o y)", "(-x) o (-y)", equiv, seed=1, samples=2)
     assert calls == []
     assert check_equation("-(x o y)", "(-x) o (-y)", "strong", seed=1, samples=2)
     # 16 pool bindings and 2 random ones, one composition on each side
-    assert len(calls) == 2 * 18
+    assert calls == ["seq_compose"] * (2 * 18)
+    # congruences decide their pairs and contexts the same way
+    calls.clear()
+    assert check_congruence("+", "strong", seed=0, samples=3)
+    assert check_congruence("o", "semi", seed=0, samples=2)
+    assert calls == []
 
 
 def test_congruence_of_plus_under_strong():

@@ -210,6 +210,12 @@ def test_negative_sample_counts_are_input_errors(capsys):
     assert json.loads(out)["samples"] == 0
 
 
+def test_budget_below_one_is_an_input_error(capsys):
+    for budget in ("-5", "0"):
+        assert_input_error(capsys, "refute", "[A]p -> p", "--seed", "0",
+                           "--budget", budget)
+
+
 def test_refute_codes(capsys):
     code, out = run(capsys, "refute", "[A](p;p|q) -> [A](p;p)", "--seed", "1")
     assert code == 1
@@ -328,12 +334,17 @@ FRAME = ("frame", "--kind", "instantial")
                   "matrix": ["a", "b"]}),
         # an outcome alphabet that repeats a label
         (REPRESENT, {"outcomes": ["0", "0"], "FA": [["0"]], "FB": [["0"]]}),
+        # booleans, which sets and dicts would take for 0 and 1
+        (POWERS, {"outcomes": [0, 1],
+                  "tree": {"player": "A",
+                           "children": [{"outcome": False}, {"outcome": True}]}}),
+        (REPRESENT, {"outcomes": [0, 1], "FA": [[True], [False]], "FB": [[0, 1]]}),
     ],
     ids=["outcome-list", "info-list", "row-list", "member-label-list",
          "outcomes-string", "member-string", "unknown-outcome",
          "family-mixed-outcomes", "model-mixed-worlds", "neighborhood-mixed-world",
          "game-mixed-outcomes", "matrix-string", "matrix-row-strings",
-         "family-duplicate-outcomes"],
+         "family-duplicate-outcomes", "leaf-booleans", "member-booleans"],
 )
 def test_malformed_files_are_input_errors(capsys, tmp_path, command, data):
     p = tmp_path / "input.json"

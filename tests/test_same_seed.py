@@ -109,9 +109,9 @@ def _distributions():
                 lhs, rhs, equiv, seed=i, samples=5).to_json()
 
 
-def _congruences():
+def _congruences(equiv):
     for i, op in enumerate(("+", "*", "-", "o")):
-        yield gamepowers.check_congruence(op, "strong", seed=i, samples=3).to_json()
+        yield gamepowers.check_congruence(op, equiv, seed=i, samples=3).to_json()
 
 
 def _hierarchy_audits():
@@ -166,7 +166,9 @@ SEEDED = {
     "check_equation": _equations,
     "check_equation/sequential": _sequential_equations,
     "check_equation/distributions": _distributions,
-    "check_congruence": _congruences,
+    "check_congruence": lambda: _congruences("strong"),
+    "check_congruence/power": lambda: _congruences("power"),
+    "check_congruence/semi": lambda: _congruences("semi"),
     "hierarchy_audit": _hierarchy_audits,
     "built_games": _built_games,
     "represent": _representations,
@@ -176,6 +178,8 @@ PINNED = {
     "axiom_soundness_suite": "3105912afd831af24f8a81846fbb13f82f8174a7b6ae7ee5cca2b37633d4bc3b",
     "built_games": "1dc77e47afac74e2a284aa30025f351fc548f8444e937ca130707c516a5e00b3",
     "check_congruence": "026541f177ab1025be6844eb3464a18ac1f644fbb6306fae23d878bde3c0fe72",
+    "check_congruence/power": "fe29a8321d2fc8ea6e0696efa75a73a3757270e3f4b90e656e5e0002e02ab4e0",
+    "check_congruence/semi": "03c13688cfe99b1b0889b31f756517efd8f952c63bf98882cbe682d0f4206175",
     "check_equation": "aeda8b16a9f1a80e042392d6161d0dc4baecea9e558465cb55c16815b773fce7",
     "check_equation/distributions": "f0ee3c6c42cb46545739c16c74a5234ce742209242821826109cf3c061413434",
     "check_equation/sequential": "35d31ace7076830071efb8a0b1634b35bf304f144d86ae600af5ea75d9ef4687",
