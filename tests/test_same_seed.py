@@ -80,6 +80,21 @@ def _searches():
         yield gamepowers.countermodel_search(text, seed=i).to_json()
 
 
+def _row_searches():
+    # small budgets and worlds cut the exhaustive phase inside a frame, and
+    # refutations land on valuation rows above the first
+    texts = list(REFUTABLE) + [
+        format_formula(schema_instance(name, 200 + i))
+        for i, name in enumerate(ALL_SCHEMATA)
+    ]
+    for i, text in enumerate(texts):
+        for budget_ms in (1, 2, 7):
+            for max_worlds in (1, 2, 3):
+                yield gamepowers.countermodel_search(
+                    text, max_worlds=max_worlds, seed=i,
+                    budget_ms=budget_ms).to_json()
+
+
 def _equations():
     for i, (lhs, rhs) in enumerate(ONE_SHOT_LAWS):
         for equiv in ("strong", "power"):
@@ -161,6 +176,7 @@ SEEDED = {
     "random_family_pair/basic": lambda: _family_pairs("basic"),
     "random_family_pair/relational": lambda: _family_pairs("relational"),
     "countermodel_search": _searches,
+    "countermodel_search/rows": _row_searches,
     "axiom_soundness_suite": lambda: (
         gamepowers.axiom_soundness_suite(s, 66).to_json() for s in (3, 8)),
     "check_equation": _equations,
@@ -184,6 +200,7 @@ PINNED = {
     "check_equation/distributions": "f0ee3c6c42cb46545739c16c74a5234ce742209242821826109cf3c061413434",
     "check_equation/sequential": "35d31ace7076830071efb8a0b1634b35bf304f144d86ae600af5ea75d9ef4687",
     "countermodel_search": "751246397987c100cb086db16fe26c5bb5ef444859e72d835c6c72ee2f9ccad8",
+    "countermodel_search/rows": "9a5466bb9d04bb479bacf4a5e5b42bd24f15b5c239b7d4c27d648dfcb0d9ac13",
     "hierarchy_audit": "bcde27e987a2e393d3fd354ec72ab01ce7dbee5efd3ebf27be722c898a737418",
     "random_family_pair/basic": "26c033b581302cbc8ee27d029766e72bb213e6953b8f1844a146014f78277793",
     "random_family_pair/plain": "d89be04979166b670dc69d4bc838880c664cb4a6fbead9442f17418c0fe9ca68",
