@@ -12,9 +12,11 @@ deterministic evaluation budget instead of wall-clock time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import combinations, product
+from functools import cache, reduce
+from itertools import combinations, islice, product
+from operator import or_
 from random import Random
+from types import SimpleNamespace
 from typing import Optional
 
 from .formulas import (
@@ -37,6 +39,7 @@ from .models import (
     GAME_FRAME,
     INSTANTIAL_FRAME,
     NeighborhoodModel,
+    _closure,
     _evaluator,
     model_check,
     random_model,
@@ -254,6 +257,42 @@ def _legal_world_pairs(worlds: tuple[str, ...], cap: int):
     )
 
 
+def _row_box(player: Player, scope, instants):
+    # _closure's box over one frame under a block of valuation rows, where a
+    # truth value is one int whose bit u * width + j is world u's truth under
+    # row j: fr.neigh[player] gives each world's u * width and neighborhoods
+    # as bit offsets, fr.row is width one bits
+    def box(fr, top):
+        inside = scope(fr, top)
+        sides = [s(fr, top) for s in instants]
+        out = 0
+        for at, zs in fr.neigh[player]:
+            for z in zs:
+                hit = fr.row
+                for w in z:
+                    hit &= inside >> w
+                for side in sides:
+                    hit &= reduce(or_, [side >> w for w in z], 0)
+                out |= hit << at
+        return out
+
+    return box
+
+
+def _atom_rows(k: int, n: int, width: int) -> list[int]:
+    # the truth values of n atoms over k worlds in the first `width` rows,
+    # numbered as itertools.product numbers the rows: atom i takes each
+    # subset of the worlds in turn for a run of (2^k)^(n-1-i) rows
+    subsets = list(_subsets(range(k)))
+    out = [0] * n
+    for i, u in product(range(n), range(k)):
+        run = min(len(subsets) ** (n - 1 - i), width)
+        period = "".join(("1" if u in z else "0") * run for z in subsets)
+        rows = period * -(-width // len(period))  # row j is character j
+        out[i] |= int(rows[width - 1 :: -1], 2) << u * width
+    return out
+
+
 @dataclass(frozen=True)
 class SearchResult:
     formula: str
@@ -288,11 +327,13 @@ def countermodel_search(
     """Look for a valid instantial model and world where ``f`` fails.
 
     Exhausts models with up to three worlds first (under the family-size
-    caps), then samples seeded random models up to ``max_worlds``, which
-    must lie between 1 and 8 (ValueError otherwise).  The budget, at
-    least 1 nominal millisecond, is spent as ten model evaluations per
-    millisecond, so runs replay exactly.  A not-found result is only a
-    bounded search coming up empty, never a validity proof.
+    caps), deciding all valuation rows of a frame at once, then samples
+    seeded random models up to ``max_worlds``, which must lie between 1
+    and 8 (ValueError otherwise).  The budget, at least 1 nominal
+    millisecond, is spent as ten evaluations per millisecond, one
+    evaluation being one valuation row of one frame or one random model,
+    so runs replay exactly.  A not-found result is only a bounded search
+    coming up empty, never a validity proof.
     """
     if isinstance(f, str):
         f = parse_formula(f)
@@ -303,30 +344,45 @@ def countermodel_search(
     text = format_formula(f)
     names = tuple(sorted(atoms(f)))
     evaluate = _evaluator(f)
+    rows_truth = _closure(f, _row_box)
     budget = budget_ms * 10
     spent = 0
 
     for k in range(1, min(EXHAUSTIVE_WORLDS, max_worlds) + 1):
         worlds = tuple(f"w{i}" for i in range(k))
-        everywhere = frozenset(worlds)
         pairs = _legal_world_pairs(worlds, _FAMILY_CAPS[k])
-        per_atom = [[(a, combo) for combo in _subsets(worlds)] for a in names]
-        truth_rows = list(product(*per_atom))
-        for assignment in product(pairs, repeat=k):
+        rows = 2 ** (k * len(names))
+        # rows past the budget are never read, so none is built
+        width = max(min(rows, budget - spent), 1)
+        valuation = dict(zip(names, _atom_rows(k, len(names), width)))
+        at = {w: u * width for u, w in enumerate(worlds)}
+        offsets = [
+            [tuple(tuple(at[w] for w in z) for z in fam._index) for fam in pair]
+            for pair in pairs
+        ]
+        top = (1 << k * width) - 1
+        for assignment in product(range(len(pairs)), repeat=k):
+            cut = min(rows, budget - spent)
+            if cut <= 0:
+                return SearchResult(text, False, None, None, "budget", spent, budget)
             neigh = {
-                Player.A: {u: fa for u, (fa, _) in zip(worlds, assignment)},
-                Player.B: {u: fb for u, (_, fb) in zip(worlds, assignment)},
+                p: [(u * width, offsets[i][side]) for u, i in enumerate(assignment)]
+                for side, p in enumerate((Player.A, Player.B))
             }
-            base = NeighborhoodModel._from_families(worlds, neigh, {})
-            for row in truth_rows:
-                if spent >= budget:
-                    return SearchResult(text, False, None, None, "budget", spent, budget)
-                m = base.with_valuation(dict(row))
-                spent += 1
-                extension = evaluate(m)
-                if extension != everywhere:
-                    world = min(set(worlds) - extension)
-                    return SearchResult(text, True, m, world, "exhaustive", spent, budget)
+            fr = SimpleNamespace(valuation=valuation, neigh=neigh, row=(1 << width) - 1)
+            failing = top ^ rows_truth(fr, top)
+            refuted = reduce(or_, [failing >> u for u in at.values()]) & (1 << cut) - 1
+            if not refuted:
+                spent += cut
+                continue
+            j = (refuted & -refuted).bit_length() - 1
+            world = next(w for w in worlds if failing >> at[w] + j & 1)
+            per_atom = [[(a, combo) for combo in _subsets(worlds)] for a in names]
+            refuting = next(islice(product(*per_atom), j, None))
+            fams = zip(*(pairs[i] for i in assignment))  # A's, then B's
+            neigh = {p: dict(zip(worlds, fs)) for p, fs in zip((Player.A, Player.B), fams)}
+            m = NeighborhoodModel._from_families(worlds, neigh, dict(refuting))
+            return SearchResult(text, True, m, world, "exhaustive", spent + j + 1, budget)
 
     rng = Random(seed)
     while spent < budget:

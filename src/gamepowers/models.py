@@ -105,10 +105,6 @@ class NeighborhoodModel:
     def atoms(self) -> tuple[str, ...]:
         return tuple(sorted(self.valuation))
 
-    def with_valuation(self, valuation: Mapping[str, Iterable[str]]):
-        """The same frame under another valuation; the neighborhoods are shared."""
-        return NeighborhoodModel._from_families(self.worlds, self._neigh, valuation)
-
     def __eq__(self, other):
         if not isinstance(other, NeighborhoodModel):
             return NotImplemented
@@ -238,29 +234,31 @@ def _evaluator(f: Formula) -> Callable[[NeighborhoodModel], frozenset[str]]:
     Each connective becomes a closure over its operands' closures, so the
     formula is dispatched on once, however many models it is checked on.
     """
-    truth = _closure(f)
+    truth = _closure(f, _box)
     return lambda m: truth(m, frozenset(m.worlds))
 
 
 _NOWHERE: frozenset = frozenset()
 
 
-def _closure(f: Formula):
-    # a function of a model and its world set, giving f's truth set
+def _closure(f: Formula, box):
+    # a function of a model and its top truth value (the world set here),
+    # giving f's truth value; box(player, scope, instants) reads the boxes.
+    # Every truth value lies inside top, so negation is exclusive or.
     if isinstance(f, Atom):
         name = f.name
         return lambda m, top: m.valuation.get(name, _NOWHERE)
     if isinstance(f, Top):
         return lambda m, top: top
     if isinstance(f, Not):
-        sub = _closure(f.sub)
-        return lambda m, top: top - sub(m, top)
+        sub = _closure(f.sub, box)
+        return lambda m, top: top ^ sub(m, top)
     if isinstance(f, And):
-        left, right = _closure(f.left), _closure(f.right)
+        left, right = _closure(f.left, box), _closure(f.right, box)
         return lambda m, top: left(m, top) & right(m, top)
     if isinstance(f, Box):
-        instants = [_closure(g) for g in f.instants]
-        return _box(_as_player(f.player), _closure(f.scope), instants)
+        instants = [_closure(g, box) for g in f.instants]
+        return box(_as_player(f.player), _closure(f.scope, box), instants)
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -1,8 +1,15 @@
 """Shared fixtures and brute-force oracles for the test suite."""
 
 from itertools import chain, combinations, permutations, product
+from random import Random
 
-from gamepowers.axioms import _BUILDERS
+from gamepowers.axioms import (
+    _BUILDERS,
+    _FAMILY_CAPS,
+    EXHAUSTIVE_WORLDS,
+    SearchResult,
+    _legal_world_pairs,
+)
 from gamepowers.formulas import (
     FALSUM,
     And,
@@ -12,6 +19,7 @@ from gamepowers.formulas import (
     Not,
     ParseError,
     Top,
+    atoms,
     format_formula,
     lor,
     parse_formula,
@@ -26,6 +34,13 @@ from gamepowers.games import (
     node,
     outcome_set,
 )
+from gamepowers.models import (
+    INSTANTIAL_FRAME,
+    NeighborhoodModel,
+    _evaluator,
+    random_model,
+)
+from gamepowers.powers import _subsets
 from gamepowers.representation import check_input
 
 
@@ -386,6 +401,11 @@ def outcome_valuation(outcomes, prefix="p"):
     return {f"{prefix}{o}": frozenset([o]) for o in outcomes}
 
 
+def with_valuation(m, valuation):
+    """The same frame as m under another valuation; the neighborhoods are shared."""
+    return NeighborhoodModel._from_families(m.worlds, m._neigh, valuation)
+
+
 def read_formula_file(path):
     """Parse a text file holding one formula per line; blank lines skipped."""
     out = []
@@ -475,3 +495,50 @@ def claim_witness(inp, z) -> dict:
         t: tagged[t] if t in tagged else min(z.intersection(t[0]))
         for t in choice_map_columns(inp)
     }
+
+
+# -- reference countermodel search ------------------------------------------------
+
+def reference_countermodel_search(f, max_worlds=5, seed=0, budget_ms=1000):
+    """``countermodel_search`` with one model built and checked per valuation row.
+
+    Valid input only.  Every frame of the exhaustive phase is combined with
+    every valuation row in ``product`` order, each row a model of its own.
+    """
+    if isinstance(f, str):
+        f = parse_formula(f)
+    text = format_formula(f)
+    names = tuple(sorted(atoms(f)))
+    evaluate = _evaluator(f)
+    budget = budget_ms * 10
+    spent = 0
+
+    for k in range(1, min(EXHAUSTIVE_WORLDS, max_worlds) + 1):
+        worlds = tuple(f"w{i}" for i in range(k))
+        everywhere = frozenset(worlds)
+        pairs = _legal_world_pairs(worlds, _FAMILY_CAPS[k])
+        per_atom = [[(a, combo) for combo in _subsets(worlds)] for a in names]
+        for assignment in product(pairs, repeat=k):
+            neigh = {
+                Player.A: {u: fa for u, (fa, _) in zip(worlds, assignment)},
+                Player.B: {u: fb for u, (_, fb) in zip(worlds, assignment)},
+            }
+            for row in product(*per_atom):
+                if spent >= budget:
+                    return SearchResult(text, False, None, None, "budget", spent, budget)
+                m = NeighborhoodModel._from_families(worlds, neigh, dict(row))
+                spent += 1
+                extension = evaluate(m)
+                if extension != everywhere:
+                    world = min(everywhere - extension)
+                    return SearchResult(text, True, m, world, "exhaustive", spent, budget)
+
+    rng = Random(seed)
+    while spent < budget:
+        m = random_model(rng, INSTANTIAL_FRAME, max_worlds, names)
+        spent += 1
+        extension = evaluate(m)
+        if extension != frozenset(m.worlds):
+            world = min(set(m.worlds) - extension)
+            return SearchResult(text, True, m, world, "random", spent, budget)
+    return SearchResult(text, False, None, None, "budget", spent, budget)

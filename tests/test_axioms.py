@@ -1,7 +1,11 @@
 """Schema instantiation, soundness sweeps, and countermodel search."""
 
-import pytest
+import tracemalloc
 from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamepowers.axioms import (
     ALL_SCHEMATA,
@@ -12,7 +16,7 @@ from gamepowers.axioms import (
     countermodel_search,
     schema_instance,
 )
-from gamepowers.formulas import Box, Top, parse_formula
+from gamepowers.formulas import FALSUM, TOP, And, Atom, Box, Not, Top, lor, parse_formula
 from gamepowers.games import Player
 from gamepowers.models import (
     GAME_FRAME,
@@ -22,7 +26,7 @@ from gamepowers.models import (
     random_model,
     validate_frame,
 )
-from helpers import schema_frame_kind
+from helpers import reference_countermodel_search, schema_frame_kind
 
 
 def small_model():
@@ -162,3 +166,87 @@ def test_search_result_json_shape():
     }
     assert obj["found"] is True
     assert obj["model"]["worlds"]
+
+
+def formulas(depth):
+    """Formulas over p, q and r (or none of them) nested at most depth deep."""
+    leaf = st.sampled_from([Atom("p"), Atom("q"), Atom("r"), TOP, FALSUM])
+    if depth == 0:
+        return leaf
+    sub = formulas(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(lor, sub, sub),
+        st.builds(Box, st.sampled_from(Player), st.frozensets(sub, max_size=2), sub),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas(3), st.sampled_from((1, 2, 3, 4)), st.integers(0, 2**16), st.integers(1, 80))
+def test_search_matches_one_model_per_valuation_row(f, max_worlds, seed, budget_ms):
+    got = countermodel_search(f, max_worlds=max_worlds, seed=seed, budget_ms=budget_ms)
+    want = reference_countermodel_search(f, max_worlds, seed, budget_ms)
+    assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMATA)
+def test_schema_searches_match_one_model_per_valuation_row(name):
+    # drawn formulas are mostly refuted in the first frames; schema
+    # instances are valid, so their searches read every frame the budget allows
+    for seed in range(4):
+        f = schema_instance(name, seed)
+        got = countermodel_search(f, max_worlds=3, seed=seed, budget_ms=80)
+        assert got.to_json() == reference_countermodel_search(f, 3, seed, 80).to_json()
+
+
+def _count_models_built(monkeypatch):
+    built = []
+    build = NeighborhoodModel._from_families.__func__
+
+    def counted(cls, *args):
+        built.append(args)
+        return build(cls, *args)
+
+    monkeypatch.setattr(NeighborhoodModel, "_from_families", classmethod(counted))
+    return built
+
+
+@pytest.mark.parametrize(
+    "text, max_worlds, budget_ms",
+    [("p | !p", 3, 7), ("p | !p", 2, 40), ("[A]p -> [A](p;p)", 3, 100)],
+)
+def test_exhaustive_phase_builds_no_model_when_the_budget_runs_out(
+    monkeypatch, text, max_worlds, budget_ms
+):
+    built = _count_models_built(monkeypatch)
+    r = countermodel_search(text, max_worlds=max_worlds, seed=0, budget_ms=budget_ms)
+    assert (r.found, r.phase, r.evaluations) == (False, "budget", r.budget)
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "text", ["[A](p;p|q) -> [A](p;p)", "[A]p -> p", "p -> [B]p", "[A](p;q) -> [A](q;p)"]
+)
+def test_exhaustive_phase_builds_only_the_refuting_model(monkeypatch, text):
+    built = _count_models_built(monkeypatch)
+    r = countermodel_search(text, max_worlds=5, seed=0)
+    assert r.phase == "exhaustive"
+    assert r.evaluations > 1
+    assert len(built) == 1
+    assert r.world not in model_check(r.model, parse_formula(text))
+
+
+def test_row_table_is_bounded_by_the_budget():
+    # 10 atoms give 2^20 valuation rows per two-world frame; the budget
+    # reads 1,030 of them in all
+    text = " & ".join(f"p{i}" for i in range(10)) + " -> p0"
+    tracemalloc.start()
+    try:
+        r = countermodel_search(text, max_worlds=3, seed=0, budget_ms=103)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.found, r.phase, r.evaluations, r.budget) == (False, "budget", 1030, 1030)
+    assert peak < 5 * 2**20

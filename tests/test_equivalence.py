@@ -31,6 +31,7 @@ from helpers import (
     two_or_three_after_one,
     zero_one_matrix_2x3,
     zero_one_matrix_3x3,
+    with_valuation,
 )
 
 
@@ -164,7 +165,7 @@ def test_verdict_json_shape():
 
 def _encoded(g, kind):
     m, root = encode_game_as_model(g, kind)
-    return m.with_valuation(outcome_valuation(g.outcomes)), root
+    return with_valuation(m, outcome_valuation(g.outcomes)), root
 
 
 def test_power_bisimilar_plain_encodings_of_power_equal_pair():

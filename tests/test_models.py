@@ -29,6 +29,7 @@ from helpers import (
     outcome_valuation,
     single_move_then_b_choice,
     two_or_three_after_one,
+    with_valuation,
 )
 
 
@@ -175,8 +176,8 @@ def test_model_check_instantial_distinctions():
     left, _ = encode_game_as_model(single_move_then_b_choice(), "basic")
     right, _ = encode_game_as_model(double_move_then_b_choice(), "basic")
     val = outcome_valuation(["x", "y"])
-    left = left.with_valuation(val)
-    right = right.with_valuation(val)
+    left = with_valuation(left, val)
+    right = with_valuation(right, val)
     probe = parse_formula("[B](px, py; px | py)")
     assert "root" in model_check(right, probe)
     assert "root" not in model_check(left, probe)
@@ -185,7 +186,7 @@ def test_model_check_instantial_distinctions():
 def test_encode_one_then_two_or_three_supports_formula():
     g = one_then_two_or_three()
     m, root = encode_game_as_model(g, "basic")
-    m = m.with_valuation(outcome_valuation(g.outcomes))
+    m = with_valuation(m, outcome_valuation(g.outcomes))
     assert root == "root"
     assert validate_frame(m, INSTANTIAL_FRAME).all_hold
     probe = parse_formula("[A](p2; p2 | p3)")
@@ -259,7 +260,7 @@ def test_with_valuation_equals_a_model_built_afresh(kind):
         fresh = NeighborhoodModel(
             m.worlds, _relation(m, Player.A), _relation(m, Player.B), val
         )
-        swapped = m.with_valuation(val)
+        swapped = with_valuation(m, val)
         assert swapped == fresh
         assert swapped.to_json() == fresh.to_json()
 
@@ -267,4 +268,4 @@ def test_with_valuation_equals_a_model_built_afresh(kind):
 def test_with_valuation_rejects_worlds_outside_the_model():
     m = random_model(3, INSTANTIAL_FRAME)
     with pytest.raises(ModelFormatError):
-        m.with_valuation({"p": [m.worlds[0], "elsewhere"]})
+        with_valuation(m, {"p": [m.worlds[0], "elsewhere"]})
