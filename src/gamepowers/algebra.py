@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from operator import and_, itemgetter, or_
 from random import Random
 from typing import Mapping, Union
 
@@ -192,13 +193,23 @@ def composed_power_relation(r1: Mapping, r2: Mapping, u) -> PowerFamily:
     if u not in r1:
         raise ValueError(f"unknown state {u!r}")
     closed = {y: union_closure(f)._index for y, f in r2.items()}
-    return PowerFamily(tuple(sorted(r1)), _composed(r1[u]._index, closed))
+    return PowerFamily(tuple(sorted(r1)), _composed(r1[u]._index, _Joined(closed, _joins)))
 
 
-def _composed(y_sets, closed: Mapping) -> set:
-    # every Z that joins, over some nonempty Y in y_sets, a member of closed[y]
-    # for each y in Y; closed maps each state to a union-closed member set
-    return {z for ys in y_sets if ys for z in _joins(closed[y] for y in ys)}
+class _Joined(dict):
+    # Y -> the joins, over y in Y, of a member of closed[y], each Y joined once,
+    # on first read; closed maps each state to a union-closed member set
+    def __init__(self, closed: Mapping, join):
+        self.closed, self.join = closed, join
+
+    def __missing__(self, ys):
+        zs = self[ys] = self.join([self.closed[y] for y in ys]) if ys else ()
+        return zs
+
+
+def _composed(y_sets, joined: _Joined) -> set:
+    # every Z in joined[Y] for some Y in y_sets
+    return set().union(*map(joined.__getitem__, y_sets))
 
 
 # -- terms -------------------------------------------------------------------------
@@ -395,11 +406,9 @@ def _value_powers(fn, value):
 
 
 def _statewise(op, *values):
-    # op on games or power pairs, state by state on dynamic games (which must
-    # share a state set and cannot mix with games) and on dicts of pairs
+    # op on games, state by state on dynamic games (which must share a state
+    # set and cannot mix with games)
     first = values[0]
-    if isinstance(first, dict):
-        return {u: op(*(v[u] for v in values)) for u in first}
     dynamic = [isinstance(v, DynamicGame) for v in values]
     if not any(dynamic):
         return op(*values)
@@ -412,36 +421,45 @@ def _statewise(op, *values):
     )
 
 
-def _union(families) -> set:
-    return set().union(*families)
+def _term_fold(term: GameTerm, kind: str, dynamic: bool):
+    """Compile a term into env -> the member sets of its (A, B) families.
 
-
-def _term_powers(term: GameTerm, env: Mapping, kind: str):
-    """The member sets of a term's (A, B) families of a power kind.
-
-    ``env`` maps each variable to its value's pair, or to a dict of pairs
-    per state for a dynamic value.  At + or * the mover gets the union of
-    the operands' families (their nonempty joins for relational powers) and
-    the other player their joins; - swaps the players.  o composes the
-    union-closed plain or relational families statewise; basic powers of a
-    composition lose multiplicity, so the basic kind takes no o.
+    env maps each variable to its value's pair, or to a dict of pairs per
+    state when ``dynamic``.  At + or * the mover gets the union of the
+    families (for relational powers their nonempty joins) and the other
+    player their joins, for upward-closed plain powers their intersection;
+    - swaps the players.  o composes union-closed families statewise.
     """
     if isinstance(term, Var):
-        return env[term.name]
+        return itemgetter(term.name)
     if isinstance(term, Dual):
-        return _statewise(lambda pair: pair[::-1], _term_powers(term.sub, env, kind))
-    left = _term_powers(term.left, env, kind)
-    right = _term_powers(term.right, env, kind)
+        sub = _term_fold(term.sub, kind, dynamic)
+        if dynamic:
+            return lambda env: {u: (b, a) for u, (a, b) in sub(env).items()}
+        return lambda env: sub(env)[::-1]
+    left, right = (_term_fold(t, kind, dynamic) for t in (term.left, term.right))
+    # upward-closed families join to their intersection: a | b is in each, S is S | S
+    plain = kind == "plain"
     if isinstance(term, Comp):
-        cont = [{y: pair[i] for y, pair in right.items()} for i in (0, 1)]
-        return {u: tuple(map(_composed, pair, cont)) for u, pair in left.items()}
-    mover = _nonempty_joins if kind == "relational" else _union
-    ops = (mover, _joins) if isinstance(term, Plus) else (_joins, mover)
-    return _statewise(
-        lambda p1, p2: tuple(op(fams) for op, fams in zip(ops, zip(p1, p2))),
-        left,
-        right,
-    )
+        join = (lambda fams: fams[0].intersection(*fams[1:])) if plain else _joins
+        def composed(env):
+            cont = right(env)
+            ja, jb = (_Joined({y: p[i] for y, p in cont.items()}, join) for i in (0, 1))
+            return {u: (_composed(a, ja), _composed(b, jb)) for u, (a, b) in left(env).items()}
+        return composed
+    mover = (lambda f, g: _nonempty_joins((f, g))) if kind == "relational" else or_
+    other = and_ if plain else lambda f, g: _joins((f, g))
+    fa, fb = (mover, other) if isinstance(term, Plus) else (other, mover)
+    if dynamic:
+        def statewise(env):
+            rhs = right(env)
+            return {u: (fa(a, rhs[u][0]), fb(b, rhs[u][1])) for u, (a, b) in left(env).items()}
+        return statewise
+
+    def pair(env):
+        (a1, b1), (a2, b2) = left(env), right(env)
+        return fa(a1, a2), fb(b1, b2)
+    return pair
 
 
 # -- seeded generation -------------------------------------------------------------
@@ -588,19 +606,23 @@ def _values_equivalent(split, v1, v2):
 
 def _binding_decision(equiv: str, dynamic: bool):
     # drawn(value) -> (value, entry) pairs a game with its entry in the env
-    # that decide(lhs, rhs, env) -> (ok, witness) folds both terms over: its
-    # power pairs, or the game itself for strong with o, since basic powers
-    # of a composition lose multiplicity and only trees decide them
+    # that decide(lhs, rhs) -> env -> (ok, witness, trees) folds both terms
+    # over, each compiled once: its power pairs, or for strong with o the game
+    # itself (then trees), as basic powers of a composition lose multiplicity
     kind = _LAW_KINDS[equiv]
     trees = dynamic and equiv == STRONG
-    fold = evaluate if trees else partial(_term_powers, kind=kind)
     split = EQUIVALENCES[equiv] if trees else partial(_pair_split, equiv)
+    fold = cache(lambda t: partial(evaluate, t) if trees else _term_fold(t, kind, dynamic))
 
     def drawn(v):
         return v, v if trees else _value_powers(POWER_KINDS[kind], v)
 
-    def decide(lhs, rhs, env):
-        return _values_equivalent(split, fold(lhs, env), fold(rhs, env))
+    def decide(lhs, rhs):
+        f1, f2 = fold(lhs), fold(rhs)
+        def on(env):
+            v1, v2 = f1(env), f2(env)
+            return (*_values_equivalent(split, v1, v2), (v1, v2) if trees else None)
+        return on
 
     return drawn, decide
 
@@ -686,6 +708,7 @@ def check_equation(
     dynamic = term_uses_composition(lhs_t) or term_uses_composition(rhs_t)
     outcomes = tuple(outcomes)
     drawn, decide = _binding_decision(equiv, dynamic)
+    decision = decide(lhs_t, rhs_t)
     rng = Random(seed)
     if dynamic:
         # dynamic bindings stay shallow so composed trees remain enumerable
@@ -701,7 +724,7 @@ def check_equation(
         nonlocal tried
         tried += 1
         env = {name: entry for name, (_, entry) in zip(names, values)}
-        ok, witness = decide(lhs_t, rhs_t, env)
+        ok, witness, _ = decision(env)
         if ok:
             return None
         return {
@@ -837,20 +860,19 @@ def check_congruence(
         nonlocal tried
         for _ in range(samples):
             for lhs, rhs, binding in candidate_pairs():
-                if not decide(lhs, rhs, entries(binding))[0]:
+                if not decide(lhs, rhs)(entries(binding))[0]:
                     continue
                 for side, fill, partner in contexts():
                     values = {**binding, "h": partner} if partner else binding
                     tried += 1
-                    ok, witness = decide(fill(lhs), fill(rhs), entries(values))
+                    ok, witness, trees = decide(fill(lhs), fill(rhs))(entries(values))
                     if not ok:
                         games = {name: v for name, (v, _) in values.items()}
+                        composed = trees or [evaluate(fill(t), games) for t in (lhs, rhs)]
                         return {
                             "pair": [_value_json(evaluate(t, games)) for t in (lhs, rhs)],
                             "context": side,
-                            "composed": [
-                                _value_json(evaluate(fill(t), games)) for t in (lhs, rhs)
-                            ],
+                            "composed": list(map(_value_json, composed)),
                             "witness": witness,
                         }
         return None

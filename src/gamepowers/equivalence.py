@@ -31,6 +31,7 @@ from .powers import (
     egli_milner,
     powers,
     relational_basic_powers,
+    upward_closure,
 )
 
 POWER = "power"
@@ -307,9 +308,15 @@ def hierarchy_audit(g1, g2) -> HierarchyReport:
     """Evaluate all four game equivalences and cross-check the implications.
 
     A violated implication is reported, never repaired: it would mean a bug
-    in one of the power computations.
+    in one of the power computations.  Plain powers are upward closures.
     """
-    verdicts = {kind: fn(g1, g2) for kind, fn in EQUIVALENCES.items()}
+    basic = [[basic_powers(g, p) for p in (Player.A, Player.B)] for g in (g1, g2)]
+    verdicts = {
+        POWER: _pair_split(POWER, *([upward_closure(f)._index for f in fs] for fs in basic)),
+        STRONG: _pair_split(STRONG, *([f._index for f in fs] for fs in basic)),
+        SEMI: semi_strongly_equivalent(g1, g2),
+        STRATEGIC: strategic_form_equivalent(g1, g2),
+    }
     violations = tuple(
         f"{stronger} holds but {weaker} fails"
         for stronger, weaker in _IMPLICATIONS

@@ -136,8 +136,8 @@ class NeighborhoodModel:
             ra = obj.get("RA", [])
             rb = obj.get("RB", [])
             val = obj.get("val", {})
-        except TypeError as exc:
-            raise ModelFormatError("model object expected") from exc
+        except (KeyError, TypeError) as exc:
+            raise ModelFormatError("model object with 'worlds' expected") from exc
         if not _is_sortable_label_list(worlds) or not worlds:
             raise ModelFormatError(
                 "'worlds' must be a nonempty list of labels, all strings or all numbers"

@@ -125,8 +125,9 @@ def relational_basic_powers(
 
 def _joins(families) -> set[frozenset[str]]:
     # every union that takes one member from each family
-    acc = {frozenset()}
-    for fam in families:
+    rest = iter(families)
+    acc = set(next(rest, (frozenset(),)))
+    for fam in rest:
         acc = {a | b for a in acc for b in fam}
     return acc
 

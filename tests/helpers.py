@@ -3,6 +3,7 @@
 from itertools import chain, combinations, permutations, product
 from random import Random
 
+from gamepowers.algebra import Comp, Dual, Plus, Var
 from gamepowers.axioms import (
     _BUILDERS,
     _FAMILY_CAPS,
@@ -40,7 +41,7 @@ from gamepowers.models import (
     _evaluator,
     random_model,
 )
-from gamepowers.powers import _subsets
+from gamepowers.powers import _joins, _nonempty_joins, _subsets
 from gamepowers.representation import check_input
 
 
@@ -542,3 +543,51 @@ def reference_countermodel_search(f, max_worlds=5, seed=0, budget_ms=1000):
             world = min(set(m.worlds) - extension)
             return SearchResult(text, True, m, world, "random", spent, budget)
     return SearchResult(text, False, None, None, "budget", spent, budget)
+
+
+# -- reference term fold ------------------------------------------------------------
+
+def _reference_composed(y_sets, closed):
+    # every Z that joins, over some nonempty Y in y_sets, a member of closed[y]
+    # for each y in Y; closed maps each state to a union-closed member set
+    return {z for ys in y_sets if ys for z in _joins(closed[y] for y in ys)}
+
+
+def _union(families):
+    return set().union(*families)
+
+
+def _pairwise(op, *values):
+    # op on power pairs, state by state on dicts of pairs
+    if isinstance(values[0], dict):
+        return {u: op(*(v[u] for v in values)) for u in values[0]}
+    return op(*values)
+
+
+def reference_term_powers(term, env, kind):
+    """The member sets of a term's (A, B) families of a power kind, folded
+    anew at every node for every environment.
+
+    ``env`` maps each variable to its value's pair, or to a dict of pairs
+    per state for a dynamic value.  At + or * the mover gets the union of
+    the operands' families (their nonempty joins for relational powers) and
+    the other player their joins; - swaps the players.  o composes the
+    union-closed plain or relational families statewise, joining each
+    continuation set anew for every state that lists it.
+    """
+    if isinstance(term, Var):
+        return env[term.name]
+    if isinstance(term, Dual):
+        return _pairwise(lambda pair: pair[::-1], reference_term_powers(term.sub, env, kind))
+    left = reference_term_powers(term.left, env, kind)
+    right = reference_term_powers(term.right, env, kind)
+    if isinstance(term, Comp):
+        cont = [{y: pair[i] for y, pair in right.items()} for i in (0, 1)]
+        return {u: tuple(map(_reference_composed, pair, cont)) for u, pair in left.items()}
+    mover = _nonempty_joins if kind == "relational" else _union
+    ops = (mover, _joins) if isinstance(term, Plus) else (_joins, mover)
+    return _pairwise(
+        lambda p1, p2: tuple(op(fams) for op, fams in zip(ops, zip(p1, p2))),
+        left,
+        right,
+    )

@@ -49,12 +49,16 @@ from gamepowers.games import (
 from gamepowers.powers import (
     POWER_KINDS,
     PowerFamily,
+    _joins,
     basic_powers,
+    random_family_pair,
     relational_basic_powers,
+    upward_closure,
 )
 from helpers import (
     double_move_then_b_choice,
     one_then_two_or_three,
+    reference_term_powers,
     single_move_then_b_choice,
     two_or_three_after_one,
 )
@@ -468,7 +472,7 @@ def test_term_powers_match_the_powers_of_the_evaluated_tree(
     }
     fn = POWER_KINDS[kind]
     env = {name: algebra._value_powers(fn, v) for name, v in binding.items()}
-    got = algebra._term_powers(term, env, kind)
+    got = algebra._term_fold(term, kind, dynamic)(env)
     tree = evaluate(term, binding)
     if dynamic:
         assert set(got) == set(outcomes)
@@ -477,6 +481,88 @@ def test_term_powers_match_the_powers_of_the_evaluated_tree(
         cases = [(got, tree)]
     for pair, g in cases:
         assert pair == tuple(set(fn(g, p).member_sets()) for p in Player)
+
+
+def _random_entry(rng, kind, outcomes, dynamic, source):
+    # a value's power pair, per state when dynamic: the pair of a pool game,
+    # or a random family pair of the kind's conditions
+    def pair(pool):
+        if source == "pool":
+            return algebra._value_powers(POWER_KINDS[kind], rng.choice(pool))
+        return tuple(f._index for f in random_family_pair(rng, outcomes, kind))
+
+    if dynamic:
+        pool = [g for d in algebra._dynamic_pool(outcomes) for g in d.games.values()]
+        return {u: pair(pool) for u in outcomes}
+    return pair(algebra._plain_pool(outcomes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(DIFFERENTIAL_TERMS),
+    st.sampled_from(sorted(POWER_KINDS)),
+    st.booleans(),
+    st.sampled_from(["pool", "families"]),
+    st.integers(0, 10**6),
+    st.sampled_from([2, 3]),
+)
+def test_compiled_fold_matches_the_reference_fold(text, kind, dynamic, source, seed, n):
+    term = parse_term(text)
+    dynamic = dynamic or term_uses_composition(term)
+    rng = Random(seed)
+    outcomes = ("0", "1", "2")[:n]
+    env = {
+        name: _random_entry(rng, kind, outcomes, dynamic, source)
+        for name in sorted(term_variables(term))
+    }
+    got = algebra._term_fold(term, kind, dynamic)(env)
+    want = reference_term_powers(term, env, kind)
+    assert got == want
+    if dynamic:
+        # witnesses name the first differing state, so the order must agree
+        assert list(got) == list(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(0, 2**n - 1), max_size=4),
+                         min_size=2, max_size=3))))
+def test_meet_of_upward_closed_families_is_their_joins(drawn):
+    n, masks = drawn
+    outcomes = tuple(str(i) for i in range(n))
+    families = [
+        upward_closure(PowerFamily(
+            outcomes, [[o for i, o in enumerate(outcomes) if m >> i & 1] for m in fam]
+        ))._index
+        for fam in masks
+    ]
+    assert families[0].intersection(*families[1:]) == _joins(families)
+
+
+def _joins_calls(monkeypatch, *check):
+    calls = []
+
+    def counted(families):
+        calls.append(None)
+        return _joins(families)
+
+    monkeypatch.setattr(algebra, "_joins", counted)
+    assert check_equation(*check)
+    return len(calls)
+
+
+def test_law_checks_join_each_continuation_set_once(monkeypatch):
+    # the fold joining anew at every node made 2,361 and 2,434 calls
+    assert _joins_calls(
+        monkeypatch, "(x + y) o z", "(x o z) + (y o z)", "semi", 3, 2) == 1338
+    assert _joins_calls(
+        monkeypatch, "x o (y o z)", "(x o y) o z", "semi", 0, 2) == 1047
+    # plain powers are upward closed, so their joins are intersections
+    # (the fold that joined them made 540 and 6,336 calls)
+    assert _joins_calls(
+        monkeypatch, "x + (y + z)", "(x + y) + z", "power", 0, 10) == 0
+    assert _joins_calls(
+        monkeypatch, "x o (y o z)", "(x o y) o z", "power", 0, 2) == 0
 
 
 def test_only_strong_laws_with_composition_build_composed_trees(monkeypatch):
@@ -501,6 +587,22 @@ def test_only_strong_laws_with_composition_build_composed_trees(monkeypatch):
     assert check_congruence("+", "strong", seed=0, samples=3)
     assert check_congruence("o", "semi", seed=0, samples=2)
     assert calls == []
+
+
+def test_strong_congruence_of_composition_reports_the_trees_it_decided(monkeypatch):
+    calls = []
+
+    def counted(d1, d2):
+        calls.append(None)
+        return seq_compose(d1, d2)
+
+    monkeypatch.setattr(algebra, "seq_compose", counted)
+    for seed in range(3):
+        calls.clear()
+        report = check_congruence("o", "strong", seed=seed, samples=3)
+        assert report.verdict == "counterexample"
+        # one composed tree per side of the refuted context, built once
+        assert len(calls) == 2
 
 
 def test_congruence_of_plus_under_strong():

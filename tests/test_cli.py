@@ -1,8 +1,12 @@
 """Exit codes and JSON reports for every subcommand."""
 
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamepowers.cli import main
 from gamepowers.equivalence import strongly_equivalent
@@ -409,3 +413,136 @@ def test_pretty_reindents_without_changing_content(capsys, game_files):
     _, pretty = run(capsys, "equiv", *game_files, "--relation", "power", "--pretty")
     assert plain != pretty
     assert json.loads(plain) == json.loads(pretty)
+
+
+# -- malformed input, fuzzed --------------------------------------------------
+
+LABELS = st.sampled_from(["x", "y", "u", "v", "A", "", 0, 1, True, None, 1.5])
+KEYS = ("outcomes", "tree", "player", "children", "outcome", "info", "rows",
+        "cols", "matrix", "worlds", "RA", "RB", "val", "FA", "FB", "mode")
+JSON = st.recursive(
+    LABELS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(KEYS), kids, max_size=3),
+    max_leaves=10,
+)
+
+
+def _spoiled(drawn):
+    doc, key, junk, drop = drawn
+    if key is not None:
+        if drop:
+            del doc[key]
+        else:
+            doc[key] = junk
+    return doc
+
+
+def near(valid):
+    # a document of the right shape, often with one part dropped or spoiled
+    parts = st.fixed_dictionaries(valid)
+    keys = st.sampled_from([None, *sorted(valid)])
+    return st.tuples(parts, keys, JSON, st.booleans()).map(_spoiled)
+
+
+WORDS = st.lists(st.sampled_from(["x", "y", "u"]), min_size=1, max_size=3)
+TREES = st.recursive(
+    st.fixed_dictionaries({"outcome": st.sampled_from(["x", "y"])}),
+    lambda kids: near({"player": st.sampled_from(["A", "B"]),
+                       "children": st.lists(kids, min_size=1, max_size=3)})
+    | near({"player": st.sampled_from(["A", "B"]),
+            "children": st.lists(kids, min_size=1, max_size=3),
+            "info": st.sampled_from(["c", "d"])}),
+    max_leaves=6,
+)
+GAMES = near({"outcomes": st.just(["x", "y"]), "tree": TREES})
+STRATEGIC = near({"outcomes": st.just(["x", "y"]), "rows": st.just(["r0", "r1"]),
+                  "cols": st.just(["c"]),
+                  "matrix": st.lists(st.lists(st.sampled_from(["x", "y"]),
+                                              min_size=1, max_size=1),
+                                     min_size=2, max_size=2)})
+NEIGHBOURHOODS = st.lists(
+    st.tuples(st.sampled_from(["u", "v"]),
+              st.lists(st.sampled_from(["u", "v"]), min_size=1, max_size=2)).map(list),
+    max_size=4)
+MODELS = near({"worlds": st.just(["u", "v"]), "RA": NEIGHBOURHOODS,
+               "RB": NEIGHBOURHOODS,
+               "val": st.dictionaries(st.sampled_from(["p", "q"]),
+                                      st.lists(st.sampled_from(["u", "v"])))})
+FAMILIES = near({"outcomes": st.just(["x", "y", "u"]),
+                 "FA": st.lists(WORDS, min_size=1, max_size=3),
+                 "FB": st.lists(WORDS, min_size=1, max_size=3),
+                 "mode": st.sampled_from(["basic", "relational", "plain"])})
+FORMULAS = st.text("pq[]AB();,!&|-> true", max_size=16) | st.recursive(
+    st.sampled_from(["p", "q", "true"]),
+    lambda f: f.map("!{}".format)
+    | st.tuples(f, st.sampled_from(["&", "|", "->"]), f).map("({0[0]} {0[1]} {0[2]})".format)
+    | st.tuples(st.sampled_from("AB"), f).map("[{0[0]}]{0[1]}".format)
+    | st.tuples(st.sampled_from("AB"), f, f).map("[{0[0]}]({0[1]}; {0[2]})".format),
+    max_leaves=4,
+)
+TERMS = st.recursive(
+    st.sampled_from(["x", "y", "z"]),
+    lambda t: t.map("-{}".format)
+    | st.tuples(t, st.sampled_from(["+", "*", "o"]), t).map("({0[0]} {0[1]} {0[2]})".format),
+    max_leaves=3,
+)
+EQUATIONS = st.text("xyo+-*()= ", max_size=16) | st.tuples(TERMS, TERMS).map(" = ".join)
+
+
+def _files(docs):
+    # a file argument is drawn as a 1-tuple holding its document
+    return (JSON | docs).map(lambda obj: (obj,))
+
+
+GAME_FILES = _files(GAMES | STRATEGIC)
+MODEL_FILES = _files(MODELS)
+# every command that reads a file or a string; "--" ends the options, so a
+# formula or an equation may start with "-"
+ARGVS = st.one_of(
+    st.tuples(GAME_FILES, st.sampled_from(["basic", "plain", "relational"])).map(
+        lambda a: ["powers", a[0], "--player", "A", "--kind", a[1]]),
+    st.tuples(GAME_FILES, GAME_FILES, st.sampled_from(["power", "strong", "strategic"])).map(
+        lambda a: ["equiv", a[0], a[1], "--relation", a[2]]),
+    st.tuples(MODEL_FILES, st.sampled_from(["game", "instantial"])).map(
+        lambda a: ["frame", a[0], "--kind", a[1]]),
+    st.tuples(MODEL_FILES, FORMULAS).map(lambda a: ["mc", a[0], "--", a[1]]),
+    st.tuples(MODEL_FILES, st.sampled_from(["u", "v", "x"]),
+              st.sampled_from(["power", "instantial"])).map(
+        lambda a: ["bisim", a[0], "u", a[0], a[1], "--kind", a[2]]),
+    _files(FAMILIES).map(lambda f: ["represent", f, "--verify"]),
+    FORMULAS.map(lambda f: ["refute", "--seed", "1", "--max-worlds", "2",
+                            "--budget", "2", "--", f]),
+    st.tuples(EQUATIONS, st.sampled_from(["power", "semi", "strong"])).map(
+        lambda a: ["algebra", "--equiv", a[1], "--seed", "1", "--samples", "1",
+                   "--max-depth", "2", "--", a[0]]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=ARGVS)
+def test_fuzzed_input_ends_in_one_json_report(tmp_path_factory, drawn):
+    folder = tmp_path_factory.getbasetemp() / "fuzz"
+    folder.mkdir(exist_ok=True)
+    argv = []
+    for i, arg in enumerate(drawn):
+        if isinstance(arg, tuple):
+            path = folder / f"{i}.json"
+            path.write_text(json.dumps(arg[0]))
+            arg = str(path)
+        argv.append(arg)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    json.loads(lines[0])
+
+
+def test_model_without_worlds_is_an_input_error(capsys, tmp_path):
+    p = tmp_path / "m.json"
+    p.write_text("{}")
+    assert_input_error(capsys, "frame", str(p), "--kind", "game")
+    assert_input_error(capsys, "mc", str(p), "p")
+    assert_input_error(capsys, "bisim", str(p), "w", str(p), "w", "--kind", "power")

@@ -1,7 +1,9 @@
 """Game equivalences, the implication hierarchy and model bisimulations."""
 
-import pytest
+import sys
 from random import Random
+
+import pytest
 
 from gamepowers.equivalence import (
     POWER,
@@ -259,3 +261,22 @@ def test_hierarchy_audit_random_pairs_stay_consistent():
     for _ in range(10):
         g1, g2 = rng.choice(fixtures), rng.choice(fixtures)
         assert hierarchy_audit(g1, g2).consistent
+
+
+def test_hierarchy_audit_builds_basic_powers_once_per_player(monkeypatch):
+    # the package-level name powers is the function, not the module
+    powers_module = sys.modules["gamepowers.powers"]
+    calls = []
+    tree_powers = powers_module._tree_powers
+
+    def counted(g, p, relational):
+        calls.append(relational)
+        return tree_powers(g, p, relational)
+
+    monkeypatch.setattr(powers_module, "_tree_powers", counted)
+    g = random_game(Random(5), 3, 2, ("x", "y", "z"))
+    assert hierarchy_audit(g, g).consistent
+    # basic and relational powers of two games for two players; building the
+    # plain powers anew from the tree made 12
+    assert len(calls) == 8
+    assert calls.count(True) == 4
