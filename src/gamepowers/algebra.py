@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cache, partial
 from operator import and_, itemgetter, or_
 from random import Random
@@ -29,6 +28,7 @@ from .games import (
     ExtensiveGame,
     GameFormatError,
     Player,
+    Record,
     game,
     game_from_json,
     game_to_json,
@@ -215,32 +215,24 @@ def _composed(y_sets, joined: _Joined) -> set:
 # -- terms -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Plus:
-    left: "GameTerm"
-    right: "GameTerm"
+class Plus(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Times:
-    left: "GameTerm"
-    right: "GameTerm"
+class Times(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Comp:
-    left: "GameTerm"
-    right: "GameTerm"
+class Comp(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Dual:
-    sub: "GameTerm"
+class Dual(Record):
+    __slots__ = ("sub",)
 
 
 GameTerm = Union[Var, Plus, Times, Comp, Dual]
@@ -631,29 +623,15 @@ def _value_json(value) -> dict:
     return value.to_json() if isinstance(value, DynamicGame) else game_to_json(value)
 
 
-@dataclass(frozen=True)
-class EquationReport:
-    lhs: str
-    rhs: str
-    equiv: str
-    seed: int
-    samples: int
-    verdict: str  # "holds-on-sample" | "counterexample"
-    counterexample: dict | None = None
+class EquationReport(Record, counterexample=None):
+    # verdict is "holds-on-sample" or "counterexample"
+    __slots__ = ("lhs", "rhs", "equiv", "seed", "samples", "verdict", "counterexample")
 
     def __bool__(self):
         return self.verdict == "holds-on-sample"
 
     def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "equiv": self.equiv,
-            "seed": self.seed,
-            "samples": self.samples,
-            "verdict": self.verdict,
-            "counterexample": self.counterexample,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def _plain_pool(outcomes) -> list[ExtensiveGame]:
@@ -755,25 +733,15 @@ def check_equation(
     )
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    op: str
-    equiv: str
-    samples: int
-    verdict: str  # "congruent-on-sample" | "counterexample"
-    counterexample: dict | None = None
+class CongruenceReport(Record, counterexample=None):
+    # verdict is "congruent-on-sample" or "counterexample"
+    __slots__ = ("op", "equiv", "samples", "verdict", "counterexample")
 
     def __bool__(self):
         return self.verdict == "congruent-on-sample"
 
     def to_json(self) -> dict:
-        return {
-            "op": self.op,
-            "equiv": self.equiv,
-            "samples": self.samples,
-            "verdict": self.verdict,
-            "counterexample": self.counterexample,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def _at_first_state(states, tree) -> DynamicGame:

@@ -11,13 +11,11 @@ deterministic evaluation budget instead of wall-clock time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import combinations, islice, product
 from operator import or_
 from random import Random
 from types import SimpleNamespace
-from typing import Optional
 
 from .formulas import (
     FALSUM,
@@ -34,7 +32,7 @@ from .formulas import (
     parse_formula,
     random_formula,
 )
-from .games import Player
+from .games import Player, Record
 from .models import (
     GAME_FRAME,
     INSTANTIAL_FRAME,
@@ -180,12 +178,14 @@ def schema_instance(name: str, seed: int | Random) -> Formula:
     return _BUILDERS[name][0](rng)
 
 
-@dataclass(frozen=True)
-class SoundnessReport:
-    seed: int
-    samples: int
-    counts: dict = field(default_factory=dict)
-    violations: tuple = ()
+class SoundnessReport(Record):
+    __slots__ = ("seed", "samples", "counts", "violations")
+
+    def __init__(self, seed: int, samples: int, counts=None, violations: tuple = ()):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "counts", {} if counts is None else counts)
+        object.__setattr__(self, "violations", violations)
 
     def __bool__(self) -> bool:
         return not self.violations
@@ -293,29 +293,16 @@ def _atom_rows(k: int, n: int, width: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    formula: str
-    found: bool
-    model: Optional[NeighborhoodModel]
-    world: Optional[str]
-    phase: Optional[str]
-    evaluations: int
-    budget: int
+class SearchResult(Record):
+    # model and world are None when nothing was found
+    __slots__ = ("formula", "found", "model", "world", "phase", "evaluations", "budget")
 
     def __bool__(self) -> bool:
         return self.found
 
     def to_json(self) -> dict:
-        return {
-            "formula": self.formula,
-            "found": self.found,
-            "model": None if self.model is None else self.model.to_json(),
-            "world": self.world,
-            "phase": self.phase,
-            "evaluations": self.evaluations,
-            "budget": self.budget,
-        }
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        return {**fields, "model": None if self.model is None else self.model.to_json()}
 
 
 def countermodel_search(

@@ -108,7 +108,7 @@ def _cmd_represent(args) -> tuple[int, dict]:
     }
     code = 0
     if args.verify:
-        roundtrip = verify_roundtrip(inp)
+        roundtrip = verify_roundtrip(inp, built)
         report["roundtrip"] = roundtrip.to_json()
         code = 0 if roundtrip.ok else 1
     return code, report

@@ -17,11 +17,10 @@ neighbourhoods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Any, Iterable
 
-from .games import Player, StrategicGame, to_strategic_form
+from .games import Player, Record, StrategicGame, to_strategic_form
 from .models import GAME_FRAME, INSTANTIAL_FRAME, NeighborhoodModel, validate_frame
 from .powers import (
     _back,
@@ -44,11 +43,13 @@ class InvalidModelError(ValueError):
     """A bisimulation query was made against an invalid frame."""
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
-    kind: str
-    verdict: bool
-    witness: Any = None
+class EquivalenceVerdict(Record):
+    __slots__ = ("kind", "verdict", "witness")
+
+    def __init__(self, kind: str, verdict: bool, witness: Any = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self):
         return self.verdict
@@ -287,10 +288,8 @@ _IMPLICATIONS = (
 )
 
 
-@dataclass(frozen=True)
-class HierarchyReport:
-    verdicts: dict[str, EquivalenceVerdict]
-    violations: tuple[str, ...]
+class HierarchyReport(Record):
+    __slots__ = ("verdicts", "violations")  # verdicts by relation name
 
     @property
     def consistent(self) -> bool:

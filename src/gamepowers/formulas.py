@@ -18,47 +18,53 @@ associates to the right; parentheses group.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from random import Random
 from typing import Iterable
 
-from .games import Player
+from .games import Player, Record
 
 
-class Formula:
+class Formula(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __slots__ = ("sub",)
+
+    def __init__(self, sub: Formula):
+        object.__setattr__(self, "sub", sub)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
-
-@dataclass(frozen=True)
-class Box(Formula):
-    player: Player
-    instants: frozenset[Formula] = field(default_factory=frozenset)
-    scope: Formula = field(default_factory=Top)
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 TOP = Top()
 FALSUM = Not(TOP)
+
+
+class Box(Formula):
+    __slots__ = ("player", "instants", "scope")
+
+    def __init__(self, player: Player, instants=frozenset(), scope: Formula = TOP):
+        object.__setattr__(self, "player", player)
+        object.__setattr__(self, "instants", instants)
+        object.__setattr__(self, "scope", scope)
 
 
 def lor(a: Formula, b: Formula) -> Formula:

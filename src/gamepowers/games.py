@@ -9,9 +9,9 @@ outcome labels live on leaves.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations, product
+from operator import attrgetter
 from typing import Any, Iterable, Mapping
 
 Address = tuple[int, ...]
@@ -19,9 +19,65 @@ Address = tuple[int, ...]
 ROOT: Address = ()
 
 
+class Record:
+    """An immutable value made of the fields its class names in ``__slots__``.
+
+    As frozen dataclasses do, records are equal only within one class, hash
+    as the tuple of their fields and print as ``Name(field=value, ...)``.
+    Fields are given by position or keyword, defaults by class keyword, as
+    in ``class Violation(Record, detail="")``, or a class sets them in its
+    own ``__init__`` through ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **defaults):
+        names = cls.__slots__
+        if len(names) > 1:
+            values = attrgetter(*names)
+        elif names:
+            values = lambda self, get=attrgetter(*names): (get(self),)
+        else:
+            values = lambda self: ()
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = lambda self: hash(values(self))
+        cls.__reduce__ = lambda self: (cls, values(self))
+        setters = [vars(cls)[name].__set__ for name in names]  # skip our __setattr__
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != len(names):
+                given = {**dict(zip(names, args)), **kwargs}  # one entry per argument
+                bound = {**defaults, **given}
+                if len(given) < len(args) + len(kwargs) or bound.keys() != set(names):
+                    raise TypeError(f"{cls.__name__}() takes the fields {names}")
+                args = [bound[name] for name in names]
+            for set_field, value in zip(setters, args):
+                set_field(self, value)
+
+        if "__init__" not in vars(cls):
+            cls.__init__ = __init__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class Player(Enum):
     A = "A"
     B = "B"
+
+    __hash__ = object.__hash__  # members are singletons, equal only to themselves
 
     @property
     def dual(self) -> "Player":
@@ -268,11 +324,8 @@ def game_from_json(obj: Mapping) -> ExtensiveGame:
 # -- validation ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    nodes: tuple[Address, ...]
-    detail: str = ""
+class Violation(Record, detail=""):
+    __slots__ = ("rule", "nodes", "detail")
 
     def __str__(self):
         where = ", ".join("·".join(map(str, n)) or "ε" for n in self.nodes)
@@ -326,19 +379,15 @@ def is_perfect_information(g: ExtensiveGame) -> bool:
 # -- strategies ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctionalStrategy:
-    owner: Player
-    choice: Mapping[Address, int]
+class FunctionalStrategy(Record):
+    __slots__ = ("owner", "choice")  # choice maps each of owner's nodes to a move
 
     def moves_at(self, w: Address) -> tuple[int, ...]:
         return (self.choice[w],)
 
 
-@dataclass(frozen=True)
-class RelationalStrategy:
-    owner: Player
-    choice: Mapping[Address, tuple[int, ...]]
+class RelationalStrategy(Record):
+    __slots__ = ("owner", "choice")  # choice maps each of owner's nodes to moves
 
     def moves_at(self, w: Address) -> tuple[int, ...]:
         return self.choice[w]

@@ -8,15 +8,15 @@ relational basic powers are the exact outcome sets of relational strategies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, product
 from random import Random
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
 from .games import (
     ROOT,
     ExtensiveGame,
     Player,
+    Record,
     StrategicGame,
     _as_player,
     _nonempty_subsets,
@@ -233,11 +233,8 @@ def egli_milner(
 # -- condition checking ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    holds: bool
-    witness: Any = None
+class ConditionCheck(Record, witness=None):
+    __slots__ = ("name", "holds", "witness")
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "witness": self.witness}

@@ -8,13 +8,13 @@ column strategies are the triples (Z, u, j) drawn from fb alike.
 compares.
 """
 
-from dataclasses import dataclass
 from math import prod
 from random import Random
 from typing import Mapping
 
 from .games import (
     Player,
+    Record,
     StrategicGame,
     _is_label_list,
     _is_sortable_label_list,
@@ -207,14 +207,8 @@ def construct_game(inp: RepresentationInput) -> StrategicGame:
     )
 
 
-@dataclass(frozen=True)
-class RoundTripReport:
-    mode: str
-    fa_ok: bool
-    fb_ok: bool
-    strategies_ok: bool
-    rows: int
-    cols: int
+class RoundTripReport(Record):
+    __slots__ = ("mode", "fa_ok", "fb_ok", "strategies_ok", "rows", "cols")
 
     @property
     def ok(self) -> bool:
@@ -235,15 +229,15 @@ class RoundTripReport:
         }
 
 
-def verify_roundtrip(inp: RepresentationInput) -> RoundTripReport:
+def verify_roundtrip(inp: RepresentationInput, game=None) -> RoundTripReport:
     """Recompute the powers of the constructed game and compare exactly.
 
     Also rechecks that each row and each column realizes precisely the
     member named in its label.  In relational mode the comparison runs
     against relational basic powers instead; any mismatch is reported, never
-    repaired.
+    repaired.  ``game`` is ``construct_game(inp)``, if the caller has built it.
     """
-    sg = construct_game(inp)
+    sg = construct_game(inp) if game is None else game
     if inp.mode == RELATIONAL:
         fa_got = relational_basic_powers(sg, Player.A)
         fb_got = relational_basic_powers(sg, Player.B)

@@ -1,5 +1,6 @@
 """Shared fixtures and brute-force oracles for the test suite."""
 
+from dataclasses import field, make_dataclass
 from itertools import chain, combinations, permutations, product
 from random import Random
 
@@ -591,3 +592,62 @@ def reference_term_powers(term, env, kind):
         left,
         right,
     )
+
+
+# -- frozen-dataclass twins of the record classes ------------------------------
+
+def _twin(name, *fields):
+    """A frozen dataclass with the given name; a field is a name or (name, default)."""
+    spec = [(f, object) if isinstance(f, str) else (f[0], object, f[1]) for f in fields]
+    return make_dataclass(name, spec, frozen=True)
+
+
+# each record class of the package, by module and name, with the frozen
+# dataclass it replaced: the reference for construction, equality, hashing,
+# repr and immutability
+RECORD_TWINS = {
+    ("algebra", "Var"): _twin("Var", "name"),
+    ("algebra", "Plus"): _twin("Plus", "left", "right"),
+    ("algebra", "Times"): _twin("Times", "left", "right"),
+    ("algebra", "Comp"): _twin("Comp", "left", "right"),
+    ("algebra", "Dual"): _twin("Dual", "sub"),
+    ("algebra", "EquationReport"): _twin(
+        "EquationReport", "lhs", "rhs", "equiv", "seed", "samples", "verdict",
+        ("counterexample", None),
+    ),
+    ("algebra", "CongruenceReport"): _twin(
+        "CongruenceReport", "op", "equiv", "samples", "verdict",
+        ("counterexample", None),
+    ),
+    ("axioms", "SoundnessReport"): _twin(
+        "SoundnessReport", "seed", "samples",
+        ("counts", field(default_factory=dict)), ("violations", ()),
+    ),
+    ("axioms", "SearchResult"): _twin(
+        "SearchResult", "formula", "found", "model", "world", "phase", "evaluations",
+        "budget",
+    ),
+    ("equivalence", "EquivalenceVerdict"): _twin(
+        "EquivalenceVerdict", "kind", "verdict", ("witness", None)
+    ),
+    ("equivalence", "HierarchyReport"): _twin(
+        "HierarchyReport", "verdicts", "violations"
+    ),
+    ("formulas", "Atom"): _twin("Atom", "name"),
+    ("formulas", "Top"): _twin("Top"),
+    ("formulas", "Not"): _twin("Not", "sub"),
+    ("formulas", "And"): _twin("And", "left", "right"),
+    ("formulas", "Box"): _twin(
+        "Box", "player", ("instants", field(default_factory=frozenset)),
+        ("scope", field(default_factory=Top)),
+    ),
+    ("games", "Violation"): _twin("Violation", "rule", "nodes", ("detail", "")),
+    ("games", "FunctionalStrategy"): _twin("FunctionalStrategy", "owner", "choice"),
+    ("games", "RelationalStrategy"): _twin("RelationalStrategy", "owner", "choice"),
+    ("powers", "ConditionCheck"): _twin(
+        "ConditionCheck", "name", "holds", ("witness", None)
+    ),
+    ("representation", "RoundTripReport"): _twin(
+        "RoundTripReport", "mode", "fa_ok", "fb_ok", "strategies_ok", "rows", "cols"
+    ),
+}

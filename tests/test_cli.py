@@ -2,6 +2,7 @@
 
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
@@ -143,6 +144,35 @@ def test_represent_builds_and_verifies(capsys, tmp_path):
     assert report["roundtrip"]["ok"] is True
     assert report["roundtrip"]["strategies_exact"] is True
     assert report["game"]["rows"] == ["(0,0,0)", "(0,0,1)", "(1,1,0)", "(1,1,1)"]
+
+
+def test_represent_verify_builds_and_checks_the_families_once(capsys, tmp_path, monkeypatch):
+    import gamepowers.cli as cli
+    import gamepowers.representation as rep
+
+    p = tmp_path / "fam.json"
+    p.write_text(json.dumps(
+        {"outcomes": ["0", "1", "2"], "FA": [["0"], ["1", "2"]], "FB": [["0", "1"], ["0", "2"]]}
+    ))
+    _, before = run(capsys, "represent", str(p), "--verify")
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rep, "check_input", counted(rep.check_input))
+    build = counted(rep.construct_game)
+    monkeypatch.setattr(rep, "construct_game", build)
+    monkeypatch.setattr(cli, "construct_game", build)
+    code, out = run(capsys, "represent", str(p), "--verify")
+    assert calls == {"construct_game": 1, "check_input": 1}
+    assert code == 0 and out == before
+    assert json.loads(out)["roundtrip"] == rep.verify_roundtrip(
+        rep.load_representation_input(str(p))
+    ).to_json()
 
 
 def test_represent_flags_illegal_families(capsys, tmp_path):

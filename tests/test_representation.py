@@ -76,6 +76,15 @@ def test_two_outcome_example_roundtrip():
     assert report.to_json()["ok"] is True
 
 
+@pytest.mark.parametrize("mode", ["basic", "relational"])
+def test_roundtrip_of_a_game_already_built_matches_a_fresh_one(mode):
+    for seed in range(12):
+        inp = sample_legal_families(3, seed, mode)
+        given = verify_roundtrip(inp, construct_game(inp))
+        assert given == verify_roundtrip(inp)
+        assert given.to_json() == verify_roundtrip(inp).to_json()
+
+
 def test_single_outcome_trivial_families():
     outcomes = ["o"]
     fam = PowerFamily(outcomes, [["o"]])
