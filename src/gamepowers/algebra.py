@@ -21,7 +21,7 @@ from operator import and_, itemgetter, or_
 from random import Random
 from typing import Mapping, Union
 
-from .equivalence import EQUIVALENCES, POWER, SEMI, STRONG, _pair_split
+from .equivalence import EQUIVALENCES, POWER_EQUIVALENCES, STRONG, _pair_split
 from .games import (
     ROOT,
     Address,
@@ -29,6 +29,8 @@ from .games import (
     GameFormatError,
     Player,
     Record,
+    _lookup,
+    _seeded,
     game,
     game_from_json,
     game_to_json,
@@ -190,10 +192,9 @@ def composed_power_relation(r1: Mapping, r2: Mapping, u) -> PowerFamily:
     """
     if set(r1) != set(r2):
         raise ValueError("power maps must share a state set")
-    if u not in r1:
-        raise ValueError(f"unknown state {u!r}")
+    at_u = _lookup(r1, u, "state")
     closed = {y: union_closure(f)._index for y, f in r2.items()}
-    return PowerFamily(tuple(sorted(r1)), _composed(r1[u]._index, _Joined(closed, _joins)))
+    return PowerFamily(tuple(sorted(r1)), _composed(at_u._index, _Joined(closed, _joins)))
 
 
 class _Joined(dict):
@@ -236,6 +237,10 @@ class Dual(Record):
 
 
 GameTerm = Union[Var, Plus, Times, Comp, Dual]
+
+# each operation's symbol, term and binding strength, 1 the loosest
+OPERATIONS = {"+": (Plus, 1), "*": (Times, 2), "-": (Dual, 4), "o": (Comp, 3)}
+_SYMBOLS = {term: (sym, level) for sym, (term, level) in OPERATIONS.items()}
 
 
 class TermParseError(ValueError):
@@ -343,11 +348,9 @@ def format_term(term: GameTerm) -> str:
     def fmt(t, level):
         if isinstance(t, Var):
             return t.name
+        sym, mine = _SYMBOLS[type(t)]
         if isinstance(t, Dual):
-            return "-" + fmt(t.sub, 4)
-        sym, mine = {"Plus": ("+", 1), "Times": ("*", 2), "Comp": ("o", 3)}[
-            type(t).__name__
-        ]
+            return sym + fmt(t.sub, mine)
         text = f"{fmt(t.left, mine)} {sym} {fmt(t.right, mine + 1)}"
         return f"({text})" if mine < level else text
 
@@ -457,10 +460,6 @@ def _term_fold(term: GameTerm, kind: str, dynamic: bool):
 # -- seeded generation -------------------------------------------------------------
 
 
-def _rng(seed) -> Random:
-    return seed if isinstance(seed, Random) else Random(seed)
-
-
 def _random_tree(rng: Random, depth_left: int, max_branch: int, outcomes):
     if depth_left <= 1 or rng.random() < 0.35:
         return leaf(rng.choice(outcomes))
@@ -545,7 +544,7 @@ def random_game(
     _check_depth(max_depth)
     if max_branch < 1:
         raise ValueError("max_branch must be at least 1")
-    rng = _rng(seed)
+    rng = _seeded(seed)
     outcomes = tuple(outcomes)
     for _ in range(_MAX_PROPOSALS):
         g = game(outcomes, _random_tree(rng, max_depth, max_branch, outcomes))
@@ -565,7 +564,7 @@ def random_dynamic_game(
     max_branch: int = 2,
     perfect_info: bool = False,
 ) -> DynamicGame:
-    rng = _rng(seed)
+    rng = _seeded(seed)
     states = tuple(states)
     return DynamicGame(
         states,
@@ -577,10 +576,6 @@ def random_dynamic_game(
 
 
 # -- law checking ------------------------------------------------------------------
-
-# the law checkers probe the three power equivalences only, each on its kind
-_LAW_KINDS = {POWER: "plain", STRONG: "basic", SEMI: "relational"}
-
 
 def _values_equivalent(split, v1, v2):
     # split two games or two power pairs, statewise for dynamic values
@@ -596,12 +591,22 @@ def _values_equivalent(split, v1, v2):
     return bool(verdict), verdict.witness
 
 
-def _binding_decision(equiv: str, dynamic: bool):
+def _binding_decision(equiv, dynamic, seed, samples, outcomes, max_depth, max_branch):
+    # draw() -> a seeded random game, or dynamic game when the terms compose;
     # drawn(value) -> (value, entry) pairs a game with its entry in the env
     # that decide(lhs, rhs) -> env -> (ok, witness, trees) folds both terms
     # over, each compiled once: its power pairs, or for strong with o the game
     # itself (then trees), as basic powers of a composition lose multiplicity
-    kind = _LAW_KINDS[equiv]
+    kind = _lookup(POWER_EQUIVALENCES, equiv, "equivalence")
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
+    _check_depth(max_depth)
+    rng = Random(seed)
+    if dynamic:
+        # dynamic bindings stay shallow so composed trees remain enumerable
+        draw = partial(random_dynamic_game, rng, outcomes, min(max_depth, 2), max_branch)
+    else:
+        draw = partial(random_game, rng, max_depth, max_branch, outcomes)
     trees = dynamic and equiv == STRONG
     split = EQUIVALENCES[equiv] if trees else partial(_pair_split, equiv)
     fold = cache(lambda t: partial(evaluate, t) if trees else _term_fold(t, kind, dynamic))
@@ -616,7 +621,7 @@ def _binding_decision(equiv: str, dynamic: bool):
             return (*_values_equivalent(split, v1, v2), (v1, v2) if trees else None)
         return on
 
-    return drawn, decide
+    return draw, drawn, decide
 
 
 def _value_json(value) -> dict:
@@ -677,24 +682,14 @@ def check_equation(
     """
     lhs_t = parse_term(lhs) if isinstance(lhs, str) else lhs
     rhs_t = parse_term(rhs) if isinstance(rhs, str) else rhs
-    if equiv not in _LAW_KINDS:
-        raise ValueError(f"unknown equivalence {equiv!r}")
-    if samples < 0:
-        raise ValueError(f"samples must be at least 0, got {samples}")
-    _check_depth(max_depth)
     names = sorted(term_variables(lhs_t) | term_variables(rhs_t))
     dynamic = term_uses_composition(lhs_t) or term_uses_composition(rhs_t)
     outcomes = tuple(outcomes)
-    drawn, decide = _binding_decision(equiv, dynamic)
+    draw, drawn, decide = _binding_decision(
+        equiv, dynamic, seed, samples, outcomes, max_depth, max_branch
+    )
     decision = decide(lhs_t, rhs_t)
-    rng = Random(seed)
-    if dynamic:
-        # dynamic bindings stay shallow so composed trees remain enumerable
-        pool = _dynamic_pool(outcomes)
-        draw = partial(random_dynamic_game, rng, outcomes, min(max_depth, 2), max_branch)
-    else:
-        pool = _plain_pool(outcomes)
-        draw = partial(random_game, rng, max_depth, max_branch, outcomes)
+    pool = (_dynamic_pool if dynamic else _plain_pool)(outcomes)
     tried = 0
 
     def outcome_of(values, phase):
@@ -770,26 +765,15 @@ def check_congruence(
     composition the candidate list includes the pair of factors whose
     one-move difference a branching continuation amplifies.
     """
-    if op not in ("+", "*", "-", "o"):
-        raise ValueError(f"unknown operation {op!r}")
-    if equiv not in _LAW_KINDS:
-        raise ValueError(f"unknown equivalence {equiv!r}")
-    if samples < 0:
-        raise ValueError(f"samples must be at least 0, got {samples}")
-    _check_depth(max_depth)
+    combine, _ = _lookup(OPERATIONS, op, "operation")
     outcomes = tuple(outcomes)
-    rng = Random(seed)
-    dynamic = op == "o"
-    drawn, decide = _binding_decision(equiv, dynamic)
-    if dynamic:
-        # shallow dynamic draws keep composed trees enumerable
-        draw = partial(random_dynamic_game, rng, outcomes, min(max_depth, 2), max_branch)
-    else:
-        draw = partial(random_game, rng, max_depth, max_branch, outcomes)
+    dynamic = combine is Comp
+    draw, drawn, decide = _binding_decision(
+        equiv, dynamic, seed, samples, outcomes, max_depth, max_branch
+    )
     first, second = outcomes[0], outcomes[min(1, len(outcomes) - 1)]
     choice = node(Player.B, [leaf(first), leaf(second)])
     a, b, h = Var("a"), Var("b"), Var("h")
-    combine = {"+": Plus, "*": Times, "o": Comp}.get(op)
     holes = (("left", lambda t: combine(t, h)), ("right", lambda t: combine(h, t)))
     tried = 0
 
@@ -813,7 +797,7 @@ def check_congruence(
 
     def contexts():
         # (side, hole filler, partner bound to h), drawn for each accepted pair
-        if op == "-":
+        if combine is Dual:
             return [("dual", Dual, None)]
         tagged = {"": drawn(draw())}
         if dynamic:

@@ -32,8 +32,9 @@ from .formulas import (
     parse_formula,
     random_formula,
 )
-from .games import Player, Record
+from .games import Player, Record, _lookup, _seeded
 from .models import (
+    FRAME_KINDS,
     GAME_FRAME,
     INSTANTIAL_FRAME,
     NeighborhoodModel,
@@ -138,23 +139,7 @@ def _plain_consistency(rng: Random) -> Formula:
     )
 
 
-INSTANTIAL_SCHEMATA = (
-    "monotonicity",
-    "weakening",
-    "union",
-    "case-split",
-    "falsum-side",
-    "non-emptiness",
-    "instantiatedness",
-    "consistency",
-)
-PLAIN_SCHEMATA = (
-    "plain-non-emptiness",
-    "plain-monotonicity",
-    "plain-consistency",
-)
-ALL_SCHEMATA = INSTANTIAL_SCHEMATA + PLAIN_SCHEMATA
-
+# every schema, in sweep order, with the frame kind it is sound on
 _BUILDERS = {
     "monotonicity": (_monotonicity, INSTANTIAL_FRAME),
     "weakening": (_weakening, INSTANTIAL_FRAME),
@@ -168,14 +153,17 @@ _BUILDERS = {
     "plain-monotonicity": (_plain_monotonicity, GAME_FRAME),
     "plain-consistency": (_plain_consistency, GAME_FRAME),
 }
+ALL_SCHEMATA = tuple(_BUILDERS)
+INSTANTIAL_SCHEMATA, PLAIN_SCHEMATA = (
+    tuple(name for name, (_, on) in _BUILDERS.items() if on == kind)
+    for kind in (INSTANTIAL_FRAME, GAME_FRAME)
+)
 
 
 def schema_instance(name: str, seed: int | Random) -> Formula:
     """A concrete instance of the named schema with seeded side formulas."""
-    if name not in _BUILDERS:
-        raise ValueError(f"unknown schema: {name!r}")
-    rng = seed if isinstance(seed, Random) else Random(seed)
-    return _BUILDERS[name][0](rng)
+    builder, _ = _lookup(_BUILDERS, name, "schema:")
+    return builder(_seeded(seed))
 
 
 class SoundnessReport(Record):
@@ -242,7 +230,7 @@ _FAMILY_CAPS = {1: 3, 2: 2, 3: 1}
 @cache
 def _legal_world_pairs(worlds: tuple[str, ...], cap: int):
     # the table depends on the world count only, and every search reads it
-    required = family_conditions("basic")
+    required = family_conditions(FRAME_KINDS[INSTANTIAL_FRAME])
     subsets = [s for s in _subsets(worlds) if s]
     families = [
         PowerFamily(worlds, fam)

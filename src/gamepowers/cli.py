@@ -13,12 +13,13 @@ import argparse
 import json
 import sys
 
-from .algebra import check_congruence, check_equation
+from .algebra import OPERATIONS, check_congruence, check_equation
 from .axioms import axiom_soundness_suite, countermodel_search
-from .equivalence import BISIMULATIONS, EQUIVALENCES
+from .equivalence import BISIMULATIONS, EQUIVALENCES, POWER_EQUIVALENCES
 from .formulas import format_formula, parse_formula
 from .games import Player, load_game, strategic_to_json
 from .models import (
+    FRAME_KINDS,
     GAME_FRAME,
     INSTANTIAL_FRAME,
     load_model,
@@ -58,8 +59,7 @@ def _cmd_bisim(args) -> tuple[int, dict]:
 
 
 def _cmd_frame(args) -> tuple[int, dict]:
-    kind = GAME_FRAME if args.kind == "game" else INSTANTIAL_FRAME
-    profile = validate_frame(load_model(args.model), kind)
+    profile = validate_frame(load_model(args.model), args.kind)
     report = {
         "kind": args.kind,
         "valid": profile.all_hold,
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frame", parents=[common], help="validate model conditions")
     p.add_argument("model")
-    p.add_argument("--kind", required=True, choices=["game", "instantial"])
+    p.add_argument("--kind", required=True, choices=sorted(FRAME_KINDS))
     p.set_defaults(handler=_cmd_frame)
 
     p = sub.add_parser("mc", parents=[common], help="evaluate a formula on a model")
@@ -192,15 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("algebra", parents=[common], help="check an equation on samples")
     p.add_argument("equation", help='e.g. "x + y = y + x"')
-    p.add_argument("--equiv", required=True, choices=["power", "semi", "strong"])
+    p.add_argument("--equiv", required=True, choices=sorted(POWER_EQUIVALENCES))
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-depth", type=int, default=3, dest="max_depth")
     p.set_defaults(handler=_cmd_algebra)
 
     p = sub.add_parser("congruence", parents=[common], help="probe operation contexts")
-    p.add_argument("op", choices=["+", "*", "-", "o"])
-    p.add_argument("--equiv", required=True, choices=["power", "semi", "strong"])
+    p.add_argument("op", choices=list(OPERATIONS))
+    p.add_argument("--equiv", required=True, choices=sorted(POWER_EQUIVALENCES))
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(handler=_cmd_congruence)

@@ -23,13 +23,12 @@ from typing import Any, Iterable
 from .games import Player, Record, StrategicGame, to_strategic_form
 from .models import GAME_FRAME, INSTANTIAL_FRAME, NeighborhoodModel, validate_frame
 from .powers import (
+    POWER_KINDS,
     _back,
     _forth,
     _lift,
     basic_powers,
     egli_milner,
-    powers,
-    relational_basic_powers,
     upward_closure,
 )
 
@@ -37,6 +36,9 @@ POWER = "power"
 STRONG = "strong"
 SEMI = "semi"
 STRATEGIC = "strategic"
+
+# each power equivalence asks for equal families of one power kind
+POWER_EQUIVALENCES = {POWER: "plain", STRONG: "basic", SEMI: "relational"}
 
 
 class InvalidModelError(ValueError):
@@ -63,8 +65,9 @@ def _require_shared_outcomes(g1, g2):
         raise ValueError("games must share an outcome set")
 
 
-def _family_split(kind, fn, g1, g2) -> EquivalenceVerdict:
+def _family_split(kind, g1, g2) -> EquivalenceVerdict:
     _require_shared_outcomes(g1, g2)
+    fn = POWER_KINDS[POWER_EQUIVALENCES[kind]]
     players = (Player.A, Player.B)
     # generators, so B's families are built only when A's agree
     return _pair_split(
@@ -91,17 +94,17 @@ def _pair_split(kind, pair1, pair2) -> EquivalenceVerdict:
 
 def power_equivalent(g1, g2) -> EquivalenceVerdict:
     """Equal plain power families for both players."""
-    return _family_split(POWER, powers, g1, g2)
+    return _family_split(POWER, g1, g2)
 
 
 def strongly_equivalent(g1, g2) -> EquivalenceVerdict:
     """Equal basic power families for both players."""
-    return _family_split(STRONG, basic_powers, g1, g2)
+    return _family_split(STRONG, g1, g2)
 
 
 def semi_strongly_equivalent(g1, g2) -> EquivalenceVerdict:
     """Equal relational basic power families for both players."""
-    return _family_split(SEMI, relational_basic_powers, g1, g2)
+    return _family_split(SEMI, g1, g2)
 
 
 def _refine(m1, m2, cols: set, rows: set) -> set:

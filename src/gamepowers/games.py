@@ -12,6 +12,7 @@ import json
 from enum import Enum
 from itertools import chain, combinations, product
 from operator import attrgetter
+from random import Random
 from typing import Any, Iterable, Mapping
 
 Address = tuple[int, ...]
@@ -91,6 +92,18 @@ def _as_player(value) -> Player:
     if isinstance(value, Player):
         return value
     return Player(value)
+
+
+def _lookup(table: Mapping, key, what: str):
+    # a key read from JSON may be a list or an object, which no table can hold
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown {what} {key!r}") from None
+
+
+def _seeded(seed) -> Random:
+    return seed if isinstance(seed, Random) else Random(seed)
 
 
 class GameFormatError(ValueError):

@@ -20,18 +20,20 @@ from .games import (
     _is_label,
     _is_label_list,
     _is_sortable_label_list,
+    _lookup,
     _read_json,
+    _seeded,
 )
 from .powers import (
     CONSISTENCY,
     NON_EMPTINESS,
     POWER_KINDS,
+    _MODE_CLOSURES,
     ConditionProfile,
     PowerFamily,
     check_conditions,
     family_conditions,
     random_family_pair,
-    upward_closure,
 )
 
 
@@ -171,9 +173,9 @@ def load_model(path: str) -> NeighborhoodModel:
 GAME_FRAME = "game"
 INSTANTIAL_FRAME = "instantial"
 
-
-# family conditions that each world's pair of neighborhood families must meet
-_FRAME_MODES = {GAME_FRAME: "plain", INSTANTIAL_FRAME: "basic"}
+# each frame kind asks every world's pair of neighborhood families to meet
+# the family conditions of one power kind
+FRAME_KINDS = {GAME_FRAME: "plain", INSTANTIAL_FRAME: "basic"}
 
 
 def validate_frame(m: NeighborhoodModel, kind: str) -> ConditionProfile:
@@ -184,10 +186,7 @@ def validate_frame(m: NeighborhoodModel, kind: str) -> ConditionProfile:
     the basic mode (instantial frames).  A failing condition's witness
     comes from the first failing world, A before B.
     """
-    try:
-        names = family_conditions(_FRAME_MODES[kind])
-    except KeyError:
-        raise ValueError(f"unknown frame kind {kind!r}") from None
+    names = family_conditions(_lookup(FRAME_KINDS, kind, "frame kind"))
     fams_a, fams_b = m._neigh[Player.A], m._neigh[Player.B]
     at_world = [(u, check_conditions(fams_a[u], fams_b[u])) for u in m.worlds]
 
@@ -289,14 +288,13 @@ def encode_game_as_model(
     """One-step model of a game: a fresh root world sees the chosen power
     family of each player; outcome worlds see their own singleton.
 
-    For the plain kind every neighborhood family is closed upward inside the
-    model's world set, keeping the game-frame conditions intact.  Returns
-    the model (empty valuation) together with the root world's label.
+    Every neighborhood family is closed as the kind's families are, inside
+    the model's world set: for the plain kind upward, keeping the game-frame
+    conditions intact.  Returns the model (empty valuation) together with
+    the root world's label.
     """
-    try:
-        fam_of = POWER_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown power kind {kind!r}") from None
+    fam_of = _lookup(POWER_KINDS, kind, "power kind")
+    close = _MODE_CLOSURES[kind]
     root = "root"
     while root in g.outcomes:
         root = "_" + root
@@ -305,9 +303,7 @@ def encode_game_as_model(
     for p in (Player.A, Player.B):
         families = {root: PowerFamily(worlds, fam_of(g, p).members)}
         families.update((w, PowerFamily(worlds, [[w]])) for w in g.outcomes)
-        if kind == "plain":
-            families = {u: upward_closure(f) for u, f in families.items()}
-        neigh[p] = families
+        neigh[p] = {u: close(f) for u, f in families.items()}
     return NeighborhoodModel._from_families(worlds, neigh, {}), root
 
 
@@ -321,10 +317,10 @@ def random_model(
     atoms: tuple[str, ...] = ("p", "q", "r"),
 ) -> NeighborhoodModel:
     """Seeded random model that is a valid frame of the requested kind."""
-    rng = seed if isinstance(seed, Random) else Random(seed)
+    mode = _lookup(FRAME_KINDS, kind, "frame kind")
+    rng = _seeded(seed)
     n = rng.randint(1, max_worlds)
     worlds = tuple(f"w{i}" for i in range(n))
-    mode = "plain" if kind == GAME_FRAME else "basic"
     neigh = {Player.A: {}, Player.B: {}}
     for u in worlds:
         neigh[Player.A][u], neigh[Player.B][u] = random_family_pair(rng, worlds, mode)

@@ -19,6 +19,7 @@ from .games import (
     Record,
     StrategicGame,
     _as_player,
+    _lookup,
     _nonempty_subsets,
 )
 
@@ -432,13 +433,17 @@ _MODE_CONDITIONS = {
     "relational": (NON_EMPTINESS, INSTANTIATEDNESS, CONSISTENCY, UNION_CLOSURE),
 }
 
+# the closure every family of a kind is under, applied to each proposal
+_MODE_CLOSURES = {
+    "plain": upward_closure,
+    "basic": lambda f: f,
+    "relational": union_closure,
+}
+
 
 def family_conditions(mode: str) -> tuple[str, ...]:
     """Condition names a family pair of the given kind must satisfy."""
-    try:
-        return _MODE_CONDITIONS[mode]
-    except KeyError:
-        raise ValueError(f"unknown mode {mode!r}") from None
+    return _lookup(_MODE_CONDITIONS, mode, "mode")
 
 
 def random_family_pair(
@@ -456,22 +461,15 @@ def random_family_pair(
     """
     outcomes = tuple(outcomes)
     required = family_conditions(mode)
-    pool = [
-        frozenset(c)
-        for k in range(1, len(outcomes) + 1)
-        for c in combinations(sorted(outcomes), k)
-    ]
+    close = _MODE_CLOSURES[mode]
+    pool = [frozenset(c) for c in _subsets(tuple(sorted(outcomes))) if c]
+
+    def proposal() -> PowerFamily:
+        k = rng.randint(1, max_members)
+        return close(PowerFamily(outcomes, [rng.choice(pool) for _ in range(k)]))
+
     for _ in range(max_tries):
-        fams = []
-        for _side in range(2):
-            k = rng.randint(1, max_members)
-            f = PowerFamily(outcomes, [rng.choice(pool) for _ in range(k)])
-            if mode == "plain":
-                f = upward_closure(f)
-            elif mode == "relational":
-                f = union_closure(f)
-            fams.append(f)
-        fa, fb = fams
+        fa, fb = proposal(), proposal()
         pa, pb = check_conditions(fa, fb)
         if pa.holds(*required) and pb.holds(*required):
             return fa, fb

@@ -9,7 +9,6 @@ compares.
 """
 
 from math import prod
-from random import Random
 from typing import Mapping
 
 from .games import (
@@ -18,19 +17,24 @@ from .games import (
     StrategicGame,
     _is_label_list,
     _is_sortable_label_list,
+    _lookup,
     _read_json,
+    _seeded,
 )
 from .powers import (
+    POWER_KINDS,
     PowerFamily,
-    basic_powers,
     check_conditions,
     family_conditions,
     random_family_pair,
-    relational_basic_powers,
 )
 
 BASIC = "basic"
 RELATIONAL = "relational"
+
+# the power kinds the construction realizes, each with the powers that give
+# back its families
+_REALIZED = {mode: POWER_KINDS[mode] for mode in (BASIC, RELATIONAL)}
 
 # a strategy: (member of its player's family, outcome in it, copy index)
 Triple = tuple[frozenset, str, int]
@@ -55,8 +59,7 @@ class RepresentationInput:
     __slots__ = ("outcomes", "fa", "fb", "mode")
 
     def __init__(self, outcomes, fa: PowerFamily, fb: PowerFamily, mode: str = BASIC):
-        if mode not in (BASIC, RELATIONAL):
-            raise ValueError(f"unknown mode {mode!r}")
+        _lookup(_REALIZED, mode, "mode")
         outcomes = tuple(outcomes)
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("duplicate outcome labels")
@@ -238,12 +241,7 @@ def verify_roundtrip(inp: RepresentationInput, game=None) -> RoundTripReport:
     repaired.  ``game`` is ``construct_game(inp)``, if the caller has built it.
     """
     sg = construct_game(inp) if game is None else game
-    if inp.mode == RELATIONAL:
-        fa_got = relational_basic_powers(sg, Player.A)
-        fb_got = relational_basic_powers(sg, Player.B)
-    else:
-        fa_got = basic_powers(sg, Player.A)
-        fb_got = basic_powers(sg, Player.B)
+    fn = _REALIZED[inp.mode]
     strategies_ok = all(
         sg.row_set(k) == x for k, (x, _, _) in enumerate(_strategies(inp.fa))
     ) and all(
@@ -251,8 +249,8 @@ def verify_roundtrip(inp: RepresentationInput, game=None) -> RoundTripReport:
     )
     return RoundTripReport(
         mode=inp.mode,
-        fa_ok=fa_got == inp.fa,
-        fb_ok=fb_got == inp.fb,
+        fa_ok=fn(sg, Player.A) == inp.fa,
+        fb_ok=fn(sg, Player.B) == inp.fb,
         strategies_ok=strategies_ok,
         rows=len(sg.rows),
         cols=len(sg.cols),
@@ -274,7 +272,7 @@ def sample_legal_families(
     """
     if o_size < 1:
         raise ValueError("o_size must be at least 1")
-    rng = seed if isinstance(seed, Random) else Random(seed)
+    rng = _seeded(seed)
     outcomes = [str(i) for i in range(o_size)]
     for _ in range(max_tries):
         fa, fb = random_family_pair(rng, outcomes, mode, max_members=max_members)

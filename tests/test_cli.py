@@ -9,9 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamepowers.cli import main
-from gamepowers.equivalence import strongly_equivalent
+from gamepowers.algebra import OPERATIONS
+from gamepowers.cli import build_parser, main
+from gamepowers.equivalence import (
+    BISIMULATIONS,
+    EQUIVALENCES,
+    POWER_EQUIVALENCES,
+    strongly_equivalent,
+)
 from gamepowers.games import game_to_json
+from gamepowers.models import FRAME_KINDS
+from gamepowers.powers import POWER_KINDS
 from helpers import one_then_two_or_three, two_or_three_after_one
 
 
@@ -280,6 +288,29 @@ def test_stochastic_commands_require_a_seed(capsys):
     assert run(capsys, "congruence", "+", "--equiv", "semi")[0] == 2
 
 
+def _choices(command: str, dest: str) -> list:
+    sub = next(
+        a for a in build_parser()._actions if a.dest == "command"
+    ).choices[command]
+    return next(a.choices for a in sub._actions if a.dest == dest)
+
+
+def test_choices_are_the_keys_of_the_library_tables():
+    # the usage text lists each table's keys in the same order as before
+    for command, dest, table, listed in [
+        ("powers", "kind", POWER_KINDS, ["basic", "plain", "relational"]),
+        ("equiv", "relation", EQUIVALENCES, ["power", "semi", "strategic", "strong"]),
+        ("bisim", "kind", BISIMULATIONS, ["instantial", "power"]),
+        ("frame", "kind", FRAME_KINDS, ["game", "instantial"]),
+        ("algebra", "equiv", POWER_EQUIVALENCES, ["power", "semi", "strong"]),
+        ("congruence", "equiv", POWER_EQUIVALENCES, ["power", "semi", "strong"]),
+        ("congruence", "op", OPERATIONS, ["+", "*", "-", "o"]),
+    ]:
+        choices = _choices(command, dest)
+        assert choices == listed, (command, dest)
+        assert sorted(choices) == sorted(table), (command, dest)
+
+
 def assert_input_error(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -373,12 +404,15 @@ FRAME = ("frame", "--kind", "instantial")
                   "tree": {"player": "A",
                            "children": [{"outcome": False}, {"outcome": True}]}}),
         (REPRESENT, {"outcomes": [0, 1], "FA": [[True], [False]], "FB": [[0, 1]]}),
+        # a mode that is a list, which no table of modes can hold
+        (REPRESENT, {"outcomes": ["x"], "FA": [["x"]], "FB": [["x"]], "mode": ["basic"]}),
     ],
     ids=["outcome-list", "info-list", "row-list", "member-label-list",
          "outcomes-string", "member-string", "unknown-outcome",
          "family-mixed-outcomes", "model-mixed-worlds", "neighborhood-mixed-world",
          "game-mixed-outcomes", "matrix-string", "matrix-row-strings",
-         "family-duplicate-outcomes", "leaf-booleans", "member-booleans"],
+         "family-duplicate-outcomes", "leaf-booleans", "member-booleans",
+         "mode-list"],
 )
 def test_malformed_files_are_input_errors(capsys, tmp_path, command, data):
     p = tmp_path / "input.json"

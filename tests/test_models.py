@@ -127,6 +127,8 @@ def test_frame_conditions_match_their_definitions():
 def test_unknown_frame_kind_rejected():
     with pytest.raises(ValueError):
         validate_frame(tiny_model(), "modal")
+    with pytest.raises(ValueError, match="unknown frame kind 'bogus'"):
+        random_model(1, "bogus")
 
 
 def test_model_json_roundtrip():
