@@ -591,16 +591,21 @@ def _values_equivalent(split, v1, v2):
     return bool(verdict), verdict.witness
 
 
-def _binding_decision(equiv, dynamic, seed, samples, outcomes, max_depth, max_branch):
+def _law_kind(equiv, samples, max_depth) -> str:
+    # the power kind a law check under equiv reads, once its settings pass
+    kind = _lookup(POWER_EQUIVALENCES, equiv, "equivalence")
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
+    _check_depth(max_depth)
+    return kind
+
+
+def _binding_decision(kind, equiv, dynamic, seed, outcomes, max_depth, max_branch):
     # draw() -> a seeded random game, or dynamic game when the terms compose;
     # drawn(value) -> (value, entry) pairs a game with its entry in the env
     # that decide(lhs, rhs) -> env -> (ok, witness, trees) folds both terms
     # over, each compiled once: its power pairs, or for strong with o the game
     # itself (then trees), as basic powers of a composition lose multiplicity
-    kind = _lookup(POWER_EQUIVALENCES, equiv, "equivalence")
-    if samples < 0:
-        raise ValueError(f"samples must be at least 0, got {samples}")
-    _check_depth(max_depth)
     rng = Random(seed)
     if dynamic:
         # dynamic bindings stay shallow so composed trees remain enumerable
@@ -682,11 +687,12 @@ def check_equation(
     """
     lhs_t = parse_term(lhs) if isinstance(lhs, str) else lhs
     rhs_t = parse_term(rhs) if isinstance(rhs, str) else rhs
+    kind = _law_kind(equiv, samples, max_depth)
     names = sorted(term_variables(lhs_t) | term_variables(rhs_t))
     dynamic = term_uses_composition(lhs_t) or term_uses_composition(rhs_t)
     outcomes = tuple(outcomes)
     draw, drawn, decide = _binding_decision(
-        equiv, dynamic, seed, samples, outcomes, max_depth, max_branch
+        kind, equiv, dynamic, seed, outcomes, max_depth, max_branch
     )
     decision = decide(lhs_t, rhs_t)
     pool = (_dynamic_pool if dynamic else _plain_pool)(outcomes)
@@ -766,10 +772,11 @@ def check_congruence(
     one-move difference a branching continuation amplifies.
     """
     combine, _ = _lookup(OPERATIONS, op, "operation")
+    kind = _law_kind(equiv, samples, max_depth)
     outcomes = tuple(outcomes)
     dynamic = combine is Comp
     draw, drawn, decide = _binding_decision(
-        equiv, dynamic, seed, samples, outcomes, max_depth, max_branch
+        kind, equiv, dynamic, seed, outcomes, max_depth, max_branch
     )
     first, second = outcomes[0], outcomes[min(1, len(outcomes) - 1)]
     choice = node(Player.B, [leaf(first), leaf(second)])

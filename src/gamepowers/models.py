@@ -28,12 +28,12 @@ from .powers import (
     CONSISTENCY,
     NON_EMPTINESS,
     POWER_KINDS,
-    _MODE_CLOSURES,
     ConditionProfile,
     PowerFamily,
     check_conditions,
     family_conditions,
     random_family_pair,
+    upward_closure,
 )
 
 
@@ -288,13 +288,11 @@ def encode_game_as_model(
     """One-step model of a game: a fresh root world sees the chosen power
     family of each player; outcome worlds see their own singleton.
 
-    Every neighborhood family is closed as the kind's families are, inside
-    the model's world set: for the plain kind upward, keeping the game-frame
-    conditions intact.  Returns the model (empty valuation) together with
-    the root world's label.
+    For the plain kind every neighborhood family is closed upward inside the
+    model's world set, keeping the game-frame conditions intact.  Returns
+    the model (empty valuation) together with the root world's label.
     """
     fam_of = _lookup(POWER_KINDS, kind, "power kind")
-    close = _MODE_CLOSURES[kind]
     root = "root"
     while root in g.outcomes:
         root = "_" + root
@@ -303,7 +301,9 @@ def encode_game_as_model(
     for p in (Player.A, Player.B):
         families = {root: PowerFamily(worlds, fam_of(g, p).members)}
         families.update((w, PowerFamily(worlds, [[w]])) for w in g.outcomes)
-        neigh[p] = {u: close(f) for u, f in families.items()}
+        if kind == "plain":
+            families = {u: upward_closure(f) for u, f in families.items()}
+        neigh[p] = families
     return NeighborhoodModel._from_families(worlds, neigh, {}), root
 
 

@@ -433,7 +433,8 @@ _MODE_CONDITIONS = {
     "relational": (NON_EMPTINESS, INSTANTIATEDNESS, CONSISTENCY, UNION_CLOSURE),
 }
 
-# the closure every family of a kind is under, applied to each proposal
+# the closure random_family_pair applies to each proposal of a kind before
+# checking its conditions
 _MODE_CLOSURES = {
     "plain": upward_closure,
     "basic": lambda f: f,

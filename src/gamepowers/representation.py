@@ -32,10 +32,6 @@ from .powers import (
 BASIC = "basic"
 RELATIONAL = "relational"
 
-# the power kinds the construction realizes, each with the powers that give
-# back its families
-_REALIZED = {mode: POWER_KINDS[mode] for mode in (BASIC, RELATIONAL)}
-
 # a strategy: (member of its player's family, outcome in it, copy index)
 Triple = tuple[frozenset, str, int]
 
@@ -59,7 +55,7 @@ class RepresentationInput:
     __slots__ = ("outcomes", "fa", "fb", "mode")
 
     def __init__(self, outcomes, fa: PowerFamily, fb: PowerFamily, mode: str = BASIC):
-        _lookup(_REALIZED, mode, "mode")
+        _lookup(dict.fromkeys((BASIC, RELATIONAL)), mode, "mode")
         outcomes = tuple(outcomes)
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("duplicate outcome labels")
@@ -241,7 +237,7 @@ def verify_roundtrip(inp: RepresentationInput, game=None) -> RoundTripReport:
     repaired.  ``game`` is ``construct_game(inp)``, if the caller has built it.
     """
     sg = construct_game(inp) if game is None else game
-    fn = _REALIZED[inp.mode]
+    fn = POWER_KINDS[inp.mode]
     strategies_ok = all(
         sg.row_set(k) == x for k, (x, _, _) in enumerate(_strategies(inp.fa))
     ) and all(

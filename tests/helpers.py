@@ -89,6 +89,20 @@ def double_move_then_b_choice():
     )
 
 
+def forgetful_chooser():
+    """A picks a side, then forgets it: both of A's next nodes share a cell."""
+    return game(
+        ["1", "2", "3", "4"],
+        node(
+            "A",
+            [
+                node("A", [leaf("1"), leaf("2")], info="c"),
+                node("A", [leaf("3"), leaf("4")], info="c"),
+            ],
+        ),
+    )
+
+
 def zero_one_matrix_3x3():
     return StrategicGame(
         ["0", "1"],

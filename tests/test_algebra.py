@@ -643,3 +643,13 @@ def test_congruence_rejects_unknown_inputs():
         check_congruence("+", "weak", seed=0)
     with pytest.raises(ValueError):
         check_congruence("+", "strategic", seed=0)
+
+
+def test_law_settings_are_checked_before_the_outcomes_are_read():
+    # a bad equivalence is reported even when the outcomes are unusable too
+    with pytest.raises(ValueError, match="unknown equivalence 'weak'"):
+        check_equation("x", "x", "weak", seed=0, outcomes=5)
+    with pytest.raises(ValueError, match="unknown equivalence 'weak'"):
+        check_congruence("+", "weak", seed=0, outcomes=5)
+    with pytest.raises(ValueError, match="samples must be at least 0"):
+        check_congruence("o", "semi", seed=0, samples=-1, outcomes=5)

@@ -20,9 +20,11 @@ from gamepowers.powers import (
     INSTANTIATEDNESS,
     MONOTONICITY,
     NON_EMPTINESS,
+    POWER_KINDS,
 )
 from helpers import (
     double_move_then_b_choice,
+    forgetful_chooser,
     model_check_boxes_exact,
     one_then_two_or_three,
     oracle_frame_conditions,
@@ -210,6 +212,20 @@ def test_encode_basic_and_relational_kinds_are_valid_instantial_frames():
         for kind in ("basic", "relational"):
             m, _ = encode_game_as_model(g, kind)
             assert validate_frame(m, INSTANTIAL_FRAME).all_hold
+
+
+@pytest.mark.parametrize("kind", sorted(POWER_KINDS))
+def test_encoded_root_neighborhoods_are_the_games_powers(kind):
+    # A's shared cell keeps {1} and {4} relational powers without {1,4}, so
+    # the root family must not be closed beyond what the game realizes
+    g = forgetful_chooser()
+    m, root = encode_game_as_model(g, kind)
+    for p in (Player.A, Player.B):
+        got = set(m.neigh(p, root))
+        if kind == "plain":
+            # closed upward over the world set, which adds the root itself
+            got = {z for z in got if root not in z}
+        assert got == set(POWER_KINDS[kind](g, p).member_sets())
 
 
 def test_encode_root_label_avoids_collisions():

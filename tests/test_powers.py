@@ -34,6 +34,7 @@ from helpers import (
     double_move_then_b_choice,
     eager_conditions,
     family,
+    forgetful_chooser,
     one_then_two_or_three,
     oracle_outcome_sets,
     oracle_plain_powers,
@@ -172,20 +173,6 @@ def test_relational_equals_union_closure_of_basic_on_perfect_info():
             assert relational_basic_powers(g, p) == union_closure(
                 basic_powers(g, p)
             )
-
-
-def forgetful_chooser():
-    """A picks a side, then forgets it: both of A's next nodes share a cell."""
-    return game(
-        ["1", "2", "3", "4"],
-        node(
-            "A",
-            [
-                node("A", [leaf("1"), leaf("2")], info="c"),
-                node("A", [leaf("3"), leaf("4")], info="c"),
-            ],
-        ),
-    )
 
 
 def test_shared_cell_couples_the_owners_choices():
