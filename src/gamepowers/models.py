@@ -198,13 +198,15 @@ def validate_frame(m: NeighborhoodModel, kind: str) -> ConditionProfile:
                 if not profile.holds(name):
                     yield u, p, profile
 
-    def witness(name: str) -> dict:
-        u, p, profile = next(failures(name))
-        return _frame_witness(name, u, p, profile[name].witness)
+    def condition(name: str):
+        # (verdict, witness) of one condition over every world
+        def witness() -> dict:
+            u, p, profile = next(failures(name))
+            return _frame_witness(name, u, p, profile[name].witness)
 
-    return ConditionProfile(
-        names, lambda name: next(failures(name), None) is None, witness
-    )
+        return (lambda: next(failures(name), None) is None), witness
+
+    return ConditionProfile({name: condition(name) for name in names}, ())
 
 
 def _frame_witness(name: str, u: str, p: Player, witness: dict) -> dict:

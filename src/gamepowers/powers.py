@@ -244,23 +244,17 @@ class ConditionCheck(Record, witness=None):
 class ConditionProfile:
     """Ordered bundle of named condition checks.
 
-    ``verdict(name)`` decides a condition and ``witness(name)`` finds the
-    witness of one that fails.  A verdict is decided the first time it is
-    read; a witness is found only when a failing check is read.  Both are
-    kept.
+    ``table`` maps each condition's name, in profile order, to a pair of
+    functions of ``args``: its verdict, and the witness of its failure.  A
+    verdict is decided the first time it is read; a witness is found only
+    when a failing check is read.  Both are kept.
     """
 
-    __slots__ = ("_names", "_verdict", "_witness", "_verdicts", "_checks")
+    __slots__ = ("_table", "_args", "_verdicts", "_checks")
 
-    def __init__(
-        self,
-        names: Iterable[str],
-        verdict: Callable[[str], bool],
-        witness: Callable[[str], Any],
-    ):
-        self._names = tuple(names)
-        self._verdict = verdict
-        self._witness = witness
+    def __init__(self, table: dict[str, tuple[Callable, Callable]], args: tuple):
+        self._table = table
+        self._args = args
         self._verdicts: dict[str, bool] = {}
         self._checks: dict[str, ConditionCheck] = {}
 
@@ -268,19 +262,19 @@ class ConditionProfile:
         check = self._checks.get(name)
         if check is None:
             ok = self.holds(name)
-            check = ConditionCheck(name, ok, None if ok else self._witness(name))
-            self._checks[name] = check
+            witness = None if ok else self._table[name][1](*self._args)
+            check = self._checks[name] = ConditionCheck(name, ok, witness)
         return check
 
     def __contains__(self, name: str) -> bool:
-        return name in self._names
+        return name in self._table
 
     def names(self) -> tuple[str, ...]:
-        return self._names
+        return tuple(self._table)
 
     @property
     def all_hold(self) -> bool:
-        return self.holds(*self._names)
+        return self.holds(*self._table)
 
     def holds(self, *names: str) -> bool:
         """Whether the named conditions hold, deciding them in order up to
@@ -289,22 +283,20 @@ class ConditionProfile:
         for name in names:
             ok = verdicts.get(name)
             if ok is None:
-                if name not in self._names:
-                    raise KeyError(name)
-                ok = verdicts[name] = self._verdict(name)
+                ok = verdicts[name] = self._table[name][0](*self._args)
             if not ok:
                 return False
         return True
 
     def failed(self) -> tuple[str, ...]:
-        return tuple(n for n in self._names if not self.holds(n))
+        return tuple(n for n in self._table if not self.holds(n))
 
     def to_json(self) -> dict:
-        return {n: self[n].to_json() for n in self._names}
+        return {n: self[n].to_json() for n in self._table}
 
     def __repr__(self):
         body = ", ".join(
-            f"{n}={'ok' if self.holds(n) else 'FAIL'}" for n in self._names
+            f"{n}={'ok' if self.holds(n) else 'FAIL'}" for n in self._table
         )
         return f"ConditionProfile({body})"
 
@@ -380,7 +372,9 @@ _CONDITIONS = {
     ),
     MONOTONICITY: (_monotone, _monotonicity_witness),
     CONSISTENCY: (
-        lambda fam, other: all(p & q for p in fam._index for q in other._index),
+        lambda fam, other: not any(
+            p.isdisjoint(q) for p in fam._index for q in other._index
+        ),
         _consistency_witness,
     ),
     DETERMINACY: (
@@ -399,15 +393,9 @@ _CONDITIONS = {
 }
 
 
-def _family_profile(fam, other, fa, fb) -> ConditionProfile:
-    def witness(name: str):
-        # Consistency is joint, so both sides name A's member first
-        args = (fa, fb) if name == CONSISTENCY else (fam, other)
-        return _CONDITIONS[name][1](*args)
-
-    return ConditionProfile(
-        _CONDITIONS, lambda name: _CONDITIONS[name][0](fam, other), witness
-    )
+# B's side, whose Consistency witness also names A's member first
+_B_SIDE = dict(_CONDITIONS)
+_B_SIDE[CONSISTENCY] = (_CONDITIONS[CONSISTENCY][0], lambda fb, fa: _consistency_witness(fa, fb))
 
 
 def check_conditions(
@@ -418,11 +406,12 @@ def check_conditions(
     NonEmptiness, Monotonicity and UnionClosure describe one family;
     Consistency is joint and symmetric, with the same witness in both
     profiles; Determinacy and Instantiatedness are read from the given side
-    toward the other.  A verdict is decided when a profile first reads it.
+    toward the other.  Building a profile decides nothing: it reads each
+    verdict from ``_CONDITIONS`` the first time it is asked for.
     """
-    if set(fa.outcomes) != set(fb.outcomes):
+    if fa.outcomes != fb.outcomes and set(fa.outcomes) != set(fb.outcomes):
         raise ValueError("families must share an outcome set")
-    return _family_profile(fa, fb, fa, fb), _family_profile(fb, fa, fa, fb)
+    return ConditionProfile(_CONDITIONS, (fa, fb)), ConditionProfile(_B_SIDE, (fb, fa))
 
 
 # -- seeded sampling --------------------------------------------------------------
@@ -433,13 +422,10 @@ _MODE_CONDITIONS = {
     "relational": (NON_EMPTINESS, INSTANTIATEDNESS, CONSISTENCY, UNION_CLOSURE),
 }
 
-# the closure random_family_pair applies to each proposal of a kind before
-# checking its conditions
-_MODE_CLOSURES = {
-    "plain": upward_closure,
-    "basic": lambda f: f,
-    "relational": union_closure,
-}
+# the closure that makes each of these conditions hold; both keep
+# NonEmptiness and Consistency, and union closure Instantiatedness, as they
+# were, so a sampled pair is checked raw and closed only once it is kept
+_CLOSURES = {MONOTONICITY: upward_closure, UNION_CLOSURE: union_closure}
 
 
 def family_conditions(mode: str) -> tuple[str, ...]:
@@ -456,22 +442,28 @@ def random_family_pair(
 ) -> tuple[PowerFamily, PowerFamily]:
     """Rejection-sample a pair of families meeting the mode's conditions.
 
-    Proposals are small random families, closed upward for the plain mode
-    and under unions for the relational mode before filtering, which keeps
-    the acceptance rate workable without skipping the condition check.
+    Proposals are small random families of nonempty subsets.  A try is
+    decided on the raw proposals, checking every required condition except
+    Monotonicity (plain) and UnionClosure (relational); only the accepted
+    pair is closed upward or under unions, which makes that condition hold
+    and keeps the others' verdicts.  So the pair is the one that closing
+    every proposal before checking it would accept.
     """
     outcomes = tuple(outcomes)
     required = family_conditions(mode)
-    close = _MODE_CLOSURES[mode]
+    checked = tuple(c for c in required if c not in _CLOSURES)
+    closures = [_CLOSURES[c] for c in required if c in _CLOSURES]
     pool = [frozenset(c) for c in _subsets(tuple(sorted(outcomes))) if c]
 
     def proposal() -> PowerFamily:
         k = rng.randint(1, max_members)
-        return close(PowerFamily(outcomes, [rng.choice(pool) for _ in range(k)]))
+        return PowerFamily(outcomes, [rng.choice(pool) for _ in range(k)])
 
     for _ in range(max_tries):
         fa, fb = proposal(), proposal()
         pa, pb = check_conditions(fa, fb)
-        if pa.holds(*required) and pb.holds(*required):
+        if pa.holds(*checked) and pb.holds(*checked):
+            for close in closures:
+                fa, fb = close(fa), close(fb)
             return fa, fb
     raise RuntimeError(f"no {mode} family pair found in {max_tries} tries")

@@ -42,7 +42,16 @@ from gamepowers.models import (
     _evaluator,
     random_model,
 )
-from gamepowers.powers import _joins, _nonempty_joins, _subsets
+from gamepowers.powers import (
+    PowerFamily,
+    _joins,
+    _nonempty_joins,
+    _subsets,
+    check_conditions,
+    family_conditions,
+    union_closure,
+    upward_closure,
+)
 from gamepowers.representation import check_input
 
 
@@ -376,6 +385,27 @@ def eager_conditions(fa: EagerFamily, fb: EagerFamily):
         return {n: {"holds": h, "witness": w} for n, (h, w) in checks.items()}
 
     return side(fa, fb), side(fb, fa)
+
+
+def reference_family_pair(rng, outcomes, mode, max_members=3, max_tries=20000):
+    """``random_family_pair`` as a plain rejection loop: close every proposal
+    (upward for plain, under unions for relational), then check all of the
+    mode's conditions on the closed pair."""
+    outcomes = tuple(outcomes)
+    required = family_conditions(mode)
+    close = {"plain": upward_closure, "basic": lambda f: f, "relational": union_closure}[mode]
+    pool = [frozenset(c) for c in _subsets(tuple(sorted(outcomes))) if c]
+
+    def proposal():
+        k = rng.randint(1, max_members)
+        return close(PowerFamily(outcomes, [rng.choice(pool) for _ in range(k)]))
+
+    for _ in range(max_tries):
+        fa, fb = proposal(), proposal()
+        pa, pb = check_conditions(fa, fb)
+        if pa.holds(*required) and pb.holds(*required):
+            return fa, fb
+    raise RuntimeError(f"no {mode} family pair found in {max_tries} tries")
 
 
 # -- logic helpers -------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import gamepowers.algebra as algebra
 from gamepowers.algebra import (
+    OPERATIONS,
     Comp,
     DynamicGame,
     Dual,
@@ -231,6 +232,25 @@ def test_term_format_roundtrip():
     ):
         t = parse_term(text)
         assert parse_term(format_term(t)) == t
+
+
+def _terms():
+    # every operation of the table, nested at any precedence; "oo" is a
+    # variable, "o" is the composition symbol
+    def compound(sub):
+        return st.one_of([
+            sub.map(op) if op is Dual else st.tuples(sub, sub).map(lambda lr, op=op: op(*lr))
+            for op, _ in OPERATIONS.values()
+        ])
+
+    return st.recursive(st.sampled_from(["x", "y", "z1", "oo"]).map(Var), compound,
+                        max_leaves=10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_terms())
+def test_every_formatted_term_parses_back(t):
+    assert parse_term(format_term(t)) == t
 
 
 def test_term_parse_errors():

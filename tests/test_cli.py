@@ -223,6 +223,15 @@ def test_algebra_rejects_non_equations(capsys):
     assert code == 2
 
 
+def test_an_equation_starting_with_a_dash_goes_after_double_dash(capsys):
+    # without "--" argparse reads "-x=x" as an option
+    code, out = run(capsys, "algebra", "--equiv", "semi", "--seed", "1", "--", "-x=x")
+    assert code == 1
+    report = json.loads(out)
+    assert report["lhs"] == "-x" and report["verdict"] == "counterexample"
+    assert report["counterexample"]["binding"]["x"]
+
+
 def test_congruence_codes(capsys):
     code, out = run(capsys, "congruence", "o", "--equiv", "strong",
                     "--samples", "1", "--seed", "0")

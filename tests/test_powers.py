@@ -1,5 +1,7 @@
 """Power families, closures, lifting and the structural conditions."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,12 +21,16 @@ from gamepowers.powers import (
     INSTANTIATEDNESS,
     MONOTONICITY,
     NON_EMPTINESS,
+    POWER_KINDS,
     UNION_CLOSURE,
     PowerFamily,
+    _CLOSURES,
     basic_powers,
     check_conditions,
     egli_milner,
+    family_conditions,
     powers,
+    random_family_pair,
     relational_basic_powers,
     union_closure,
     upward_closure,
@@ -39,6 +45,7 @@ from helpers import (
     oracle_outcome_sets,
     oracle_plain_powers,
     oracle_union_closure,
+    reference_family_pair,
     single_move_then_b_choice,
     subsets,
     two_or_three_after_one,
@@ -378,3 +385,61 @@ def test_lazily_ordered_families_read_like_eagerly_sorted_ones(case):
     assert (fa == fb) == (EagerFamily(outcomes, ma) == EagerFamily(outcomes, mb))
     assert fa == same and hash(fa) == hash(same)
     assert len({fa, fb, same}) == (1 if fa == fb else 2)
+
+
+# -- rejection sampling ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", list(POWER_KINDS))
+def test_sampled_pairs_are_those_of_closing_every_proposal(mode):
+    # the sampler decides each try on the raw proposals and closes only the
+    # pair it keeps; closing every proposal first must give the same pair
+    # and leave the generator in the same state
+    for n in range(1, 5):
+        outcomes = tuple(f"w{i}" for i in range(n))
+        for seed in range(200):
+            fast, slow = Random(seed), Random(seed)
+            cap = 1 + seed % 4
+            got = random_family_pair(fast, outcomes, mode, max_members=cap)
+            want = reference_family_pair(slow, outcomes, mode, max_members=cap)
+            assert [f.to_json() for f in got] == [f.to_json() for f in want]
+            assert got == want
+            assert fast.random() == slow.random()
+
+
+@st.composite
+def proposal_pairs(draw):
+    """Pairs of 1-4 nonempty subsets of 1-4 outcomes, as the sampler
+    proposes them before any closure."""
+    outcomes = draw(st.permutations("abcd"[: draw(st.integers(1, 4))]))
+    member = st.sets(st.sampled_from(outcomes), min_size=1)
+    proposal = st.lists(member, min_size=1, max_size=4)
+    return outcomes, draw(proposal), draw(proposal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(proposal_pairs(), st.sampled_from(list(POWER_KINDS)))
+def test_a_kinds_closure_keeps_the_verdicts_its_sampler_reads(case, mode):
+    # NonEmptiness and Consistency survive both closures and Instantiatedness
+    # survives union closure, so a try may be decided on the raw proposals;
+    # each closure makes its own condition hold
+    outcomes, ma, mb = case
+    required = family_conditions(mode)
+    made = [c for c in required if c in _CLOSURES]
+    read = [c for c in required if c not in _CLOSURES]
+    raw = closed = PowerFamily(outcomes, ma), PowerFamily(outcomes, mb)
+    for c in made:
+        closed = _CLOSURES[c](closed[0]), _CLOSURES[c](closed[1])
+    for before, after in zip(check_conditions(*raw), check_conditions(*closed)):
+        assert [before.holds(c) for c in read] == [after.holds(c) for c in read]
+        assert after.holds(*made)
+
+
+def test_upward_closure_can_change_instantiatedness():
+    # why the plain sampler, which never reads Instantiatedness, is the only
+    # kind whose closure may not keep it
+    fa, fb = PowerFamily("ab", [["a"]]), PowerFamily("ab", [["b"]])
+    assert not check_conditions(fa, fb)[0].holds(INSTANTIATEDNESS)
+    closed = check_conditions(upward_closure(fa), upward_closure(fb))
+    assert closed[0].holds(INSTANTIATEDNESS)
+    assert INSTANTIATEDNESS not in family_conditions("plain")
