@@ -15,13 +15,13 @@ and for a counterexample they report.
 from __future__ import annotations
 
 import itertools
-import re
 from functools import cache, partial
 from operator import and_, itemgetter, or_
 from random import Random
 from typing import Mapping, Union
 
 from .equivalence import EQUIVALENCES, POWER_EQUIVALENCES, STRONG, _pair_split
+from .formulas import ParseError, _Parser
 from .games import (
     ROOT,
     Address,
@@ -29,6 +29,7 @@ from .games import (
     GameFormatError,
     Player,
     Record,
+    _is_sortable_label_list,
     _lookup,
     _seeded,
     game,
@@ -140,8 +141,16 @@ class DynamicGame:
     def from_json(cls, obj: Mapping) -> "DynamicGame":
         if not isinstance(obj, Mapping) or "states" not in obj or "games" not in obj:
             raise GameFormatError("dynamic game needs states and games")
-        games = {u: game_from_json(spec) for u, spec in obj["games"].items()}
-        return cls(obj["states"], games)
+        states, specs = obj["states"], obj["games"]
+        if not _is_sortable_label_list(states) or not isinstance(specs, Mapping):
+            raise GameFormatError(
+                "dynamic game needs a list of state labels and an object of games"
+            )
+        games = {u: game_from_json(spec) for u, spec in specs.items()}
+        try:
+            return cls(states, games)
+        except ValueError as exc:
+            raise GameFormatError(str(exc)) from exc
 
 
 def identity_dynamic(states) -> DynamicGame:
@@ -243,105 +252,26 @@ OPERATIONS = {"+": (Plus, 1), "*": (Times, 2), "-": (Dual, 4), "o": (Comp, 3)}
 _SYMBOLS = {term: (sym, level) for sym, (term, level) in OPERATIONS.items()}
 
 
-class TermParseError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} at position {pos}")
-        self.pos = pos
+class TermParseError(ParseError):
+    """Raised when a string is not a game term."""
 
 
-_TERM_TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*()]))")
-
-
-def _tokenize_term(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TERM_TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise TermParseError(f"unexpected {text[pos:].lstrip()[0]!r}", pos)
-            break
-        if m.group("ident") == "o":
-            tokens.append(("o", m.start("ident")))
-        elif m.group("ident"):
-            tokens.append(("var", m.start("ident"), m.group("ident")))
-        else:
-            tokens.append((m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", len(text)))
-    return tokens
-
-
-class _TermParser:
-    # precedence, loosest first: +  then  *  then  o  then unary -
-    def __init__(self, text: str):
-        self.tokens = _tokenize_term(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0]
-
-    def pos(self):
-        return self.tokens[self.i][1]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> GameTerm:
-        term = self.sum()
-        if self.peek() != "end":
-            raise TermParseError(f"unexpected {self.peek()!r}", self.pos())
-        return term
-
-    def sum(self) -> GameTerm:
-        term = self.product()
-        while self.peek() == "+":
-            self.take()
-            term = Plus(term, self.product())
-        return term
-
-    def product(self) -> GameTerm:
-        term = self.composition()
-        while self.peek() == "*":
-            self.take()
-            term = Times(term, self.composition())
-        return term
-
-    def composition(self) -> GameTerm:
-        term = self.unary()
-        while self.peek() == "o":
-            self.take()
-            term = Comp(term, self.unary())
-        return term
-
-    def unary(self) -> GameTerm:
-        if self.peek() == "-":
-            self.take()
-            return Dual(self.unary())
-        return self.atom()
-
-    def atom(self) -> GameTerm:
-        kind = self.peek()
-        if kind == "var":
-            return Var(self.take()[2])
-        if kind == "(":
-            self.take()
-            term = self.sum()
-            if self.peek() != ")":
-                raise TermParseError("expected ')'", self.pos())
-            self.take()
-            return term
-        raise TermParseError(f"expected a term, found {kind!r}", self.pos())
+class _TermParser(_Parser):
+    # OPERATIONS decides each symbol, the term it builds and how tightly it
+    # binds; binary operations associate to the left, as format_term prints
+    BINARY = {s: (t, lv, False) for s, (t, lv) in OPERATIONS.items() if len(t.__slots__) == 2}
+    PREFIX = {s: (t, lv) for s, (t, lv) in OPERATIONS.items() if len(t.__slots__) == 1}
+    leaf = Var
+    Error = TermParseError
+    NOUN = "term"
 
 
 def parse_term(text: str) -> GameTerm:
-    """Parse a game term over variables, +, *, unary - and infix o."""
-    try:
-        return _TermParser(text).parse()
-    except RecursionError:
-        raise TermParseError("term nested too deeply", 0) from None
+    """Parse a game term over variables, +, *, unary - and infix o.
+
+    A term nested deeper than MAX_NESTING is a parse error.
+    """
+    return _TermParser.parse(text)
 
 
 def format_term(term: GameTerm) -> str:

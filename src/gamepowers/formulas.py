@@ -12,7 +12,8 @@ Concrete syntax::
           | "[" ("A"|"B") "]" ( "(" [phi ("," phi)*] ";" phi ")" | phi )
 
 ``!`` and boxes bind tightest, then ``&``, then ``|``, then ``->`` which
-associates to the right; parentheses group.
+associates to the right; parentheses group.  The precedence-climbing engine
+behind parse_formula also parses the game algebra's terms.
 """
 
 from __future__ import annotations
@@ -154,115 +155,173 @@ class ParseError(ValueError):
         super().__init__(f"{message} at position {pos}{hint}")
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\],;&|!]))"
-)
+# the printer and the evaluator recurse once or twice per level, so deeper
+# trees would exhaust the interpreter's stack after parsing
+MAX_NESTING = 200
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _nesting(tree: Record) -> int:
+    """Levels on the longest path from the root to a leaf; each field holding
+    a record, or a frozenset of records, leads one level down."""
+    deepest = 0
+    stack = [(tree, 0)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        for name in node.__slots__:
+            value = getattr(node, name)
+            for child in value if isinstance(value, frozenset) else (value,):
+                if isinstance(child, Record):
+                    stack.append((child, level + 1))
+    return deepest
+
+
+_IDENT = "[A-Za-z_][A-Za-z0-9_]*"
 
 
 class _Parser:
+    """Precedence climbing over one grammar's operator tables.
+
+    A grammar sets BINARY, symbol -> (build, strength, right associative)
+    with 1 the loosest strength; PREFIX, symbol -> (build, strength);
+    PUNCTUATION, its symbols besides operators and parentheses; STARTS, what
+    its own atom() takes besides identifiers, "(" and prefixes, as errors
+    name it; leaf, which builds an identifier's tree; Error, its ParseError
+    class; and NOUN, what it parses.  An identifier that spells a symbol is
+    that symbol.
+    """
+
+    PUNCTUATION = STARTS = ()
+
+    def __init_subclass__(cls):
+        cls.SYMBOLS = {*cls.BINARY, *cls.PREFIX, *cls.PUNCTUATION, "(", ")"}
+        marks = sorted(
+            (s for s in cls.SYMBOLS if not re.fullmatch(_IDENT, s)), key=len, reverse=True
+        )
+        cls.TOKEN = re.compile(
+            rf"\s*(?:(?P<ident>{_IDENT})|(?P<sym>{'|'.join(map(re.escape, marks))}))"
+        )
+
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = []
+        pos = 0
+        while pos < len(text):
+            m = self.TOKEN.match(text, pos)
+            if not m:
+                stripped = text[pos:].lstrip()
+                if not stripped:
+                    break
+                bad_at = len(text) - len(stripped)
+                raise self.Error(f"unexpected character {text[bad_at]!r}", bad_at)
+            val = m.group(m.lastgroup)
+            kind = "sym" if val in self.SYMBOLS else "ident"
+            self.tokens.append((kind, val, m.start(m.lastgroup)))
+            pos = m.end()
+        self.tokens.append(("end", "", len(text)))
         self.i = 0
+
+    @classmethod
+    def parse(cls, text: str):
+        """The tree of text; one nested deeper than MAX_NESTING is an error."""
+        try:
+            parser = cls(text)
+            tree = parser.expression()
+            kind, val, pos = parser.peek()
+            if kind != "end":
+                raise cls.Error(f"trailing input {val!r}", pos, ["end of input"])
+            too_deep = _nesting(tree) > MAX_NESTING
+        except RecursionError:
+            too_deep = True
+        if too_deep:
+            raise cls.Error(f"{cls.NOUN} nested more than {MAX_NESTING} levels deep", 0)
+        return tree
 
     def peek(self):
         return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def unexpected(self, expected: Iterable[str]) -> ParseError:
+        kind, val, pos = self.peek()
+        what = "unexpected end of input" if kind == "end" else f"unexpected {val!r}"
+        return self.Error(what, pos, expected)
 
     def expect(self, value: str):
-        kind, val, pos = self.peek()
-        if val != value:
-            raise ParseError(
-                f"unexpected {val!r}" if kind != "end" else "unexpected end of input",
-                pos,
-                [repr(value)],
-            )
-        return self.advance()
+        if self.peek()[1] != value:
+            raise self.unexpected([repr(value)])
+        self.i += 1
 
-    def parse(self) -> Formula:
-        f = self.implication()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {val!r}", pos, ["end of input"])
-        return f
+    def expression(self, at_least: int = 1):
+        """The longest expression whose binary operators bind at least this tightly."""
+        tree = self.unary()
+        while True:
+            op = self.BINARY.get(self.peek()[1])
+            if op is None or op[1] < at_least:
+                return tree
+            build, strength, right = op
+            self.i += 1
+            tree = build(tree, self.expression(strength if right else strength + 1))
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[1] == "->":
-            self.advance()
-            return implies(left, self.implication())
-        return left
+    def unary(self):
+        op = self.PREFIX.get(self.peek()[1])
+        if op is None:
+            return self.atom()
+        self.i += 1
+        build, strength = op
+        return build(self.expression(strength))
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek()[1] == "|":
-            self.advance()
-            f = lor(f, self.conjunction())
-        return f
+    def atom(self):
+        kind, val, _pos = self.peek()
+        if val == "(":
+            self.i += 1
+            tree = self.expression()
+            self.expect(")")
+            return tree
+        if kind == "ident":
+            self.i += 1
+            return self.leaf(val)
+        raise self.unexpected(["identifier", "'('", *map(repr, self.PREFIX), *self.STARTS])
 
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek()[1] == "&":
-            self.advance()
-            f = And(f, self.unary())
-        return f
 
-    def unary(self) -> Formula:
-        kind, val, pos = self.peek()
-        if val == "!":
-            self.advance()
-            sub = self.unary()
-            return Not(sub)
-        if val == "[":
+class _FormulaParser(_Parser):
+    BINARY = {
+        "->": (implies, _LV_IMP, True),
+        "|": (lor, _LV_OR, False),
+        "&": (And, _LV_AND, False),
+    }
+    PREFIX = {"!": (Not, _LV_UNARY)}
+    PUNCTUATION = ("[", "]", ",", ";")
+    STARTS = ("'['", "'true'", "'false'")
+    Error = ParseError
+    NOUN = "formula"
+
+    @staticmethod
+    def leaf(name: str) -> Formula:
+        return TOP if name == "true" else FALSUM if name == "false" else Atom(name)
+
+    def atom(self) -> Formula:
+        if self.peek()[1] == "[":
             return self.box()
-        return self.primary()
+        return super().atom()
 
     def box(self) -> Formula:
-        self.expect("[")
-        kind, val, pos = self.peek()
-        if val not in ("A", "B"):
-            raise ParseError(
-                f"unexpected {val!r}" if kind != "end" else "unexpected end of input",
-                pos,
-                ["'A'", "'B'"],
-            )
-        player = Player(self.advance()[1])
+        self.i += 1
+        player = self.peek()[1]
+        if player not in ("A", "B"):
+            raise self.unexpected(["'A'", "'B'"])
+        self.i += 1
         self.expect("]")
         if self.peek()[1] == "(" and self._group_is_instantial():
-            self.expect("(")
+            self.i += 1
             insts = []
             if self.peek()[1] != ";":
-                insts.append(self.implication())
+                insts.append(self.expression())
                 while self.peek()[1] == ",":
-                    self.advance()
-                    insts.append(self.implication())
+                    self.i += 1
+                    insts.append(self.expression())
             self.expect(";")
-            scope = self.implication()
+            scope = self.expression()
             self.expect(")")
-            return Box(player, frozenset(insts), scope)
-        return Box(player, frozenset(), self.unary())
+            return Box(Player(player), frozenset(insts), scope)
+        return Box(Player(player), frozenset(), self.expression(_LV_UNARY))
 
     def _group_is_instantial(self) -> bool:
         # from the upcoming "(", look for a ";" or "," at nesting depth 1
@@ -280,47 +339,6 @@ class _Parser:
                 return False
         return False
 
-    def primary(self) -> Formula:
-        kind, val, pos = self.peek()
-        if val == "(":
-            self.advance()
-            f = self.implication()
-            self.expect(")")
-            return f
-        if kind == "ident":
-            self.advance()
-            if val == "true":
-                return TOP
-            if val == "false":
-                return FALSUM
-            return Atom(val)
-        raise ParseError(
-            f"unexpected {val!r}" if kind != "end" else "unexpected end of input",
-            pos,
-            ["identifier", "'true'", "'false'", "'('", "'!'", "'['"],
-        )
-
-
-# the printer and the evaluator recurse once or twice per level, so deeper
-# formulas would exhaust the interpreter's stack after parsing
-MAX_NESTING = 200
-
-
-def _nesting(f: Formula) -> int:
-    """Connectives on the longest path from the root to an atom or truth."""
-    deepest = 0
-    stack = [(f, 0)]
-    while stack:
-        g, level = stack.pop()
-        deepest = max(deepest, level)
-        if isinstance(g, Not):
-            stack.append((g.sub, level + 1))
-        elif isinstance(g, And):
-            stack += [(g.left, level + 1), (g.right, level + 1)]
-        elif isinstance(g, Box):
-            stack += [(h, level + 1) for h in (g.scope, *g.instants)]
-    return deepest
-
 
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax; reject formulas nested deeper than MAX_NESTING.
@@ -328,14 +346,7 @@ def parse_formula(text: str) -> Formula:
     Nesting is counted on the normalized tree, where ``|``, ``->`` and
     ``false`` stand for their expansions into ``!`` and ``&``.
     """
-    try:
-        f = _Parser(text).parse()
-        too_deep = _nesting(f) > MAX_NESTING
-    except RecursionError:
-        too_deep = True
-    if too_deep:
-        raise ParseError(f"formula nested more than {MAX_NESTING} levels deep", 0)
-    return f
+    return _FormulaParser.parse(text)
 
 
 # -- random generation ---------------------------------------------------------

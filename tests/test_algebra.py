@@ -37,7 +37,9 @@ from gamepowers.equivalence import (
     semi_strongly_equivalent,
     strongly_equivalent,
 )
+from gamepowers.formulas import ParseError
 from gamepowers.games import (
+    GameFormatError,
     Player,
     game,
     game_from_json,
@@ -139,6 +141,18 @@ def test_dynamic_game_validation():
 def test_dynamic_game_json_roundtrip():
     d = b_choice_dynamic()
     assert DynamicGame.from_json(d.to_json()) == d
+
+
+def test_malformed_dynamic_game_json_is_a_format_error():
+    good = b_choice_dynamic().to_json()
+    for bad in (
+        {"states": ["a"], "games": []},
+        {"states": [["a"]], "games": {}},
+        {**good, "states": ["x", "x"]},
+        {**good, "states": ["x"]},
+    ):
+        with pytest.raises(GameFormatError):
+            DynamicGame.from_json(bad)
 
 
 def test_identity_is_a_two_sided_unit_for_composition():
@@ -254,9 +268,21 @@ def test_every_formatted_term_parses_back(t):
 
 
 def test_term_parse_errors():
+    assert issubclass(TermParseError, ParseError)
     for bad in ("x +", "(x", "x)", "o + x", "x ? y", "", "x - y"):
         with pytest.raises(TermParseError):
             parse_term(bad)
+    # a bad term names where it fails and which tokens would have fit there
+    for bad, pos, expected in (
+        ("x +", 3, ("'('", "'-'", "identifier")),
+        ("o + x", 0, ("'('", "'-'", "identifier")),
+        ("(x", 2, ("')'",)),
+        ("x z1", 2, ("end of input",)),
+        ("x  ? y", 3, ()),
+    ):
+        with pytest.raises(TermParseError) as err:
+            parse_term(bad)
+        assert (err.value.pos, err.value.expected) == (pos, expected)
 
 
 def test_term_variables_excludes_the_composition_symbol():

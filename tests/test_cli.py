@@ -475,6 +475,21 @@ def test_deeply_nested_term_is_an_input_error(capsys):
     )
 
 
+def test_long_flat_term_is_an_input_error(capsys):
+    # the parser loops over a flat chain, but folding and printing recurse per level
+    for op in ("+", "o"):
+        equation = f" {op} ".join(["x"] * 601) + " = x"
+        assert_input_error(capsys, "algebra", equation, "--equiv", "power", "--seed", "1")
+
+
+def test_term_at_the_nesting_bound_is_checked(capsys):
+    equation = " + ".join(["x"] * 201) + " = x"
+    code, out = run(capsys, "algebra", equation, "--equiv", "power", "--seed", "1",
+                    "--samples", "5")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "holds-on-sample"
+
+
 def test_usage_errors(capsys):
     assert main(["nonsense"]) == 2
     assert main([]) == 2

@@ -23,6 +23,7 @@ from gamepowers.formulas import (
 )
 from random import Random
 
+from gamepowers.algebra import OPERATIONS, TermParseError, format_term, parse_term
 from helpers import big_or, depth, read_formula_file
 
 
@@ -63,21 +64,36 @@ def test_instantial_box_parsing():
     assert parse_formula("[A](p, p; q)") == parse_formula("[A](p; q)")
 
 
+ATOM_STARTS = ("'!'", "'('", "'['", "'false'", "'true'", "identifier")
+
+
 def test_parse_errors_carry_position_and_expectations():
-    with pytest.raises(ParseError) as err:
-        parse_formula("[C]p")
-    assert err.value.pos == 1
-    assert "'A'" in err.value.expected
-    with pytest.raises(ParseError) as err:
-        parse_formula("p & ")
-    assert err.value.pos == 4
-    with pytest.raises(ParseError) as err:
-        parse_formula("[A](p, q)")
-    assert "';'" in err.value.expected
-    with pytest.raises(ParseError):
-        parse_formula("p # q")
-    with pytest.raises(ParseError):
-        parse_formula("")
+    # (text, message, pos, expected): the parser's exact report for each
+    cases = [
+        ("p # q", "unexpected character '#' at position 2", 2, ()),
+        ("  p\t$", "unexpected character '$' at position 4", 4, ()),
+        ("p q", "trailing input 'q' at position 2; expected one of end of input",
+         2, ("end of input",)),
+        ("[C]p", "unexpected 'C' at position 1; expected one of 'A', 'B'",
+         1, ("'A'", "'B'")),
+        ("[A p", "unexpected 'p' at position 3; expected one of ']'", 3, ("']'",)),
+        ("[A](p, q)", "unexpected ')' at position 8; expected one of ';'", 8, ("';'",)),
+        ("(p & q", "unexpected end of input at position 6; expected one of ')'",
+         6, ("')'",)),
+        ("[A](p; q", "unexpected end of input at position 8; expected one of ')'",
+         8, ("')'",)),
+        ("", "unexpected end of input at position 0; expected one of "
+         "'!', '(', '[', 'false', 'true', identifier", 0, ATOM_STARTS),
+        ("p & ", "unexpected end of input at position 4; expected one of "
+         "'!', '(', '[', 'false', 'true', identifier", 4, ATOM_STARTS),
+        ("p -> )", "unexpected ')' at position 5; expected one of "
+         "'!', '(', '[', 'false', 'true', identifier", 5, ATOM_STARTS),
+        ("!" * 201 + "p", "formula nested more than 200 levels deep at position 0", 0, ()),
+    ]
+    for text, message, pos, expected in cases:
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert (str(err.value), err.value.pos, err.value.expected) == (message, pos, expected)
 
 
 def test_printer_emits_parseable_canonical_text():
@@ -93,6 +109,28 @@ def test_printer_emits_parseable_canonical_text():
 def test_parse_print_roundtrip(seed, max_depth):
     f = random_formula(Random(seed), max_depth)
     assert parse_formula(format_formula(f)) == f
+
+
+# each grammar's parser, printer, error class and own symbols
+GRAMMARS = {
+    "formula": (parse_formula, format_formula, ParseError,
+                ["!", "&", "|", "->", "[", "]", ",", ";", "A", "B", "true", "false"]),
+    "term": (parse_term, format_term, TermParseError, [*OPERATIONS, "oo"]),
+}
+SOUP = ["(", ")", "p", "x1", "_", " ", "\t", "-", ">", "#", "?", "=", "\u00e9"]
+
+
+@pytest.mark.parametrize("grammar", GRAMMARS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_string_gets_a_tree_or_a_parse_error(grammar, data):
+    parse, fmt, error, symbols = GRAMMARS[grammar]
+    text = "".join(data.draw(st.lists(st.sampled_from(symbols + SOUP), max_size=16)))
+    try:
+        tree = parse(text)
+    except error:
+        return
+    assert parse(fmt(tree)) == tree
 
 
 def test_atoms_and_depth():
