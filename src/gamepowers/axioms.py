@@ -11,7 +11,7 @@ deterministic evaluation budget instead of wall-clock time.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import combinations, islice, product
 from operator import or_
 from random import Random
@@ -114,9 +114,9 @@ def _instantiatedness(rng: Random) -> Formula:
     return iff(Box(p, side, TOP), Box(p.dual, side, TOP))
 
 
-def _consistency(rng: Random) -> Formula:
+def _consistency(rng: Random, instantial: bool = True) -> Formula:
     p = _player(rng)
-    scope = _meta(rng)
+    scope = _meta(rng, instantial)
     return implies(
         Box(p, frozenset(), scope), Not(Box(p.dual, frozenset(), Not(scope)))
     )
@@ -128,14 +128,6 @@ def _plain_monotonicity(rng: Random) -> Formula:
     return implies(
         Box(p, frozenset(), scope),
         Box(p, frozenset(), lor(scope, _meta(rng, instantial=False))),
-    )
-
-
-def _plain_consistency(rng: Random) -> Formula:
-    p = _player(rng)
-    scope = _meta(rng, instantial=False)
-    return implies(
-        Box(p, frozenset(), scope), Not(Box(p.dual, frozenset(), Not(scope)))
     )
 
 
@@ -151,7 +143,7 @@ _BUILDERS = {
     "consistency": (_consistency, INSTANTIAL_FRAME),
     "plain-non-emptiness": (_non_emptiness, GAME_FRAME),
     "plain-monotonicity": (_plain_monotonicity, GAME_FRAME),
-    "plain-consistency": (_plain_consistency, GAME_FRAME),
+    "plain-consistency": (partial(_consistency, instantial=False), GAME_FRAME),
 }
 ALL_SCHEMATA = tuple(_BUILDERS)
 INSTANTIAL_SCHEMATA, PLAIN_SCHEMATA = (

@@ -13,7 +13,8 @@ Concrete syntax::
 
 ``!`` and boxes bind tightest, then ``&``, then ``|``, then ``->`` which
 associates to the right; parentheses group.  The precedence-climbing engine
-behind parse_formula also parses the game algebra's terms.
+behind parse_formula and format_formula also parses and prints the game
+algebra's terms.
 """
 
 from __future__ import annotations
@@ -81,70 +82,10 @@ def iff(a: Formula, b: Formula) -> Formula:
 
 
 def atoms(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset([f.name])
-    if isinstance(f, Top):
-        return frozenset()
-    if isinstance(f, Not):
-        return atoms(f.sub)
-    if isinstance(f, And):
-        return atoms(f.left) | atoms(f.right)
-    if isinstance(f, Box):
-        out = atoms(f.scope)
-        for g in f.instants:
-            out |= atoms(g)
-        return out
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset(g.name for g, _ in _walk(f) if isinstance(g, Atom))
 
 
-# -- printing -----------------------------------------------------------------
-
-_LV_IMP, _LV_OR, _LV_AND, _LV_UNARY, _LV_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(f: Formula) -> int:
-    if isinstance(f, (Atom, Top)):
-        return _LV_ATOM
-    if isinstance(f, Not):
-        return _LV_ATOM if f == FALSUM else _LV_UNARY
-    if isinstance(f, And):
-        return _LV_AND
-    return _LV_UNARY  # Box
-
-
-def _fmt(f: Formula, at_least: int) -> str:
-    text = _fmt_node(f)
-    if _level(f) < at_least:
-        return f"({text})"
-    return text
-
-
-def _fmt_node(f: Formula) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Not):
-        if f == FALSUM:
-            return "false"
-        return "!" + _fmt(f.sub, _LV_UNARY)
-    if isinstance(f, And):
-        # conjunction chains parse left-associated
-        return f"{_fmt(f.left, _LV_AND)} & {_fmt(f.right, _LV_UNARY)}"
-    if isinstance(f, Box):
-        head = f"[{f.player.value}]"
-        if not f.instants:
-            return head + _fmt(f.scope, _LV_UNARY)
-        side = ", ".join(sorted(_fmt(g, _LV_IMP) for g in f.instants))
-        return f"{head}({side}; {_fmt(f.scope, _LV_IMP)})"
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def format_formula(f: Formula) -> str:
-    return _fmt(f, _LV_IMP)
-
-
-# -- parsing ------------------------------------------------------------------
+# -- parsing and printing -------------------------------------------------------
 
 
 class ParseError(ValueError):
@@ -160,27 +101,31 @@ class ParseError(ValueError):
 MAX_NESTING = 200
 
 
-def _nesting(tree: Record) -> int:
-    """Levels on the longest path from the root to a leaf; each field holding
+def _walk(tree: Record):
+    """Every record in tree with its level, the root at 0; each field holding
     a record, or a frozenset of records, leads one level down."""
-    deepest = 0
     stack = [(tree, 0)]
     while stack:
         node, level = stack.pop()
-        deepest = max(deepest, level)
+        yield node, level
         for name in node.__slots__:
             value = getattr(node, name)
             for child in value if isinstance(value, frozenset) else (value,):
                 if isinstance(child, Record):
                     stack.append((child, level + 1))
-    return deepest
+
+
+def _nesting(tree: Record) -> int:
+    """Levels on the longest path from the root to a leaf."""
+    return max(level for _, level in _walk(tree))
 
 
 _IDENT = "[A-Za-z_][A-Za-z0-9_]*"
+_LEAF = float("inf")  # a leaf never needs parentheses
 
 
 class _Parser:
-    """Precedence climbing over one grammar's operator tables.
+    """Precedence climbing over one grammar's operator tables, and printing.
 
     A grammar sets BINARY, symbol -> (build, strength, right associative)
     with 1 the loosest strength; PREFIX, symbol -> (build, strength);
@@ -188,13 +133,16 @@ class _Parser:
     its own atom() takes besides identifiers, "(" and prefixes, as errors
     name it; leaf, which builds an identifier's tree; Error, its ParseError
     class; and NOUN, what it parses.  An identifier that spells a symbol is
-    that symbol.
+    that symbol.  A build that is a class prints with its symbol; any other
+    tree that printed() does not take is a leaf, printed as its name.
     """
 
     PUNCTUATION = STARTS = ()
 
     def __init_subclass__(cls):
         cls.SYMBOLS = {*cls.BINARY, *cls.PREFIX, *cls.PUNCTUATION, "(", ")"}
+        cls.PRINTS = {build: (s, lv, right) for s, (build, lv, right) in cls.BINARY.items()}
+        cls.PRINTS.update((build, (s, lv, None)) for s, (build, lv) in cls.PREFIX.items())
         marks = sorted(
             (s for s in cls.SYMBOLS if not re.fullmatch(_IDENT, s)), key=len, reverse=True
         )
@@ -280,6 +228,29 @@ class _Parser:
             return self.leaf(val)
         raise self.unexpected(["identifier", "'('", *map(repr, self.PREFIX), *self.STARTS])
 
+    @classmethod
+    def format(cls, tree, at_least: int = 1) -> str:
+        """tree's text, in parentheses unless it binds at least this tightly."""
+        text, strength = cls.printed(tree)
+        return f"({text})" if strength < at_least else text
+
+    @classmethod
+    def printed(cls, tree):
+        """tree's text and the strength of its outermost operator."""
+        op = cls.PRINTS.get(type(tree))
+        if op is None:
+            return tree.name, _LEAF
+        sym, strength, right = op
+        if right is None:
+            return sym + cls.format(tree.sub, strength), strength
+        # the operand on the side the operator associates to may be its own
+        at_left, at_right = (strength + 1, strength) if right else (strength, strength + 1)
+        text = f"{cls.format(tree.left, at_left)} {sym} {cls.format(tree.right, at_right)}"
+        return text, strength
+
+
+_LV_IMP, _LV_OR, _LV_AND, _LV_UNARY = 1, 2, 3, 4
+
 
 class _FormulaParser(_Parser):
     BINARY = {
@@ -307,37 +278,44 @@ class _FormulaParser(_Parser):
         player = self.peek()[1]
         if player not in ("A", "B"):
             raise self.unexpected(["'A'", "'B'"])
+        player = Player(player)
         self.i += 1
         self.expect("]")
-        if self.peek()[1] == "(" and self._group_is_instantial():
-            self.i += 1
-            insts = []
-            if self.peek()[1] != ";":
+        if self.peek()[1] != "(":
+            return Box(player, frozenset(), self.expression(_LV_UNARY))
+        # a scope in parentheses or the side formulas: ";" opens the side
+        # formulas, else the token after the first formula decides
+        self.i += 1
+        insts = []
+        if self.peek()[1] != ";":
+            insts.append(self.expression())
+            after = self.peek()[1]
+            if after == ")":
+                self.i += 1
+                return Box(player, frozenset(), insts[0])
+            if after not in (",", ";"):
+                raise self.unexpected(["')'", "','", "';'"])
+            while self.peek()[1] == ",":
+                self.i += 1
                 insts.append(self.expression())
-                while self.peek()[1] == ",":
-                    self.i += 1
-                    insts.append(self.expression())
-            self.expect(";")
-            scope = self.expression()
-            self.expect(")")
-            return Box(Player(player), frozenset(insts), scope)
-        return Box(Player(player), frozenset(), self.expression(_LV_UNARY))
+        self.expect(";")
+        scope = self.expression()
+        self.expect(")")
+        return Box(player, frozenset(insts), scope)
 
-    def _group_is_instantial(self) -> bool:
-        # from the upcoming "(", look for a ";" or "," at nesting depth 1
-        depth_ = 0
-        for kind, val, _pos in self.tokens[self.i:]:
-            if val == "(":
-                depth_ += 1
-            elif val == ")":
-                depth_ -= 1
-                if depth_ == 0:
-                    return False
-            elif val in (";", ",") and depth_ == 1:
-                return True
-            elif kind == "end":
-                return False
-        return False
+    @classmethod
+    def printed(cls, f: Formula):
+        if isinstance(f, Top):
+            return "true", _LEAF
+        if isinstance(f, Not) and isinstance(f.sub, Top):
+            return "false", _LEAF
+        if isinstance(f, Box):
+            head = f"[{f.player.value}]"
+            if not f.instants:
+                return head + cls.format(f.scope, _LV_UNARY), _LV_UNARY
+            side = ", ".join(sorted(map(cls.format, f.instants)))
+            return f"{head}({side}; {cls.format(f.scope)})", _LV_UNARY
+        return super().printed(f)
 
 
 def parse_formula(text: str) -> Formula:
@@ -347,6 +325,10 @@ def parse_formula(text: str) -> Formula:
     ``false`` stand for their expansions into ``!`` and ``&``.
     """
     return _FormulaParser.parse(text)
+
+
+def format_formula(f: Formula) -> str:
+    return _FormulaParser.format(f)
 
 
 # -- random generation ---------------------------------------------------------

@@ -322,6 +322,23 @@ def test_evaluate_rejects_mixed_and_mismatched_operands():
             evaluate(parse_term(text), env)
 
 
+def _plus_chain(depth):
+    t = Var("x")
+    for _ in range(depth):
+        t = Plus(t, Var("x"))
+    return t
+
+
+def test_term_objects_are_held_to_the_nesting_bound():
+    # a term built in Python skips the parser, so the checks bound it themselves
+    deep = _plus_chain(600)
+    with pytest.raises(ValueError, match="nested more than 200 levels"):
+        check_equation(deep, "x", "power", samples=2)
+    with pytest.raises(ValueError, match="nested more than 200 levels"):
+        evaluate(deep, {"x": leaf_game(O3[0])})
+    assert check_equation(_plus_chain(200), "x", "power", samples=2).verdict == "holds-on-sample"
+
+
 # -- seeded generation -------------------------------------------------------------
 
 

@@ -490,6 +490,13 @@ def test_term_at_the_nesting_bound_is_checked(capsys):
     assert json.loads(out)["verdict"] == "holds-on-sample"
 
 
+def test_long_strong_composition_chain_is_an_input_error(capsys):
+    # each o doubles the composed tree that strong equivalence builds
+    equation = " o ".join(["x"] * 17) + " = x"
+    assert_input_error(capsys, "algebra", equation, "--equiv", "strong", "--seed", "1",
+                       "--samples", "2")
+
+
 def test_usage_errors(capsys):
     assert main(["nonsense"]) == 2
     assert main([]) == 2

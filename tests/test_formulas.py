@@ -10,6 +10,7 @@ from gamepowers.formulas import (
     And,
     Atom,
     Box,
+    Formula,
     Not,
     ParseError,
     Player,
@@ -23,7 +24,17 @@ from gamepowers.formulas import (
 )
 from random import Random
 
-from gamepowers.algebra import OPERATIONS, TermParseError, format_term, parse_term
+from gamepowers.algebra import (
+    OPERATIONS,
+    Comp,
+    Dual,
+    Plus,
+    TermParseError,
+    Times,
+    Var,
+    format_term,
+    parse_term,
+)
 from helpers import big_or, depth, read_formula_file
 
 
@@ -89,11 +100,56 @@ def test_parse_errors_carry_position_and_expectations():
         ("p -> )", "unexpected ')' at position 5; expected one of "
          "'!', '(', '[', 'false', 'true', identifier", 5, ATOM_STARTS),
         ("!" * 201 + "p", "formula nested more than 200 levels deep at position 0", 0, ()),
+        # a box group is a scope in parentheses or a list of side formulas
+        ("[A](q", "unexpected end of input at position 5; expected one of "
+         "')', ',', ';'", 5, ("')'", "','", "';'")),
+        ("[A](p q; r)", "unexpected 'q' at position 6; expected one of "
+         "')', ',', ';'", 6, ("')'", "','", "';'")),
     ]
     for text, message, pos, expected in cases:
         with pytest.raises(ParseError) as err:
             parse_formula(text)
         assert (str(err.value), err.value.pos, err.value.expected) == (message, pos, expected)
+
+
+def test_box_groups_nest_to_the_bound():
+    p, q = Atom("p"), Atom("q")
+    assert parse_formula("[A](p) & q") == And(Box(Player.A, frozenset(), p), q)
+    f = parse_formula("[A](" * 200 + "p" + ")" * 200)
+    for _ in range(200):
+        assert f.player == Player.A and not f.instants
+        f = f.scope
+    assert f == p
+    with pytest.raises(ParseError, match="nested more than 200 levels"):
+        parse_formula("[A](" * 201 + "p" + ")" * 201)
+
+
+P, Q, R = Atom("p"), Atom("q"), Atom("r")
+X, Y, Z = Var("x"), Var("y"), Var("z")
+
+
+@pytest.mark.parametrize("tree, text", [
+    (And(And(P, Q), R), "p & q & r"),
+    (And(P, And(Q, R)), "p & (q & r)"),
+    (Not(And(P, Q)), "!(p & q)"),
+    (lor(P, Q), "!(!p & !q)"),
+    (implies(P, implies(Q, R)), "!(p & !!(q & !r))"),
+    (And(TOP, FALSUM), "true & false"),
+    (Not(FALSUM), "!false"),
+    (Box(Player.A, frozenset(), And(P, Q)), "[A](p & q)"),
+    (Box(Player.B, frozenset([Q, P]), lor(P, Q)), "[B](p, q; !(!p & !q))"),
+    (And(Box(Player.A, frozenset(), Box(Player.B, frozenset(), P)), Q), "[A][B]p & q"),
+    (Box(Player.A, frozenset([FALSUM, implies(P, Q)]), TOP), "[A](!(p & !q), false; true)"),
+    (Dual(Dual(X)), "--x"),
+    (Times(Plus(X, Y), Z), "(x + y) * z"),
+    (Comp(X, Comp(Y, Z)), "x o (y o z)"),
+    (Dual(Plus(X, Y)), "-(x + y)"),
+    (Plus(Plus(X, Dual(Y)), Times(Y, Comp(Z, X))), "x + -y + y * z o x"),
+])
+def test_printed_text_is_pinned(tree, text):
+    # a printer that changed its text could still round-trip
+    fmt = format_formula if isinstance(tree, Formula) else format_term
+    assert fmt(tree) == text
 
 
 def test_printer_emits_parseable_canonical_text():
