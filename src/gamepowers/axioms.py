@@ -54,7 +54,8 @@ def _meta(rng: Random, instantial: bool = True) -> Formula:
 
 
 def _sides(rng: Random, instantial: bool = True) -> list[Formula]:
-    drawn = [_meta(rng, instantial) for _ in range(rng.randint(0, 2))]
+    # plain boxes carry no side formulas, so none are drawn for them
+    drawn = [_meta(rng) for _ in range(rng.randint(0, 2))] if instantial else []
     return list(dict.fromkeys(drawn))
 
 
@@ -62,14 +63,14 @@ def _player(rng: Random) -> Player:
     return rng.choice((Player.A, Player.B))
 
 
-def _monotonicity(rng: Random) -> Formula:
+def _monotonicity(rng: Random, instantial: bool = True) -> Formula:
     p = _player(rng)
-    sides = _sides(rng)
-    scope = _meta(rng)
+    sides = _sides(rng, instantial)
+    scope = _meta(rng, instantial)
     widened = [lor(s, _meta(rng)) for s in sides]
     return implies(
         Box(p, frozenset(sides), scope),
-        Box(p, frozenset(widened), lor(scope, _meta(rng))),
+        Box(p, frozenset(widened), lor(scope, _meta(rng, instantial))),
     )
 
 
@@ -122,15 +123,6 @@ def _consistency(rng: Random, instantial: bool = True) -> Formula:
     )
 
 
-def _plain_monotonicity(rng: Random) -> Formula:
-    p = _player(rng)
-    scope = _meta(rng, instantial=False)
-    return implies(
-        Box(p, frozenset(), scope),
-        Box(p, frozenset(), lor(scope, _meta(rng, instantial=False))),
-    )
-
-
 # every schema, in sweep order, with the frame kind it is sound on
 _BUILDERS = {
     "monotonicity": (_monotonicity, INSTANTIAL_FRAME),
@@ -142,7 +134,7 @@ _BUILDERS = {
     "instantiatedness": (_instantiatedness, INSTANTIAL_FRAME),
     "consistency": (_consistency, INSTANTIAL_FRAME),
     "plain-non-emptiness": (_non_emptiness, GAME_FRAME),
-    "plain-monotonicity": (_plain_monotonicity, GAME_FRAME),
+    "plain-monotonicity": (partial(_monotonicity, instantial=False), GAME_FRAME),
     "plain-consistency": (partial(_consistency, instantial=False), GAME_FRAME),
 }
 ALL_SCHEMATA = tuple(_BUILDERS)

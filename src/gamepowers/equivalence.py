@@ -7,12 +7,12 @@ relational basic powers) and plain power equivalence (equal forced-set
 families).  On neighborhood models, power bisimilarity matches plain boxes
 and instantial bisimilarity matches boxes with side formulas.
 
-All four relations and both bisimulations are greatest fixpoints of an
-Egli-Milner lift (``powers.egli_milner``): the profile bisimulation refines
-its column pairs through the lift of its row pairs and back, the three power
-equivalences lift the identity on members to families, and the model
-bisimulations lift the relation on worlds, or one half of it, to
-neighbourhoods.
+The strategic form and both model bisimulations are greatest fixpoints,
+computed by partition refinement: the coarsest partition of both games' rows
+and columns, or of both models' worlds, in which keys sharing a block read
+the same over the blocks.  The power equivalences compare the two families
+of each player directly, and ``powers.egli_milner`` remains the lift of a
+relation on outcomes for ``strategy_bisimulation_check``.
 """
 
 from __future__ import annotations
@@ -22,15 +22,7 @@ from typing import Any, Iterable
 
 from .games import Player, Record, StrategicGame, to_strategic_form
 from .models import GAME_FRAME, INSTANTIAL_FRAME, NeighborhoodModel, validate_frame
-from .powers import (
-    POWER_KINDS,
-    _back,
-    _forth,
-    _lift,
-    basic_powers,
-    egli_milner,
-    upward_closure,
-)
+from .powers import POWER_KINDS, basic_powers, egli_milner, upward_closure
 
 POWER = "power"
 STRONG = "strong"
@@ -107,18 +99,16 @@ def semi_strongly_equivalent(g1, g2) -> EquivalenceVerdict:
     return _family_split(SEMI, g1, g2)
 
 
-def _refine(m1, m2, cols: set, rows: set) -> set:
-    """The column pairs of cols whose columns lift to each other through the
-    row pairs of rows that meet in equal outcomes."""
-    return {
-        (j1, j2)
-        for j1, j2 in cols
-        if egli_milner(
-            {(i1, i2) for i1, i2 in rows if m1[i1][j1] == m2[i2][j2]},
-            range(len(m1)),
-            range(len(m2)),
-        )
-    }
+def _coarsest(block: dict, signature) -> dict:
+    """The coarsest refinement of block (key -> block id) in which keys that
+    share a block share their signature(key, block) over the blocks; each
+    round splits every block by signature, until a round splits nothing."""
+    while True:
+        ids: dict = {}
+        refined = {k: ids.setdefault((b, signature(k, block)), len(ids)) for k, b in block.items()}
+        if len(ids) == len(set(block.values())):
+            return block
+        block = refined
 
 
 def strategic_form_equivalent(g1, g2) -> EquivalenceVerdict:
@@ -127,22 +117,33 @@ def strategic_form_equivalent(g1, g2) -> EquivalenceVerdict:
     The bisimulation clauses for a profile pair factor through the row pair
     and the column pair alone: the A-clauses quantify rows with the columns
     held fixed and the B-clauses do the opposite.  The greatest fixpoint is
-    therefore the profile pairs with equal outcomes whose column pair and row
-    pair survive, each refined through the other until both are stable.
+    therefore the profile pairs with equal outcomes whose row pair and column
+    pair share a block once both games' rows and columns refine each other.
     """
     _require_shared_outcomes(g1, g2)
     sg1 = g1 if isinstance(g1, StrategicGame) else to_strategic_form(g1)
     sg2 = g2 if isinstance(g2, StrategicGame) else to_strategic_form(g2)
     m1, m2 = sg1.matrix, sg2.matrix
-    t1, t2 = tuple(zip(*m1)), tuple(zip(*m2))
-    cols = set(product(range(len(sg1.cols)), range(len(sg2.cols))))
-    rows = set(product(range(len(sg1.rows)), range(len(sg2.rows))))
-    while True:
-        new_cols = _refine(m1, m2, cols, rows)
-        new_rows = _refine(t1, t2, rows, new_cols)
-        if (new_cols, new_rows) == (cols, rows):
-            break
-        cols, rows = new_cols, new_rows
+    # a key is (game, 0 for a row or 1 for a column, index); its signature
+    # pairs the block of each line crossing it with the outcome there
+    shapes = [(range(len(sg.rows)), range(len(sg.cols)), sg.matrix) for sg in (sg1, sg2)]
+
+    def signature(key, block):
+        g, line, i = key
+        rows, cols, m = shapes[g]
+        if line:
+            return frozenset((block[g, 0, r], m[r][i]) for r in rows)
+        return frozenset((block[g, 1, c], m[i][c]) for c in cols)
+
+    start = {
+        (g, line, i): line for g, shape in enumerate(shapes) for line in (0, 1) for i in shape[line]
+    }
+    block = _coarsest(start, signature)
+    rows, cols = (
+        {(a, b) for a, b in product(shapes[0][line], shapes[1][line])
+         if block[0, line, a] == block[1, line, b]}
+        for line in (0, 1)
+    )
     relation = sorted(
         (i1, j1, i2, j2)
         for i1, i2 in rows
@@ -201,45 +202,39 @@ def strategy_bisimulation_check(
 # -- model bisimulations ----------------------------------------------------------
 
 
-def _atomic_pairs(m1: NeighborhoodModel, m2: NeighborhoodModel) -> set:
-    # undeclared atoms have empty truth sets, so compare over the union
-    names = set(m1.valuation) | set(m2.valuation)
-    return {
-        (u1, u2)
-        for u1 in m1.worlds
-        for u2 in m2.worlds
-        if all(
-            (u1 in m1.truth_set(a)) == (u2 in m2.truth_set(a)) for a in names
-        )
-    }
-
-
-def _bisim_fixpoint(
+def _bisimulation(
     m1: NeighborhoodModel, m2: NeighborhoodModel, instantial: bool
 ) -> set:
-    """Greatest bisimulation below the atomic agreement.
+    """Greatest bisimulation below the atomic agreement, read off the coarsest
+    stable partition of both models' worlds.
 
-    Each neighbourhood of either side needs a partner on the other side.  A
-    power bisimulation asks the partner's points to be covered (one half of
-    the Egli-Milner lift, read toward the partner); an instantial
-    bisimulation asks the whole lift.
+    A neighbourhood reads as the set of blocks it meets.  An instantial
+    bisimulation (the whole Egli-Milner lift) asks for the same such sets;
+    a power bisimulation (one half of it) compares their upward closures,
+    so only the least sets count.
     """
-    rel = _atomic_pairs(m1, m2)
-    zig, zag = (_lift, _lift) if instantial else (_back, _forth)
-    changed = True
-    while changed:
-        changed = False
-        for u1, u2 in sorted(rel):
-            if not all(
-                all(any(zig(rel, z1, z2) for z2 in n2) for z1 in n1)
-                and all(any(zag(rel, z1, z2) for z1 in n1) for z2 in n2)
-                for n1, n2 in (
-                    (m1.neigh(p, u1), m2.neigh(p, u2)) for p in (Player.A, Player.B)
-                )
-            ):
-                rel.discard((u1, u2))
-                changed = True
-    return rel
+    models = (m1, m2)
+    # undeclared atoms have empty truth sets, so compare over the union
+    names = sorted(set(m1.valuation) | set(m2.valuation))
+
+    def signature(key, block):
+        g, u = key
+        out = []
+        for p in (Player.A, Player.B):
+            met = {frozenset(block[g, w] for w in z) for z in models[g].neigh(p, u)}
+            if not instantial:
+                met = {s for s in met if not any(t < s for t in met)}
+            out.append(frozenset(met))
+        return tuple(out)
+
+    start = {
+        (g, u): tuple(u in m.truth_set(a) for a in names)
+        for g, m in enumerate(models)
+        for u in m.worlds
+    }
+    block = _coarsest(start, signature)
+    pairs = product(m1.worlds, m2.worlds)
+    return {(u1, u2) for u1, u2 in pairs if block[0, u1] == block[1, u2]}
 
 
 def power_bisimilar(
@@ -272,7 +267,7 @@ def _model_bisim(kind, frame, m1, w1, m2, w2) -> EquivalenceVerdict:
                 f"model is not a valid {frame} frame: "
                 + ", ".join(profile.failed())
             )
-    rel = _bisim_fixpoint(m1, m2, instantial=frame == INSTANTIAL_FRAME)
+    rel = _bisimulation(m1, m2, instantial=frame == INSTANTIAL_FRAME)
     name = f"{kind}-bisimulation"
     if (w1, w2) in rel:
         return EquivalenceVerdict(

@@ -129,18 +129,20 @@ class _Parser:
 
     A grammar sets BINARY, symbol -> (build, strength, right associative)
     with 1 the loosest strength; PREFIX, symbol -> (build, strength);
-    PUNCTUATION, its symbols besides operators and parentheses; STARTS, what
-    its own atom() takes besides identifiers, "(" and prefixes, as errors
-    name it; leaf, which builds an identifier's tree; Error, its ParseError
-    class; and NOUN, what it parses.  An identifier that spells a symbol is
-    that symbol.  A build that is a class prints with its symbol; any other
-    tree that printed() does not take is a leaf, printed as its name.
+    PUNCTUATION, its other symbols; OPENS, symbol -> the method reading the
+    atom it opens; STARTS, the words that start an atom, as errors name them;
+    leaf, which builds an identifier's tree; Error, its ParseError class; and
+    NOUN, what it parses.  An identifier that spells a symbol is that symbol.
+    A build that is a class prints with its symbol; any other tree that
+    printed() does not take is a leaf, printed as its name.
     """
 
     PUNCTUATION = STARTS = ()
+    OPENS: dict = {}
 
     def __init_subclass__(cls):
         cls.SYMBOLS = {*cls.BINARY, *cls.PREFIX, *cls.PUNCTUATION, "(", ")"}
+        cls.TIGHTEST = max(lv for _, lv, _ in cls.BINARY.values())
         cls.PRINTS = {build: (s, lv, right) for s, (build, lv, right) in cls.BINARY.items()}
         cls.PRINTS.update((build, (s, lv, None)) for s, (build, lv) in cls.PREFIX.items())
         marks = sorted(
@@ -214,10 +216,14 @@ class _Parser:
             return self.atom()
         self.i += 1
         build, strength = op
-        return build(self.expression(strength))
+        # an operand binding tighter than every binary operator is a unary; reading
+        # it so saves a frame a level, keeping MAX_NESTING chains inside the stack
+        return build(self.unary() if strength > self.TIGHTEST else self.expression(strength))
 
     def atom(self):
         kind, val, _pos = self.peek()
+        if val in self.OPENS:
+            return self.OPENS[val](self)
         if val == "(":
             self.i += 1
             tree = self.expression()
@@ -226,7 +232,8 @@ class _Parser:
         if kind == "ident":
             self.i += 1
             return self.leaf(val)
-        raise self.unexpected(["identifier", "'('", *map(repr, self.PREFIX), *self.STARTS])
+        starts = [*map(repr, [*self.PREFIX, *self.OPENS]), *self.STARTS]
+        raise self.unexpected(["identifier", "'('", *starts])
 
     @classmethod
     def format(cls, tree, at_least: int = 1) -> str:
@@ -260,18 +267,13 @@ class _FormulaParser(_Parser):
     }
     PREFIX = {"!": (Not, _LV_UNARY)}
     PUNCTUATION = ("[", "]", ",", ";")
-    STARTS = ("'['", "'true'", "'false'")
+    STARTS = ("'true'", "'false'")
     Error = ParseError
     NOUN = "formula"
 
     @staticmethod
     def leaf(name: str) -> Formula:
         return TOP if name == "true" else FALSUM if name == "false" else Atom(name)
-
-    def atom(self) -> Formula:
-        if self.peek()[1] == "[":
-            return self.box()
-        return super().atom()
 
     def box(self) -> Formula:
         self.i += 1
@@ -282,7 +284,7 @@ class _FormulaParser(_Parser):
         self.i += 1
         self.expect("]")
         if self.peek()[1] != "(":
-            return Box(player, frozenset(), self.expression(_LV_UNARY))
+            return Box(player, frozenset(), self.unary())
         # a scope in parentheses or the side formulas: ";" opens the side
         # formulas, else the token after the first formula decides
         self.i += 1
@@ -302,6 +304,8 @@ class _FormulaParser(_Parser):
         scope = self.expression()
         self.expect(")")
         return Box(player, frozenset(insts), scope)
+
+    OPENS = {"[": box}
 
     @classmethod
     def printed(cls, f: Formula):

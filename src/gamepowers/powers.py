@@ -210,25 +210,12 @@ def union_closure(f: PowerFamily) -> PowerFamily:
 # -- Egli-Milner lifting ------------------------------------------------------------
 
 
-def _forth(r, z1, z2) -> bool:
-    # every point of z1 has an r-partner in z2
-    return all(any((x, y) in r for y in z2) for x in z1)
-
-
-def _back(r, z1, z2) -> bool:
-    # every point of z2 has an r-partner in z1
-    return all(any((x, y) in r for x in z1) for y in z2)
-
-
-def _lift(r, z1, z2) -> bool:
-    return _forth(r, z1, z2) and _back(r, z1, z2)
-
-
 def egli_milner(
     r: Iterable[tuple[Any, Any]], z1: Iterable[Any], z2: Iterable[Any]
 ) -> bool:
     """Lift relation r to sets: z1 and z2 must cover each other through r."""
-    return _lift(set(r), set(z1), set(z2))
+    r, z1, z2 = set(r), set(z1), set(z2)
+    return {x for x, y in r if y in z2} >= z1 and {y for x, y in r if x in z1} >= z2
 
 
 # -- condition checking ----------------------------------------------------------

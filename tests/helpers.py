@@ -264,6 +264,101 @@ def oracle_profile_bisimulation(sg1, sg2):
     return total, relation
 
 
+
+# -- the model bisimulations by their pair fixpoint ------------------------------
+
+
+def _forth(r, z1, z2) -> bool:
+    # every point of z1 has an r-partner in z2
+    return all(any((x, y) in r for y in z2) for x in z1)
+
+
+def _back(r, z1, z2) -> bool:
+    # every point of z2 has an r-partner in z1
+    return all(any((x, y) in r for x in z1) for y in z2)
+
+
+def _lift(r, z1, z2) -> bool:
+    return _forth(r, z1, z2) and _back(r, z1, z2)
+
+
+def _atomic_pairs(m1: NeighborhoodModel, m2: NeighborhoodModel) -> set:
+    # undeclared atoms have empty truth sets, so compare over the union
+    names = set(m1.valuation) | set(m2.valuation)
+    return {
+        (u1, u2)
+        for u1 in m1.worlds
+        for u2 in m2.worlds
+        if all(
+            (u1 in m1.truth_set(a)) == (u2 in m2.truth_set(a)) for a in names
+        )
+    }
+
+
+def reference_bisimulation(
+    m1: NeighborhoodModel, m2: NeighborhoodModel, instantial: bool
+) -> set:
+    """Greatest bisimulation below the atomic agreement.
+
+    Each neighbourhood of either side needs a partner on the other side.  A
+    power bisimulation asks the partner's points to be covered (one half of
+    the Egli-Milner lift, read toward the partner); an instantial
+    bisimulation asks the whole lift.  Pairs are dropped from the world
+    pairs until none fails.
+    """
+    rel = _atomic_pairs(m1, m2)
+    zig, zag = (_lift, _lift) if instantial else (_back, _forth)
+    changed = True
+    while changed:
+        changed = False
+        for u1, u2 in sorted(rel):
+            if not all(
+                all(any(zig(rel, z1, z2) for z2 in n2) for z1 in n1)
+                and all(any(zag(rel, z1, z2) for z1 in n1) for z2 in n2)
+                for n1, n2 in (
+                    (m1.neigh(p, u1), m2.neigh(p, u2)) for p in (Player.A, Player.B)
+                )
+            ):
+                rel.discard((u1, u2))
+                changed = True
+    return rel
+
+
+def renamed_model(m: NeighborhoodModel) -> tuple[NeighborhoodModel, dict]:
+    """m with its worlds renamed to sort the other way, and the renaming."""
+    n = len(m.worlds)
+    name = {w: f"u{n - 1 - i}" for i, w in enumerate(m.worlds)}
+    rel = {
+        p: [(name[u], {name[w] for w in z}) for u in m.worlds for z in m.neigh(p, u)]
+        for p in (Player.A, Player.B)
+    }
+    val = {a: {name[w] for w in ws} for a, ws in m.valuation.items()}
+    worlds = [name[w] for w in reversed(m.worlds)]
+    return NeighborhoodModel(worlds, rel[Player.A], rel[Player.B], val), name
+
+
+def doubled_model(m: NeighborhoodModel, plain: bool) -> NeighborhoodModel:
+    """m beside a primed copy of itself, bisimilar to m through the projection.
+
+    A world and its copy see each neighbourhood of m joined with the copy of
+    one (of the same one, unless plain), which keeps game frames upward
+    closed and instantial frames instantiated.
+    """
+    primed = {w: w + "'" for w in m.worlds}
+    rel = {
+        p: [
+            (v, {*z, *map(primed.get, z2)})
+            for u in m.worlds
+            for v in (u, primed[u])
+            for z in m.neigh(p, u)
+            for z2 in (m.neigh(p, u) if plain else (z,))
+        ]
+        for p in (Player.A, Player.B)
+    }
+    val = {a: {*ws, *map(primed.get, ws)} for a, ws in m.valuation.items()}
+    worlds = [*m.worlds, *primed.values()]
+    return NeighborhoodModel(worlds, rel[Player.A], rel[Player.B], val)
+
 def oracle_frame_conditions(m, kind):
     """The kind's three frame conditions, read at every world by definition."""
     universe = [frozenset(s) for s in subsets(m.worlds)]

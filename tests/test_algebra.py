@@ -236,6 +236,17 @@ def test_term_precedence_and_associativity():
     assert parse_term("--x") == Dual(Dual(Var("x")))
 
 
+@pytest.mark.parametrize("opening, closing", [("-(", ")"), ("-", "")])
+def test_dual_chains_nest_to_the_bound(opening, closing):
+    # the parser's own recursion must not end a chain before the bound does
+    t = parse_term(opening * 200 + "x" + closing * 200)
+    for _ in range(200):
+        t = t.sub
+    assert t == Var("x")
+    with pytest.raises(TermParseError, match="nested more than 200 levels"):
+        parse_term(opening * 201 + "x" + closing * 201)
+
+
 def test_term_format_roundtrip():
     for text in (
         "x + y * z o -w",

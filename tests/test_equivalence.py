@@ -1,6 +1,7 @@
 """Game equivalences, the implication hierarchy and model bisimulations."""
 
 import sys
+from itertools import product
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from gamepowers.equivalence import (
     STRONG,
     EquivalenceVerdict,
     InvalidModelError,
+    _bisimulation,
     hierarchy_audit,
     instantial_bisimilar,
     power_bisimilar,
@@ -23,12 +25,21 @@ from gamepowers.equivalence import (
 )
 from gamepowers.algebra import op_dual, op_plus, op_times, random_game
 from gamepowers.games import StrategicGame, game, leaf, node, to_strategic_form
-from gamepowers.models import NeighborhoodModel, encode_game_as_model
+from gamepowers.models import (
+    GAME_FRAME,
+    INSTANTIAL_FRAME,
+    NeighborhoodModel,
+    encode_game_as_model,
+    random_model,
+)
 from helpers import (
     double_move_then_b_choice,
+    doubled_model,
     one_then_two_or_three,
     oracle_profile_bisimulation,
     outcome_valuation,
+    reference_bisimulation,
+    renamed_model,
     single_move_then_b_choice,
     two_or_three_after_one,
     zero_one_matrix_2x3,
@@ -280,3 +291,35 @@ def test_hierarchy_audit_builds_basic_powers_once_per_player(monkeypatch):
     # plain powers anew from the tree made 12
     assert len(calls) == 8
     assert calls.count(True) == 4
+
+
+@pytest.mark.parametrize("frame", [GAME_FRAME, INSTANTIAL_FRAME])
+def test_model_bisimulations_match_the_pair_fixpoint(frame):
+    # each model against a random model and against a renamed or doubled
+    # copy: the whole relation must equal the reference's, and both
+    # verdicts must occur
+    instantial = frame == INSTANTIAL_FRAME
+    bisimilar = power_bisimilar if frame == GAME_FRAME else instantial_bisimilar
+    verdicts = set()
+    for seed in range(60):
+        atoms = ("p", "q")[: 1 + seed % 2]
+        m1 = random_model(seed, frame, max_worlds=3 + seed % 2, atoms=atoms)
+        if seed % 2:
+            copy, name = renamed_model(m1)
+            copied = {(w, name[w]) for w in m1.worlds}
+        else:
+            copy = doubled_model(m1, plain=not instantial)
+            copied = {(w, v) for w in m1.worlds for v in (w, w + "'")}
+        other = random_model(1000 + seed, frame, max_worlds=4, atoms=atoms)
+        for m2 in (copy, other):
+            relation = _bisimulation(m1, m2, instantial)
+            assert relation == reference_bisimulation(m1, m2, instantial)
+            for w1, w2 in product(m1.worlds, m2.worlds):
+                verdict = bisimilar(m1, w1, m2, w2)
+                assert verdict.verdict == ((w1, w2) in relation)
+                verdicts.add(verdict.verdict)
+                if verdict:
+                    pairs = [list(p) for p in sorted(relation)]
+                    assert verdict.witness["bisimulation"] == pairs
+        assert copied <= _bisimulation(m1, copy, instantial)
+    assert verdicts == {True, False}

@@ -124,6 +124,17 @@ def test_box_groups_nest_to_the_bound():
         parse_formula("[A](" * 201 + "p" + ")" * 201)
 
 
+@pytest.mark.parametrize("opening, closing", [("!(", ")"), ("!", "")])
+def test_negation_chains_nest_to_the_bound(opening, closing):
+    # the parser's own recursion must not end a chain before the bound does
+    f = parse_formula(opening * 200 + "p" + closing * 200)
+    for _ in range(200):
+        f = f.sub
+    assert f == Atom("p")
+    with pytest.raises(ParseError, match="nested more than 200 levels"):
+        parse_formula(opening * 201 + "p" + closing * 201)
+
+
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 X, Y, Z = Var("x"), Var("y"), Var("z")
 

@@ -167,6 +167,21 @@ def _representations():
             yield gamepowers.verify_roundtrip(inp).to_json()
 
 
+def _bisimulations():
+    # every pointed pair of a model with itself or with another model
+    for seed in range(30):
+        for frame, bisimilar in (
+            (GAME_FRAME, gamepowers.power_bisimilar),
+            (INSTANTIAL_FRAME, gamepowers.instantial_bisimilar),
+        ):
+            m1 = gamepowers.random_model(seed, frame, max_worlds=4, atoms=("p",))
+            m2 = m1 if seed % 3 == 0 else gamepowers.random_model(
+                500 + seed, frame, max_worlds=4, atoms=("p",))
+            for w1 in m1.worlds:
+                for w2 in m2.worlds:
+                    yield bisimilar(m1, w1, m2, w2).to_json()
+
+
 SEEDED = {
     "random_model/game": lambda: (
         gamepowers.random_model(s, GAME_FRAME).to_json() for s in range(100)),
@@ -177,6 +192,7 @@ SEEDED = {
     "random_family_pair/relational": lambda: _family_pairs("relational"),
     "countermodel_search": _searches,
     "countermodel_search/rows": _row_searches,
+    "bisimulations": _bisimulations,
     "axiom_soundness_suite": lambda: (
         gamepowers.axiom_soundness_suite(s, 66).to_json() for s in (3, 8)),
     "check_equation": _equations,
@@ -192,6 +208,7 @@ SEEDED = {
 
 PINNED = {
     "axiom_soundness_suite": "3105912afd831af24f8a81846fbb13f82f8174a7b6ae7ee5cca2b37633d4bc3b",
+    "bisimulations": "e92e4512320e23bdcc877c3fb76b3353e2c951d9cb602f9969e7247a0a4586df",
     "built_games": "1dc77e47afac74e2a284aa30025f351fc548f8444e937ca130707c516a5e00b3",
     "check_congruence": "026541f177ab1025be6844eb3464a18ac1f644fbb6306fae23d878bde3c0fe72",
     "check_congruence/power": "fe29a8321d2fc8ea6e0696efa75a73a3757270e3f4b90e656e5e0002e02ab4e0",
