@@ -15,8 +15,9 @@ and for a counterexample they report.
 from __future__ import annotations
 
 import itertools
-from functools import cache, partial
-from operator import and_, itemgetter, or_
+from functools import cache, partial, reduce
+from math import prod
+from operator import itemgetter
 from random import Random
 from typing import Mapping, Union
 
@@ -39,10 +40,9 @@ from .games import (
     node,
 )
 from .powers import (
+    COMBINE,
     POWER_KINDS,
     PowerFamily,
-    _joins,
-    _nonempty_joins,
     relational_basic_powers,
     union_closure,
 )
@@ -215,17 +215,18 @@ def composed_power_relation(r1: Mapping, r2: Mapping, u) -> PowerFamily:
         raise ValueError("power maps must share a state set")
     at_u = _lookup(r1, u, "state")
     closed = {y: union_closure(f)._index for y, f in r2.items()}
-    return PowerFamily(tuple(sorted(r1)), _composed(at_u._index, _Joined(closed, _joins)))
+    joined = _Joined(closed, COMBINE["relational"][1])
+    return PowerFamily(tuple(sorted(r1)), _composed(at_u._index, joined))
 
 
 class _Joined(dict):
-    # Y -> the joins, over y in Y, of a member of closed[y], each Y joined once,
+    # Y -> closed[y] over y in Y, folded by the binary join, each Y joined once,
     # on first read; closed maps each state to a union-closed member set
     def __init__(self, closed: Mapping, join):
         self.closed, self.join = closed, join
 
     def __missing__(self, ys):
-        zs = self[ys] = self.join([self.closed[y] for y in ys]) if ys else ()
+        zs = self[ys] = reduce(self.join, map(self.closed.__getitem__, ys)) if ys else ()
         return zs
 
 
@@ -355,41 +356,37 @@ def _term_fold(term: GameTerm, kind: str, dynamic: bool):
     """Compile a term into env -> the member sets of its (A, B) families.
 
     env maps each variable to its value's pair, or to a dict of pairs per
-    state when ``dynamic``.  At + or * the mover gets the union of the
-    families (for relational powers their nonempty joins) and the other
-    player their joins, for upward-closed plain powers their intersection;
-    - swaps the players.  o composes union-closed families statewise.
+    state when ``dynamic``.  + and * fold their operands' families by the
+    kind's ``COMBINE`` rules, the mover's for the player who owns the new
+    root (A at +, B at *) and the other player's for the other; - swaps the
+    players.  On dynamic values these act state by state.  o composes the
+    families statewise, joining each continuation set once by the other
+    player's rule.
     """
     if isinstance(term, Var):
         return itemgetter(term.name)
-    if isinstance(term, Dual):
-        sub = _term_fold(term.sub, kind, dynamic)
-        if dynamic:
-            return lambda env: {u: (b, a) for u, (a, b) in sub(env).items()}
-        return lambda env: sub(env)[::-1]
-    left, right = (_term_fold(t, kind, dynamic) for t in (term.left, term.right))
-    # upward-closed families join to their intersection: a | b is in each, S is S | S
-    plain = kind == "plain"
+    mover, other = COMBINE[kind]
+    parts = (term.sub,) if isinstance(term, Dual) else (term.left, term.right)
+    folds = [_term_fold(t, kind, dynamic) for t in parts]
     if isinstance(term, Comp):
-        join = (lambda fams: fams[0].intersection(*fams[1:])) if plain else _joins
+        left, right = folds
         def composed(env):
             cont = right(env)
-            ja, jb = (_Joined({y: p[i] for y, p in cont.items()}, join) for i in (0, 1))
+            ja, jb = (_Joined({y: p[i] for y, p in cont.items()}, other) for i in (0, 1))
             return {u: (_composed(a, ja), _composed(b, jb)) for u, (a, b) in left(env).items()}
         return composed
-    mover = (lambda f, g: _nonempty_joins((f, g))) if kind == "relational" else or_
-    other = and_ if plain else lambda f, g: _joins((f, g))
-    fa, fb = (mover, other) if isinstance(term, Plus) else (other, mover)
-    if dynamic:
-        def statewise(env):
-            rhs = right(env)
-            return {u: (fa(a, rhs[u][0]), fb(b, rhs[u][1])) for u, (a, b) in left(env).items()}
-        return statewise
+    if isinstance(term, Dual):
+        op = lambda p: (p[1], p[0])
+    else:
+        fa, fb = (mover, other) if isinstance(term, Plus) else (other, mover)
+        op = lambda p, q: (fa(p[0], q[0]), fb(p[1], q[1]))
+    if not dynamic:
+        return lambda env: op(*[f(env) for f in folds])
 
-    def pair(env):
-        (a1, b1), (a2, b2) = left(env), right(env)
-        return fa(a1, a2), fb(b1, b2)
-    return pair
+    def statewise(env):
+        first, *rest = [f(env) for f in folds]
+        return {u: op(pair, *[v[u] for v in rest]) for u, pair in first.items()}
+    return statewise
 
 
 # -- seeded generation -------------------------------------------------------------
@@ -439,13 +436,8 @@ def _merge_cells(rng: Random, g: ExtensiveGame) -> ExtensiveGame:
 
 
 def _enumeration_cost(g: ExtensiveGame) -> int:
-    total = 0
-    for p in (Player.A, Player.B):
-        product = 1
-        for cell in g.player_cells(p):
-            product *= 2 ** g.num_children(cell[0]) - 1
-        total += product
-    return total
+    # both players' relational strategies
+    return sum(prod(2 ** g.num_children(c[0]) - 1 for c in g.player_cells(p)) for p in Player)
 
 
 _MAX_PROPOSALS = 1000
@@ -471,8 +463,12 @@ def random_game(
     perfect_info: bool = False,
     max_cost: int = 4096,
 ) -> ExtensiveGame:
-    """Seeded random game, rejecting shapes too large to enumerate.
+    """Seeded random game, rejecting shapes too large to analyse.
 
+    ``max_cost`` bounds the sum of both players' relational strategy counts,
+    a count being the product of 2^k - 1 over the player's cells of k moves.
+    That bounds the strategies ``to_strategic_form`` tabulates and the
+    shared-cell assignments basic and relational powers each make a pass for.
     Raises ValueError when none of 1,000 proposals fits within ``max_cost``,
     or when ``max_depth`` is outside 1 to 12.
     """
@@ -579,26 +575,22 @@ class EquationReport(Record, counterexample=None):
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-def _plain_pool(outcomes) -> list[ExtensiveGame]:
+def _choice(owner: Player, outcomes: tuple):
+    # owner picks the first or the second outcome (the first again if alone)
+    return node(owner, [leaf(outcomes[0]), leaf(outcomes[min(1, len(outcomes) - 1)])])
+
+
+def _pool(outcomes, dynamic: bool) -> list:
+    # the bindings a law check tries first: each outcome's leaf, or for dynamic
+    # games the identity and then the first outcome's leaf at every state;
+    # then each player's choice, at every state when dynamic
     outcomes = tuple(outcomes)
-    pool = [game(outcomes, leaf(o)) for o in outcomes]
-    first, second = outcomes[0], outcomes[min(1, len(outcomes) - 1)]
-    for owner in (Player.A, Player.B):
-        pool.append(game(outcomes, node(owner, [leaf(first), leaf(second)])))
-    return pool
-
-
-def _dynamic_pool(states) -> list[DynamicGame]:
-    states = tuple(states)
-    first, second = states[0], states[min(1, len(states) - 1)]
-    pool = [identity_dynamic(states)]
-    pool.append(
-        DynamicGame(states, {u: game(states, leaf(first)) for u in states})
-    )
-    for owner in (Player.A, Player.B):
-        choice = node(owner, [leaf(first), leaf(second)])
-        pool.append(DynamicGame(states, {u: game(states, choice) for u in states}))
-    return pool
+    choices = [_choice(owner, outcomes) for owner in Player]
+    if not dynamic:
+        return [game(outcomes, t) for t in [*map(leaf, outcomes), *choices]]
+    everywhere = [leaf(outcomes[0]), *choices]
+    return [identity_dynamic(outcomes),
+            *(DynamicGame(outcomes, {u: game(outcomes, t) for u in outcomes}) for t in everywhere)]
 
 
 def check_equation(
@@ -629,7 +621,7 @@ def check_equation(
         kind, equiv, dynamic, seed, outcomes, max_depth, max_branch
     )
     decision = decide(lhs_t, rhs_t)
-    pool = (_dynamic_pool if dynamic else _plain_pool)(outcomes)
+    pool = _pool(outcomes, dynamic)
     tried = 0
 
     def outcome_of(values, phase):
@@ -712,8 +704,7 @@ def check_congruence(
     draw, drawn, decide = _binding_decision(
         kind, equiv, dynamic, seed, outcomes, max_depth, max_branch
     )
-    first, second = outcomes[0], outcomes[min(1, len(outcomes) - 1)]
-    choice = node(Player.B, [leaf(first), leaf(second)])
+    choice = _choice(Player.B, outcomes)
     a, b, h = Var("a"), Var("b"), Var("h")
     holes = (("left", lambda t: combine(t, h)), ("right", lambda t: combine(h, t)))
     tried = 0
@@ -722,7 +713,7 @@ def check_congruence(
         # (lhs, rhs, binding of a and b); draws happen as the pairs are read
         if dynamic:
             # one forced move or two at the first state, then back there
-            one, two = (node(Player.A, [leaf(first)] * k) for k in (1, 2))
+            one, two = (node(Player.A, [leaf(outcomes[0])] * k) for k in (1, 2))
             yield a, b, {"a": drawn(_at_first_state(outcomes, one)),
                          "b": drawn(_at_first_state(outcomes, two))}
         g = drawn(draw())

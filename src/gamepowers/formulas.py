@@ -199,9 +199,10 @@ class _Parser:
             raise self.unexpected([repr(value)])
         self.i += 1
 
-    def expression(self, at_least: int = 1):
-        """The longest expression whose binary operators bind at least this tightly."""
-        tree = self.unary()
+    def expression(self, at_least: int = 1, tree=None):
+        """The longest expression whose binary operators bind at least this
+        tightly, continuing from its first operand when that is given."""
+        tree = self.unary() if tree is None else tree
         while True:
             op = self.BINARY.get(self.peek()[1])
             if op is None or op[1] < at_least:
@@ -225,9 +226,15 @@ class _Parser:
         if val in self.OPENS:
             return self.OPENS[val](self)
         if val == "(":
-            self.i += 1
-            tree = self.expression()
-            self.expect(")")
+            # a run of parentheses adds no level, so it takes no frame a pair:
+            # each closed group is the first operand of the group around it
+            first = self.i
+            while self.peek()[1] == "(":
+                self.i += 1
+            tree = None
+            for _ in range(self.i - first):
+                tree = self.expression(1, tree)
+                self.expect(")")
             return tree
         if kind == "ident":
             self.i += 1

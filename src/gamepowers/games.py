@@ -13,7 +13,7 @@ from enum import Enum
 from itertools import chain, combinations, product
 from operator import attrgetter
 from random import Random
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 Address = tuple[int, ...]
 
@@ -607,30 +607,34 @@ def strategic_to_extensive(sg: StrategicGame) -> ExtensiveGame:
 # -- file IO --------------------------------------------------------------------
 
 
-def _read_json(path: str, error: type[ValueError]):
-    """Decode a JSON file; a decode or depth failure raises ``error``,
-    prefixed with the path."""
+def _read_json(path: str, error: type[ValueError], decode: Callable):
+    """The JSON value in a file, passed through decode; bad JSON, or an
+    ``error`` that decode raises, raises ``error`` prefixed with the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise error(f"{path}: {exc}") from exc
         except RecursionError:
             raise error(f"{path}: JSON nested too deeply") from None
+    try:
+        return decode(obj)
+    except error as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
+def _game_from_any_json(obj) -> ExtensiveGame | StrategicGame:
+    # an extensive game has a tree, a strategic one a matrix
+    if not isinstance(obj, dict):
+        raise GameFormatError("top-level JSON object expected")
+    if "tree" not in obj and "matrix" not in obj:
+        raise GameFormatError("neither 'tree' nor 'matrix' present")
+    try:
+        return (game_from_json if "tree" in obj else strategic_from_json)(obj)
+    except RecursionError:
+        raise GameFormatError("game tree nested too deeply") from None
 
 
 def load_game(path: str) -> ExtensiveGame | StrategicGame:
     """Read a game file, sniffing extensive vs strategic layout."""
-    obj = _read_json(path, GameFormatError)
-    if not isinstance(obj, dict):
-        raise GameFormatError(f"{path}: top-level JSON object expected")
-    try:
-        if "tree" in obj:
-            return game_from_json(obj)
-        if "matrix" in obj:
-            return strategic_from_json(obj)
-    except GameFormatError as exc:
-        raise GameFormatError(f"{path}: {exc}") from exc
-    except RecursionError:
-        raise GameFormatError(f"{path}: game tree nested too deeply") from None
-    raise GameFormatError(f"{path}: neither 'tree' nor 'matrix' present")
+    return _read_json(path, GameFormatError, _game_from_any_json)

@@ -161,11 +161,7 @@ class NeighborhoodModel:
 
 
 def load_model(path: str) -> NeighborhoodModel:
-    obj = _read_json(path, ModelFormatError)
-    try:
-        return NeighborhoodModel.from_json(obj)
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
+    return _read_json(path, ModelFormatError, NeighborhoodModel.from_json)
 
 
 # -- frame validation --------------------------------------------------------------

@@ -8,7 +8,9 @@ relational basic powers are the exact outcome sets of relational strategies.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain, combinations, product
+from operator import and_, or_
 from random import Random
 from typing import Any, Callable, Iterable
 
@@ -124,33 +126,39 @@ def relational_basic_powers(
     return _tree_powers(g, p, relational=True)
 
 
-def _joins(families) -> set[frozenset[str]]:
-    # every union that takes one member from each family
-    rest = iter(families)
-    acc = set(next(rest, (frozenset(),)))
-    for fam in rest:
-        acc = {a | b for a in acc for b in fam}
-    return acc
+def _join(f, g) -> set[frozenset[str]]:
+    # every union of a member of f with a member of g
+    return {a | b for a in f for b in g}
 
 
-def _nonempty_joins(families) -> set[frozenset[str]]:
-    # every union that takes one member from each of a nonempty subfamily
-    acc: set[frozenset[str]] = set()
-    for fam in families:
-        acc |= fam | {a | b for a in acc for b in fam}
-    return acc
+def _nonempty_join(f, g) -> set[frozenset[str]]:
+    # the members of f and of g, and every union of one member of each
+    return _join(f, g).union(f, g)
+
+
+# Each power kind's rules at a choice between parts, as binary operations on
+# member sets: the mover's, who picks a part (a relational mover a nonempty
+# set of them), then the other player's, who answers in every part.  Upward
+# closed plain powers join to their intersection: a | b is in each, S is S | S.
+COMBINE = {
+    "plain": (or_, and_),
+    "basic": (or_, _join),
+    "relational": (_nonempty_join, _join),
+}
 
 
 def _tree_powers(g: ExtensiveGame, p: Player, relational: bool) -> PowerFamily:
     """Exact outcome sets of p's functional or relational strategies.
 
-    A strategy's outcome set is assembled bottom-up: at the opponent's nodes
-    every child stays reachable, at p's nodes only the chosen ones.  Choices
-    at p's singleton cells are independent of each other, so each node's
-    family folds them in; p's shared cells couple nodes, so every assignment
-    to them gets its own pass.  ``enumerate_strategies`` with ``outcome_set``
-    is the definition this agrees with.
+    A strategy's outcome set is assembled bottom-up, each node combining its
+    children's families by the ``COMBINE`` rules of p's kind, p's own where p
+    moves.  Choices at p's singleton cells are independent of each other, so
+    each node's family folds them in; p's shared cells couple nodes, so every
+    assignment to them gets its own pass, joining the children it picks.
+    ``enumerate_strategies`` with ``outcome_set`` is the definition this
+    agrees with.
     """
+    mover, other = COMBINE["relational" if relational else "basic"]
     shared = [c for c in g.player_cells(p) if len(c) > 1]
     options = []
     for cell in shared:
@@ -167,13 +175,9 @@ def _tree_powers(g: ExtensiveGame, p: Player, relational: bool) -> PowerFamily:
         for w in deepest_first:
             kids = [fam[c] for c in g.children(w)]
             if w in picked:
-                fam[w] = _joins(kids[i] for i in picked[w])
-            elif g.turn[w] is not p:
-                fam[w] = _joins(kids)
-            elif relational:
-                fam[w] = _nonempty_joins(kids)
+                fam[w] = reduce(other, [kids[i] for i in picked[w]])
             else:
-                fam[w] = set().union(*kids)
+                fam[w] = reduce(mover if g.turn[w] is p else other, kids)
         out |= fam[ROOT]
     return PowerFamily(g.outcomes, out)
 
@@ -204,7 +208,8 @@ def upward_closure(f: PowerFamily) -> PowerFamily:
 
 def union_closure(f: PowerFamily) -> PowerFamily:
     """Every nonempty union of members of f."""
-    return PowerFamily(f.outcomes, _nonempty_joins({m} for m in f._index))
+    nonempty_join = COMBINE["relational"][0]
+    return PowerFamily(f.outcomes, reduce(nonempty_join, ({m} for m in f._index), set()))
 
 
 # -- Egli-Milner lifting ------------------------------------------------------------

@@ -124,11 +124,7 @@ class RepresentationInput:
 
 
 def load_representation_input(path) -> RepresentationInput:
-    data = _read_json(path, ValueError)
-    try:
-        return RepresentationInput.from_json(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _read_json(path, ValueError, RepresentationInput.from_json)
 
 
 def check_input(inp: RepresentationInput):

@@ -44,8 +44,6 @@ from gamepowers.models import (
 )
 from gamepowers.powers import (
     PowerFamily,
-    _joins,
-    _nonempty_joins,
     _subsets,
     check_conditions,
     family_conditions,
@@ -687,14 +685,41 @@ def reference_countermodel_search(f, max_worlds=5, seed=0, budget_ms=1000):
 
 # -- reference term fold ------------------------------------------------------------
 
-def _reference_composed(y_sets, closed):
-    # every Z that joins, over some nonempty Y in y_sets, a member of closed[y]
-    # for each y in Y; closed maps each state to a union-closed member set
-    return {z for ys in y_sets if ys for z in _joins(closed[y] for y in ys)}
+def joins(families) -> set:
+    """Every union that takes one member from each family."""
+    rest = iter(families)
+    acc = set(next(rest, (frozenset(),)))
+    for fam in rest:
+        acc = {a | b for a in acc for b in fam}
+    return acc
+
+
+def nonempty_joins(families) -> set:
+    """Every union that takes one member from each of a nonempty subfamily."""
+    acc = set()
+    for fam in families:
+        acc |= fam | {a | b for a in acc for b in fam}
+    return acc
 
 
 def _union(families):
     return set().union(*families)
+
+
+# each power kind's n-ary (mover, other player) rules at a choice, the
+# reference for powers.COMBINE; plain families are upward closed, where
+# joins are intersections
+REFERENCE_COMBINE = {
+    "plain": (_union, joins),
+    "basic": (_union, joins),
+    "relational": (nonempty_joins, joins),
+}
+
+
+def _reference_composed(y_sets, closed):
+    # every Z that joins, over some nonempty Y in y_sets, a member of closed[y]
+    # for each y in Y; closed maps each state to a union-closed member set
+    return {z for ys in y_sets if ys for z in joins(closed[y] for y in ys)}
 
 
 def _pairwise(op, *values):
@@ -724,8 +749,8 @@ def reference_term_powers(term, env, kind):
     if isinstance(term, Comp):
         cont = [{y: pair[i] for y, pair in right.items()} for i in (0, 1)]
         return {u: tuple(map(_reference_composed, pair, cont)) for u, pair in left.items()}
-    mover = _nonempty_joins if kind == "relational" else _union
-    ops = (mover, _joins) if isinstance(term, Plus) else (_joins, mover)
+    mover, other = REFERENCE_COMBINE[kind]
+    ops = (mover, other) if isinstance(term, Plus) else (other, mover)
     return _pairwise(
         lambda p1, p2: tuple(op(fams) for op, fams in zip(ops, zip(p1, p2))),
         left,

@@ -1,5 +1,6 @@
 """Game operations, terms, and the equation/congruence checkers."""
 
+import math
 import pytest
 from random import Random
 
@@ -41,6 +42,7 @@ from gamepowers.formulas import ParseError
 from gamepowers.games import (
     GameFormatError,
     Player,
+    enumerate_strategies,
     game,
     game_from_json,
     game_to_spec,
@@ -50,9 +52,10 @@ from gamepowers.games import (
     validate_game,
 )
 from gamepowers.powers import (
+    COMBINE,
     POWER_KINDS,
     PowerFamily,
-    _joins,
+    _join,
     basic_powers,
     random_family_pair,
     relational_basic_powers,
@@ -60,6 +63,7 @@ from gamepowers.powers import (
 )
 from helpers import (
     double_move_then_b_choice,
+    joins,
     one_then_two_or_three,
     reference_term_powers,
     single_move_then_b_choice,
@@ -414,6 +418,27 @@ def test_random_game_rejects_bad_caps():
         random_game(0, max_cost=1)
 
 
+def _cell_product(g, cells) -> int:
+    # the nonempty move sets of each cell, multiplied over the cells
+    return math.prod(2 ** g.num_children(cell[0]) - 1 for cell in cells)
+
+
+@pytest.mark.parametrize("depth, branch, max_cost", [(4, 3, 4096), (12, 2, 4096), (3, 2, 64)])
+def test_drawn_games_keep_their_relational_strategies_within_max_cost(depth, branch, max_cost):
+    rng = Random(depth * branch)
+    for _ in range(30):
+        g = random_game(rng, depth, branch, ("0", "1", "2"), max_cost=max_cost)
+        strategies = [_cell_product(g, g.player_cells(p)) for p in Player]
+        # basic and relational powers make one pass per assignment to shared cells
+        assignments = [
+            _cell_product(g, [c for c in g.player_cells(p) if len(c) > 1]) for p in Player
+        ]
+        assert sum(assignments) <= sum(strategies) <= max_cost
+        if max_cost <= 64:
+            for p, count in zip(Player, strategies):
+                assert len(enumerate_strategies(g, p, relational=True)) == count
+
+
 def test_random_dynamic_game_deterministic():
     d1 = random_dynamic_game(4, ("a", "b"))
     d2 = random_dynamic_game(4, ("a", "b"))
@@ -566,9 +591,9 @@ def _random_entry(rng, kind, outcomes, dynamic, source):
         return tuple(f._index for f in random_family_pair(rng, outcomes, kind))
 
     if dynamic:
-        pool = [g for d in algebra._dynamic_pool(outcomes) for g in d.games.values()]
+        pool = [g for d in algebra._pool(outcomes, True) for g in d.games.values()]
         return {u: pair(pool) for u in outcomes}
-    return pair(algebra._plain_pool(outcomes))
+    return pair(algebra._pool(outcomes, False))
 
 
 @settings(max_examples=300, deadline=None)
@@ -610,29 +635,34 @@ def test_meet_of_upward_closed_families_is_their_joins(drawn):
         ))._index
         for fam in masks
     ]
-    assert families[0].intersection(*families[1:]) == _joins(families)
+    assert families[0].intersection(*families[1:]) == joins(families)
 
 
 def _joins_calls(monkeypatch, *check):
+    # the binary joins that the law fold takes from its own reading of
+    # COMBINE; the powers of the bound games read the table in powers
     calls = []
 
-    def counted(families):
+    def counted(f, g):
         calls.append(None)
-        return _joins(families)
+        return _join(f, g)
 
-    monkeypatch.setattr(algebra, "_joins", counted)
+    table = {kind: tuple(counted if op is _join else op for op in ops)
+             for kind, ops in COMBINE.items()}
+    monkeypatch.setattr(algebra, "COMBINE", table)
     assert check_equation(*check)
     return len(calls)
 
 
 def test_law_checks_join_each_continuation_set_once(monkeypatch):
-    # the fold joining anew at every node made 2,361 and 2,434 calls
+    # joining each continuation set anew for every state that lists it makes
+    # 1,210 and 853 calls
     assert _joins_calls(
-        monkeypatch, "(x + y) o z", "(x o z) + (y o z)", "semi", 3, 2) == 1338
+        monkeypatch, "(x + y) o z", "(x o z) + (y o z)", "semi", 3, 2) == 773
     assert _joins_calls(
-        monkeypatch, "x o (y o z)", "(x o y) o z", "semi", 0, 2) == 1047
+        monkeypatch, "x o (y o z)", "(x o y) o z", "semi", 0, 2) == 299
     # plain powers are upward closed, so their joins are intersections
-    # (the fold that joined them made 540 and 6,336 calls)
+    # (joining them as sets instead makes 540 and 2,229 calls)
     assert _joins_calls(
         monkeypatch, "x + (y + z)", "(x + y) + z", "power", 0, 10) == 0
     assert _joins_calls(

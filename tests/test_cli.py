@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from contextlib import redirect_stdout
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gamepowers
 from gamepowers.algebra import OPERATIONS
 from gamepowers.cli import build_parser, main
 from gamepowers.equivalence import (
@@ -641,3 +645,33 @@ def test_model_without_worlds_is_an_input_error(capsys, tmp_path):
     assert_input_error(capsys, "frame", str(p), "--kind", "game")
     assert_input_error(capsys, "mc", str(p), "p")
     assert_input_error(capsys, "bisim", str(p), "w", str(p), "w", "--kind", "power")
+
+
+# seeded commands whose work iterates sets of outcome sets
+HASH_ORDER_COMMANDS = [
+    ["algebra", "(x + y) o z = (x o z) + (y o z)", "--equiv", "semi", "--seed", "3"],
+    ["congruence", "o", "--equiv", "strong", "--seed", "0"],
+    ["refute", "[A](p;p|q) -> [A](p;p)", "--seed", "1"],
+    ["axioms", "--samples", "60", "--seed", "2"],
+    ["algebra", "x o (y o z) = (x o y) o z", "--equiv", "strong", "--seed", "0"],
+]
+
+
+def test_seeded_reports_do_not_depend_on_hash_order():
+    code = (
+        "import json, sys\n"
+        "from gamepowers.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print(main(argv))\n"
+    )
+    src = os.path.dirname(os.path.dirname(gamepowers.__file__))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code, json.dumps(HASH_ORDER_COMMANDS)],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[1::2] == ["0", "1", "1", "0", "0"]

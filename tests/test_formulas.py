@@ -135,6 +135,14 @@ def test_negation_chains_nest_to_the_bound(opening, closing):
         parse_formula(opening * 201 + "p" + closing * 201)
 
 
+def test_parentheses_add_no_level():
+    # a run of parentheses is read without a parser frame per pair
+    assert parse_formula("(" * 1000 + "p" + ")" * 1000) == Atom("p")
+    assert parse_term("(" * 1000 + "x" + ")" * 1000) == Var("x")
+    assert parse_formula("(" * 1000 + "p) & q" + ")" * 999) == And(Atom("p"), Atom("q"))
+    assert parse_term("((" * 150 + "x" + ") + y)" * 150) == parse_term("x" + " + y" * 150)
+
+
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 X, Y, Z = Var("x"), Var("y"), Var("z")
 

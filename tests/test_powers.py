@@ -1,5 +1,6 @@
 """Power families, closures, lifting and the structural conditions."""
 
+from functools import reduce
 from random import Random
 
 import pytest
@@ -16,6 +17,7 @@ from gamepowers.algebra import (
 )
 from gamepowers.games import Player, game, leaf, node, strategic_to_extensive
 from gamepowers.powers import (
+    COMBINE,
     CONSISTENCY,
     DETERMINACY,
     INSTANTIATEDNESS,
@@ -36,6 +38,7 @@ from gamepowers.powers import (
     upward_closure,
 )
 from helpers import (
+    REFERENCE_COMBINE,
     EagerFamily,
     double_move_then_b_choice,
     eager_conditions,
@@ -168,6 +171,22 @@ def test_union_closure_property(ms):
     closed = union_closure(f)
     assert members(closed) == oracle_union_closure(f.members)
     assert set(f.members) <= members(closed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(COMBINE)),
+    st.lists(
+        st.sets(st.frozensets(st.sampled_from(["1", "2", "3"])), max_size=4),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_each_kinds_binary_rules_fold_to_the_reference_rules(kind, fams):
+    if kind == "plain":
+        fams = [upward_closure(PowerFamily(["1", "2", "3"], f))._index for f in fams]
+    for rule, reference in zip(COMBINE[kind], REFERENCE_COMBINE[kind]):
+        assert reduce(rule, fams) == reference(fams)
 
 
 def test_relational_equals_union_closure_of_basic_on_perfect_info():
