@@ -87,7 +87,7 @@ def op_dual(g: ExtensiveGame) -> ExtensiveGame:
 # -- dynamic games -----------------------------------------------------------------
 
 
-class DynamicGame:
+class DynamicGame(Record):
     """A total assignment of games over the state set to each state."""
 
     __slots__ = ("states", "games")
@@ -115,18 +115,8 @@ class DynamicGame:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "games", fixed)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DynamicGame is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, DynamicGame):
-            return NotImplemented
-        return set(self.states) == set(other.states) and all(
-            self.games[u] == other.games[u] for u in self.states
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.games.items()))
+    def _key(self):
+        return frozenset(self.games.items())
 
     def __repr__(self):
         return f"DynamicGame(states={list(self.states)})"
@@ -531,7 +521,7 @@ def _law_kind(equiv, samples, max_depth) -> str:
     return kind
 
 
-def _binding_decision(kind, equiv, dynamic, seed, outcomes, max_depth, max_branch):
+def _binding_decision(kind, equiv, dynamic, seed, outcomes, max_depth):
     # draw() -> a seeded random game, or dynamic game when the terms compose;
     # drawn(value) -> (value, entry) pairs a game with its entry in the env
     # that decide(lhs, rhs) -> env -> (ok, witness, trees) folds both terms
@@ -540,9 +530,9 @@ def _binding_decision(kind, equiv, dynamic, seed, outcomes, max_depth, max_branc
     rng = Random(seed)
     if dynamic:
         # dynamic bindings stay shallow so composed trees remain enumerable
-        draw = partial(random_dynamic_game, rng, outcomes, min(max_depth, 2), max_branch)
+        draw = partial(random_dynamic_game, rng, outcomes, min(max_depth, 2))
     else:
-        draw = partial(random_game, rng, max_depth, max_branch, outcomes)
+        draw = partial(random_game, rng, max_depth, outcomes=outcomes)
     trees = dynamic and equiv == STRONG
     split = EQUIVALENCES[equiv] if trees else partial(_pair_split, equiv)
     fold = cache(lambda t: partial(evaluate, t) if trees else _term_fold(t, kind, dynamic))
@@ -601,7 +591,6 @@ def check_equation(
     samples: int = 200,
     outcomes=("0", "1", "2"),
     max_depth: int = 3,
-    max_branch: int = 2,
 ) -> EquationReport:
     """Probe lhs = rhs under the chosen equivalence on seeded bindings.
 
@@ -617,9 +606,7 @@ def check_equation(
     names = sorted(term_variables(lhs_t) | term_variables(rhs_t))
     dynamic = term_uses_composition(lhs_t) or term_uses_composition(rhs_t)
     outcomes = tuple(outcomes)
-    draw, drawn, decide = _binding_decision(
-        kind, equiv, dynamic, seed, outcomes, max_depth, max_branch
-    )
+    draw, drawn, decide = _binding_decision(kind, equiv, dynamic, seed, outcomes, max_depth)
     decision = decide(lhs_t, rhs_t)
     pool = _pool(outcomes, dynamic)
     tried = 0
@@ -685,7 +672,6 @@ def check_congruence(
     samples: int = 40,
     outcomes=("x", "y"),
     max_depth: int = 3,
-    max_branch: int = 2,
 ) -> CongruenceReport:
     """Probe whether the equivalence survives the operation in context.
 
@@ -701,9 +687,7 @@ def check_congruence(
     kind = _law_kind(equiv, samples, max_depth)
     outcomes = tuple(outcomes)
     dynamic = combine is Comp
-    draw, drawn, decide = _binding_decision(
-        kind, equiv, dynamic, seed, outcomes, max_depth, max_branch
-    )
+    draw, drawn, decide = _binding_decision(kind, equiv, dynamic, seed, outcomes, max_depth)
     choice = _choice(Player.B, outcomes)
     a, b, h = Var("a"), Var("b"), Var("h")
     holes = (("left", lambda t: combine(t, h)), ("right", lambda t: combine(h, t)))

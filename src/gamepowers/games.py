@@ -27,7 +27,10 @@ class Record:
     as the tuple of their fields and print as ``Name(field=value, ...)``.
     Fields are given by position or keyword, defaults by class keyword, as
     in ``class Violation(Record, detail="")``, or a class sets them in its
-    own ``__init__`` through ``object.__setattr__``.
+    own ``__init__`` through ``object.__setattr__``, as it does a lazy cache.
+    A class whose identity is not its field tuple defines ``_key(self)``,
+    which both equality and hashing read.  Copies and pickles call the class
+    on its fields, unless it defines its own ``__reduce__``.
     """
 
     __slots__ = ()
@@ -40,15 +43,17 @@ class Record:
             values = lambda self, get=attrgetter(*names): (get(self),)
         else:
             values = lambda self: ()
+        key = vars(cls).get("_key", values)
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:
-                return values(self) == values(other)
+                return key(self) == key(other)
             return NotImplemented
 
         cls.__eq__ = __eq__
-        cls.__hash__ = lambda self: hash(values(self))
-        cls.__reduce__ = lambda self: (cls, values(self))
+        cls.__hash__ = lambda self: hash(key(self))
+        if "__reduce__" not in vars(cls):
+            cls.__reduce__ = lambda self: (cls, values(self))
         setters = [vars(cls)[name].__set__ for name in names]  # skip our __setattr__
 
         def __init__(self, *args, **kwargs):
@@ -132,7 +137,7 @@ def _is_sortable_label_list(value) -> bool:
     return True
 
 
-class ExtensiveGame:
+class ExtensiveGame(Record):
     """Immutable extensive game.
 
     The constructor stores canonical parts as given: ``outcomes`` a tuple,
@@ -161,8 +166,13 @@ class ExtensiveGame:
         object.__setattr__(self, "outcome", outcome)
         object.__setattr__(self, "cells", cells)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtensiveGame is immutable")
+    def _key(self):
+        return (self.outcomes, self.nodes, frozenset(self.turn.items()),
+                frozenset(self.outcome.items()), self.cells)
+
+    def __reduce__(self):
+        return ExtensiveGame, (
+            self.outcomes, self.nodes, self.turn, self.outcome, self.cells)
 
     def _views(self) -> tuple[dict, tuple, tuple]:
         try:
@@ -200,20 +210,6 @@ class ExtensiveGame:
         """Information cells owned by p, in canonical order."""
         p = _as_player(p)
         return tuple(c for c in self.cells if self.turn.get(c[0]) is p)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtensiveGame):
-            return NotImplemented
-        return (
-            self.outcomes == other.outcomes
-            and self.nodes == other.nodes
-            and self.turn == other.turn
-            and self.outcome == other.outcome
-            and self.cells == other.cells
-        )
-
-    def __hash__(self):
-        return hash((self.outcomes, self.nodes, frozenset(self.outcome.items())))
 
     def __repr__(self):
         return (
@@ -483,7 +479,7 @@ def joint_match(
 # -- strategic form -------------------------------------------------------------
 
 
-class StrategicGame:
+class StrategicGame(Record):
     """Finite two-player strategic game; rows belong to A, columns to B."""
 
     __slots__ = ("outcomes", "rows", "cols", "matrix")
@@ -494,27 +490,11 @@ class StrategicGame:
         object.__setattr__(self, "cols", tuple(cols))
         object.__setattr__(self, "matrix", tuple(tuple(r) for r in matrix))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StrategicGame is immutable")
-
     def row_set(self, i: int) -> frozenset[str]:
         return frozenset(self.matrix[i])
 
     def col_set(self, j: int) -> frozenset[str]:
         return frozenset(row[j] for row in self.matrix)
-
-    def __eq__(self, other):
-        if not isinstance(other, StrategicGame):
-            return NotImplemented
-        return (
-            self.outcomes == other.outcomes
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.outcomes, self.rows, self.cols, self.matrix))
 
     def __repr__(self):
         return f"StrategicGame({len(self.rows)}x{len(self.cols)})"
@@ -608,19 +588,18 @@ def strategic_to_extensive(sg: StrategicGame) -> ExtensiveGame:
 
 
 def _read_json(path: str, error: type[ValueError], decode: Callable):
-    """The JSON value in a file, passed through decode; bad JSON, or an
-    ``error`` that decode raises, raises ``error`` prefixed with the path."""
+    """The JSON value in a file, passed through decode; bad JSON, JSON nested
+    deeper than the decoder or decode can follow, or an ``error`` that decode
+    raises, raises ``error`` prefixed with the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            # up to 3.12 json.load gives out first; on 3.13 its C scanner
+            # has its own limit, and decode's recursive walk may give out
+            return decode(json.load(fh))
+        except (json.JSONDecodeError, error) as exc:
             raise error(f"{path}: {exc}") from exc
         except RecursionError:
             raise error(f"{path}: JSON nested too deeply") from None
-    try:
-        return decode(obj)
-    except error as exc:
-        raise error(f"{path}: {exc}") from exc
 
 
 def _game_from_any_json(obj) -> ExtensiveGame | StrategicGame:
@@ -629,10 +608,7 @@ def _game_from_any_json(obj) -> ExtensiveGame | StrategicGame:
         raise GameFormatError("top-level JSON object expected")
     if "tree" not in obj and "matrix" not in obj:
         raise GameFormatError("neither 'tree' nor 'matrix' present")
-    try:
-        return (game_from_json if "tree" in obj else strategic_from_json)(obj)
-    except RecursionError:
-        raise GameFormatError("game tree nested too deeply") from None
+    return (game_from_json if "tree" in obj else strategic_from_json)(obj)
 
 
 def load_game(path: str) -> ExtensiveGame | StrategicGame:

@@ -16,6 +16,7 @@ from .formulas import And, Atom, Box, Formula, Not, Top
 from .games import (
     ExtensiveGame,
     Player,
+    Record,
     _as_player,
     _is_label,
     _is_label_list,
@@ -41,7 +42,7 @@ class ModelFormatError(ValueError):
     """Raised when serialized model data cannot be decoded."""
 
 
-class NeighborhoodModel:
+class NeighborhoodModel(Record):
     """Immutable two-relation neighborhood model.
 
     A player's neighborhoods at a world form one PowerFamily over the
@@ -95,8 +96,8 @@ class NeighborhoodModel:
         object.__setattr__(self, "_neigh", neigh)
         object.__setattr__(self, "valuation", val)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NeighborhoodModel is immutable")
+    def __reduce__(self):
+        return NeighborhoodModel._from_families, (self.worlds, self._neigh, self.valuation)
 
     def neigh(self, p: Player, u: str) -> tuple[frozenset[str], ...]:
         return self._neigh[_as_player(p)][u].member_sets()
@@ -106,15 +107,6 @@ class NeighborhoodModel:
 
     def atoms(self) -> tuple[str, ...]:
         return tuple(sorted(self.valuation))
-
-    def __eq__(self, other):
-        if not isinstance(other, NeighborhoodModel):
-            return NotImplemented
-        return (
-            self.worlds == other.worlds
-            and self._neigh == other._neigh
-            and self.valuation == other.valuation
-        )
 
     def __repr__(self):
         return f"NeighborhoodModel({len(self.worlds)} worlds)"

@@ -26,7 +26,7 @@ from .games import (
 )
 
 
-class PowerFamily:
+class PowerFamily(Record):
     """An immutable family of outcome subsets.
 
     Size, membership, equality and hashing read an unordered index of the
@@ -41,8 +41,11 @@ class PowerFamily:
         object.__setattr__(self, "outcomes", tuple(outcomes))
         object.__setattr__(self, "_index", frozenset(map(frozenset, members)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PowerFamily is immutable")
+    def _key(self):
+        return frozenset(self.outcomes), self._index
+
+    def __reduce__(self):
+        return PowerFamily, (self.outcomes, self._index)
 
     def _ordered(self) -> tuple[tuple, tuple]:
         try:
@@ -69,14 +72,6 @@ class PowerFamily:
 
     def __len__(self):
         return len(self._index)
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerFamily):
-            return NotImplemented
-        return self._index == other._index and set(self.outcomes) == set(other.outcomes)
-
-    def __hash__(self):
-        return hash((frozenset(self.outcomes), self._index))
 
     def __repr__(self):
         shown = ",".join("{" + ",".join(m) + "}" for m in self.members)

@@ -51,7 +51,7 @@ class IllegalFamilies(ValueError):
         self.profile_b = profile_b
 
 
-class RepresentationInput:
+class RepresentationInput(Record):
     __slots__ = ("outcomes", "fa", "fb", "mode")
 
     def __init__(self, outcomes, fa: PowerFamily, fb: PowerFamily, mode: str = BASIC):
@@ -66,21 +66,8 @@ class RepresentationInput:
         object.__setattr__(self, "fb", fb)
         object.__setattr__(self, "mode", mode)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RepresentationInput is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, RepresentationInput):
-            return NotImplemented
-        return (
-            set(self.outcomes) == set(other.outcomes)
-            and self.fa == other.fa
-            and self.fb == other.fb
-            and self.mode == other.mode
-        )
-
-    def __hash__(self):
-        return hash((frozenset(self.outcomes), self.fa, self.fb, self.mode))
+    def _key(self):
+        return frozenset(self.outcomes), self.fa, self.fb, self.mode
 
     def __repr__(self):
         return (

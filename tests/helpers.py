@@ -815,3 +815,68 @@ RECORD_TWINS = {
         "RoundTripReport", "mode", "fa_ok", "fb_ok", "strategies_ok", "rows", "cols"
     ),
 }
+
+
+# -- the six core value classes' equality, as each class once spelled it out ----
+
+def _reference_game_equal(g1, g2) -> bool:
+    return (
+        g1.outcomes == g2.outcomes
+        and g1.nodes == g2.nodes
+        and g1.turn == g2.turn
+        and g1.outcome == g2.outcome
+        and g1.cells == g2.cells
+    )
+
+
+def _reference_strategic_equal(s1, s2) -> bool:
+    return (
+        s1.outcomes == s2.outcomes
+        and s1.rows == s2.rows
+        and s1.cols == s2.cols
+        and s1.matrix == s2.matrix
+    )
+
+
+def _reference_family_equal(f1, f2) -> bool:
+    return f1._index == f2._index and set(f1.outcomes) == set(f2.outcomes)
+
+
+def _reference_dynamic_equal(d1, d2) -> bool:
+    return set(d1.states) == set(d2.states) and all(
+        _reference_game_equal(d1.games[u], d2.games[u]) for u in d1.states
+    )
+
+
+def _reference_model_equal(m1, m2) -> bool:
+    def same_neighbourhoods(n1, n2):
+        return n1.keys() == n2.keys() and all(
+            _reference_family_equal(n1[u], n2[u]) for u in n1
+        )
+
+    return (
+        m1.worlds == m2.worlds
+        and m1._neigh.keys() == m2._neigh.keys()
+        and all(same_neighbourhoods(m1._neigh[p], m2._neigh[p]) for p in m1._neigh)
+        and m1.valuation == m2.valuation
+    )
+
+
+def _reference_input_equal(i1, i2) -> bool:
+    return (
+        set(i1.outcomes) == set(i2.outcomes)
+        and _reference_family_equal(i1.fa, i2.fa)
+        and _reference_family_equal(i1.fb, i2.fb)
+        and i1.mode == i2.mode
+    )
+
+
+# equality of two values of one class, by class name
+REFERENCE_EQUALITY = {
+    "ExtensiveGame": _reference_game_equal,
+    "StrategicGame": _reference_strategic_equal,
+    "PowerFamily": _reference_family_equal,
+    "DynamicGame": _reference_dynamic_equal,
+    "NeighborhoodModel": _reference_model_equal,
+    "RepresentationInput": _reference_input_equal,
+}

@@ -109,6 +109,21 @@ def test_search_refutes_side_strengthening():
     assert r.world not in model_check(r.model, f)
 
 
+# three pairwise disjoint A-neighbourhoods at one world, which no frame
+# under the exhaustive phase's family-size caps holds
+THREE_DISJOINT = "!([A](p; p) & [A](q; q) & ![A](p, q; true) & [A](!p & !q; true))"
+
+
+def test_random_phase_refutes_what_the_exhaustive_caps_cannot_build():
+    r = countermodel_search(THREE_DISJOINT, seed=1, budget_ms=4000)
+    assert r and r.phase == "random"
+    assert (r.world, len(r.model.worlds), r.evaluations) == ("w0", 4, 24213)
+    assert r.world not in model_check(r.model, parse_formula(THREE_DISJOINT))
+    assert validate_frame(r.model, INSTANTIAL_FRAME).all_hold
+    want = reference_countermodel_search(THREE_DISJOINT, seed=1, budget_ms=4000)
+    assert r.to_json() == want.to_json()
+
+
 def test_search_leaves_tautologies_alone():
     r = countermodel_search("p | !p", max_worlds=4, seed=1, budget_ms=100)
     assert not r

@@ -278,6 +278,10 @@ def test_refute_codes(capsys):
     code, out = run(capsys, "refute", "p | !p", "--seed", "1", "--budget", "20")
     assert code == 0
     assert json.loads(out)["found"] is False
+    three_disjoint = "!([A](p; p) & [A](q; q) & ![A](p, q; true) & [A](!p & !q; true))"
+    code, out = run(capsys, "refute", three_disjoint, "--seed", "1", "--budget", "4000")
+    assert code == 1
+    assert json.loads(out)["phase"] == "random"
 
 
 def test_algebra_rejects_a_depth_cap_past_twelve(capsys):
@@ -328,8 +332,8 @@ def assert_input_error(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
-    assert "error" in json.loads(captured.out)
     assert captured.err == ""
+    return json.loads(captured.out)["error"]
 
 
 def test_list_valued_valuation_is_an_input_error(capsys, tmp_path):
@@ -354,17 +358,47 @@ def test_unhashable_world_labels_are_input_errors(capsys, tmp_path, worlds, ra):
     assert_input_error(capsys, "frame", m, "--kind", "game")
 
 
-def test_deeply_nested_game_is_an_input_error(capsys, tmp_path):
-    depth = 3000
-    p = tmp_path / "deep.json"
-    p.write_text(
+def _chain_game(path, depth):
+    path.write_text(
         '{"outcomes": ["x"], "tree": '
         + '{"player": "A", "children": [' * depth
         + '{"outcome": "x"}'
         + "]}" * depth
         + "}"
     )
-    assert_input_error(capsys, "powers", str(p), "--player", "A", "--kind", "basic")
+    return str(path)
+
+
+def test_deeply_nested_game_is_an_input_error(capsys, tmp_path):
+    # up to Python 3.12 the decoder gives out first, since each game level
+    # nests JSON twice; on 3.13 the tree walk may, with the same report
+    p = _chain_game(tmp_path / "deep.json", 3000)
+    error = assert_input_error(capsys, "powers", p, "--player", "A", "--kind", "basic")
+    assert error.endswith("JSON nested too deeply")
+
+
+@pytest.mark.parametrize("module, decoder, argv", [
+    (gamepowers.games, "game_from_json", ("powers", "--player", "A", "--kind", "basic")),
+    (gamepowers.models.NeighborhoodModel, "from_json", ("frame", "--kind", "game")),
+    (gamepowers.representation.RepresentationInput, "from_json", ("represent",)),
+])
+def test_decoder_out_of_stack_is_an_input_error(capsys, tmp_path, monkeypatch,
+                                               module, decoder, argv):
+    # a file the JSON decoder accepts may still nest deeper than a
+    # recursive decoder can follow
+    def recurse(obj):
+        return recurse(obj)
+
+    monkeypatch.setattr(module, decoder, recurse)
+    p = _chain_game(tmp_path / "g.json", 2)
+    error = assert_input_error(capsys, argv[0], p, *argv[1:])
+    assert error == f"{p}: JSON nested too deeply"
+
+
+def test_game_nested_400_levels_is_answered(capsys, tmp_path):
+    p = _chain_game(tmp_path / "deep.json", 400)
+    code, out = run(capsys, "powers", p, "--player", "A", "--kind", "basic")
+    assert code == 0 and json.loads(out)["members"] == [["x"]]
 
 
 def test_deeply_nested_model_and_family_files_are_input_errors(capsys, tmp_path):
@@ -382,55 +416,100 @@ REPRESENT = ("represent",)
 FRAME = ("frame", "--kind", "instantial")
 
 
+OUTCOME_LABELS = "'outcomes' must be a list of labels, all strings or all numbers"
+FAMILY_LISTS = "'FA' must be a list of lists of outcomes"
+MATRIX_LISTS = "'matrix' must be a list of lists of outcome labels"
+
+
 @pytest.mark.parametrize(
-    "command, data",
+    "command, data, message",
     [
         # labels that are lists
         (POWERS, {"outcomes": [["x"]],
-                  "tree": {"player": "A", "children": [{"outcome": "x"}]}}),
+                  "tree": {"player": "A", "children": [{"outcome": "x"}]}},
+         OUTCOME_LABELS),
         (POWERS, {"outcomes": ["x"],
                   "tree": {"player": "A", "info": ["c"],
-                           "children": [{"outcome": "x"}]}}),
+                           "children": [{"outcome": "x"}]}},
+         "node at (): 'info' must be a label"),
         (POWERS, {"outcomes": ["x"], "rows": [["r"]], "cols": ["c"],
-                  "matrix": [["x"]]}),
-        (REPRESENT, {"outcomes": ["x"], "FA": [[["x"]]], "FB": [["x"]]}),
+                  "matrix": [["x"]]},
+         "'rows' must be a list of labels"),
+        (REPRESENT, {"outcomes": ["x"], "FA": [[["x"]]], "FB": [["x"]]}, FAMILY_LISTS),
         # family files whose contents are not lists of outcome lists
-        (REPRESENT, {"outcomes": "xy", "FA": [["x"]], "FB": [["x", "y"]]}),
-        (REPRESENT, {"outcomes": ["x", "y"], "FA": ["xy"], "FB": [["x", "y"]]}),
-        (REPRESENT, {"outcomes": ["x", "y"], "FA": [["z"]], "FB": [["x", "y"]]}),
+        (REPRESENT, {"outcomes": "xy", "FA": [["x"]], "FB": [["x", "y"]]},
+         OUTCOME_LABELS),
+        (REPRESENT, {"outcomes": ["x", "y"], "FA": ["xy"], "FB": [["x", "y"]]},
+         FAMILY_LISTS),
+        (REPRESENT, {"outcomes": ["x", "y"], "FA": [["z"]], "FB": [["x", "y"]]},
+         "'FA' names 'z', not an outcome"),
         # labels of mixed types, which canonical orders cannot sort
-        (REPRESENT, {"outcomes": [1, "x"], "FA": [[1, "x"]], "FB": [[1, "x"]]}),
-        (FRAME, {"worlds": [1, "a"], "RA": [[1, [1, "a"]]], "RB": [["a", ["a"]]]}),
-        (FRAME, {"worlds": ["a"], "RA": [["a", ["a", 1]]], "RB": []}),
+        (REPRESENT, {"outcomes": [1, "x"], "FA": [[1, "x"]], "FB": [[1, "x"]]},
+         OUTCOME_LABELS),
+        (FRAME, {"worlds": [1, "a"], "RA": [[1, [1, "a"]]], "RB": [["a", ["a"]]]},
+         "'worlds' must be a nonempty list of labels, all strings or all numbers"),
+        (FRAME, {"worlds": ["a"], "RA": [["a", ["a", 1]]], "RB": []},
+         "neighborhood of 'a' names 1, not a world"),
         (POWERS, {"outcomes": [1, "x"],
                   "tree": {"player": "A",
-                           "children": [{"outcome": 1}, {"outcome": "x"}]}}),
+                           "children": [{"outcome": 1}, {"outcome": "x"}]}},
+         OUTCOME_LABELS),
         # strategic matrices whose rows are not lists
         (POWERS, {"outcomes": ["a", "b"], "rows": ["r0", "r1"], "cols": ["c"],
-                  "matrix": "ab"}),
+                  "matrix": "ab"}, MATRIX_LISTS),
         (POWERS, {"outcomes": ["a", "b"], "rows": ["r0", "r1"], "cols": ["c"],
-                  "matrix": ["a", "b"]}),
+                  "matrix": ["a", "b"]}, MATRIX_LISTS),
         # an outcome alphabet that repeats a label
-        (REPRESENT, {"outcomes": ["0", "0"], "FA": [["0"]], "FB": [["0"]]}),
+        (REPRESENT, {"outcomes": ["0", "0"], "FA": [["0"]], "FB": [["0"]]},
+         "duplicate outcome labels"),
         # booleans, which sets and dicts would take for 0 and 1
         (POWERS, {"outcomes": [0, 1],
                   "tree": {"player": "A",
-                           "children": [{"outcome": False}, {"outcome": True}]}}),
-        (REPRESENT, {"outcomes": [0, 1], "FA": [[True], [False]], "FB": [[0, 1]]}),
+                           "children": [{"outcome": False}, {"outcome": True}]}},
+         "node at (0,): 'outcome' must be a label"),
+        (REPRESENT, {"outcomes": [0, 1], "FA": [[True], [False]], "FB": [[0, 1]]},
+         FAMILY_LISTS),
         # a mode that is a list, which no table of modes can hold
-        (REPRESENT, {"outcomes": ["x"], "FA": [["x"]], "FB": [["x"]], "mode": ["basic"]}),
+        (REPRESENT, {"outcomes": ["x"], "FA": [["x"]], "FB": [["x"]], "mode": ["basic"]},
+         "unknown mode ['basic']"),
+        # strategic games that break validate_strategic, or lack a part
+        (POWERS, {"outcomes": ["x"], "rows": ["r", "r"], "cols": ["c"],
+                  "matrix": [["x"], ["x"]]}, "duplicate-strategy-labels"),
+        (POWERS, {"outcomes": ["x", "x"], "rows": ["r"], "cols": ["c"],
+                  "matrix": [["x"]]}, "duplicate-outcome-labels"),
+        (POWERS, {"outcomes": ["x"], "rows": ["r0", "r1"], "cols": ["c"],
+                  "matrix": [["x"], ["x", "x"]]}, "matrix-shape"),
+        (POWERS, {"outcomes": ["x"], "matrix": [["x"]]},
+         "strategic game needs 'outcomes', 'rows', 'cols', 'matrix'"),
+        # game trees whose file or nodes have the wrong shape
+        (POWERS, [{"outcomes": ["x"]}], "top-level JSON object expected"),
+        (POWERS, {"outcomes": ["x"], "tree": {"player": "A", "children": [1]}},
+         "node at (0,): expected object, got 1"),
+        (POWERS, {"outcomes": ["x"], "tree": {"outcome": "x", "player": "A"}},
+         "node at (): leaf cannot carry player or children"),
+        # models whose relation or valuation names a world outside them
+        (FRAME, {"worlds": ["w"], "RA": [["zz", ["w"]]], "RB": []},
+         "unknown world 'zz' in relation"),
+        (FRAME, {"worlds": ["w"], "RA": [], "RB": [], "val": {"p": ["v"]}},
+         "valuation of 'p' leaves the world set"),
+        (FRAME, [{"worlds": ["w"]}], "model object with 'worlds' expected"),
+        (REPRESENT, [{"outcomes": ["x"]}], "representation input must be an object"),
     ],
     ids=["outcome-list", "info-list", "row-list", "member-label-list",
          "outcomes-string", "member-string", "unknown-outcome",
          "family-mixed-outcomes", "model-mixed-worlds", "neighborhood-mixed-world",
          "game-mixed-outcomes", "matrix-string", "matrix-row-strings",
          "family-duplicate-outcomes", "leaf-booleans", "member-booleans",
-         "mode-list"],
+         "mode-list", "strategic-duplicate-rows", "strategic-duplicate-outcomes",
+         "strategic-ragged-matrix", "strategic-without-rows", "game-top-level-list",
+         "game-child-number", "game-leaf-with-player", "model-unknown-world",
+         "model-valuation-outside", "model-top-level-list", "family-top-level-list"],
 )
-def test_malformed_files_are_input_errors(capsys, tmp_path, command, data):
+def test_malformed_files_are_input_errors(capsys, tmp_path, command, data, message):
     p = tmp_path / "input.json"
     p.write_text(json.dumps(data))
-    assert_input_error(capsys, command[0], str(p), *command[1:])
+    error = assert_input_error(capsys, command[0], str(p), *command[1:])
+    assert error == f"{p}: {message}"
 
 
 def test_numeric_labels_are_accepted(capsys, tmp_path):

@@ -138,6 +138,23 @@ def test_unknown_outcome_label_flagged():
     assert "unknown-outcome-label" in {v.rule for v in validate_game(g)}
 
 
+def test_rootless_games_and_outcomes_on_internal_nodes_flagged():
+    # no tree spec builds these: a spec always has a root, and a node with
+    # an outcome is a leaf
+    rootless = ExtensiveGame(
+        ("x",), frozenset([(0,)]), {}, {(0,): "x"}, ()
+    )
+    assert "missing-root" in {v.rule for v in validate_game(rootless)}
+    labelled = ExtensiveGame(
+        ("x",),
+        frozenset([(), (0,)]),
+        {(): Player.A},
+        {(): "x", (0,): "x"},
+        (((),),),
+    )
+    assert [str(v) for v in validate_game(labelled)] == ["outcome-on-internal at ε"]
+
+
 @pytest.mark.parametrize("outcomes,spec,rule", MALFORMED_SPECS)
 def test_game_rejects_what_validation_flags(outcomes, spec, rule):
     with pytest.raises(GameFormatError, match=rule):

@@ -1,4 +1,5 @@
-"""Record classes behave as the frozen dataclasses they replaced."""
+"""Record classes behave as the frozen dataclasses they replaced, and the six
+core value classes compare as they did when each spelled out its equality."""
 
 import copy
 import dataclasses
@@ -7,19 +8,40 @@ import os
 import pickle
 import subprocess
 import sys
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gamepowers
-from gamepowers.algebra import Comp, Dual, Plus, Times, Var
+from gamepowers.algebra import (
+    Comp,
+    Dual,
+    DynamicGame,
+    Plus,
+    Times,
+    Var,
+    op_dual,
+    random_dynamic_game,
+    random_game,
+)
 from gamepowers.axioms import SoundnessReport
 from gamepowers.equivalence import EquivalenceVerdict
 from gamepowers.formulas import TOP, And, Atom, Not
-from gamepowers.games import FunctionalStrategy, Player, RelationalStrategy
-from gamepowers.powers import ConditionCheck
-from helpers import RECORD_TWINS
+from gamepowers.games import (
+    ExtensiveGame,
+    FunctionalStrategy,
+    Player,
+    Record,
+    RelationalStrategy,
+    StrategicGame,
+    to_strategic_form,
+)
+from gamepowers.models import GAME_FRAME, INSTANTIAL_FRAME, NeighborhoodModel, random_model
+from gamepowers.powers import ConditionCheck, PowerFamily, random_family_pair
+from gamepowers.representation import RepresentationInput
+from helpers import RECORD_TWINS, REFERENCE_EQUALITY
 
 # positional arguments for one instance of each record class
 EXAMPLES = {
@@ -223,3 +245,179 @@ def test_the_command_line_imports_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# -- the six core value classes --------------------------------------------------
+
+def _game(rng: Random) -> ExtensiveGame:
+    return random_game(rng, rng.randint(1, 3), 2, ("0", "1", "2")[: rng.randint(1, 3)])
+
+
+def _shuffled(rng: Random, items) -> tuple:
+    items = list(items)
+    rng.shuffle(items)
+    return tuple(items)
+
+
+def _game_pair(rng, variant):
+    g = _game(rng)
+    if variant == "rebuilt":
+        turn, outcome = (dict(reversed(d.items())) for d in (g.turn, g.outcome))
+        return g, ExtensiveGame(g.outcomes, frozenset(g.nodes), turn, outcome, g.cells)
+    if variant == "permuted":
+        return g, ExtensiveGame(_shuffled(rng, g.outcomes), g.nodes, g.turn, g.outcome, g.cells)
+    if variant == "changed":
+        return g, op_dual(g)
+    return g, _game(rng)
+
+
+def _strategic_pair(rng, variant):
+    g, h = _game_pair(rng, variant)
+    return to_strategic_form(g), to_strategic_form(h)
+
+
+def _family(rng, outcomes) -> PowerFamily:
+    members = [[o for o in outcomes if rng.random() < 0.5] for _ in range(rng.randint(0, 3))]
+    return PowerFamily(outcomes, members)
+
+
+def _family_pair(rng, variant):
+    outcomes = ("a", "b", "c")[: rng.randint(1, 3)]
+    f = _family(rng, outcomes)
+    if variant == "rebuilt":
+        return f, PowerFamily(outcomes, _shuffled(rng, f.members))
+    if variant == "permuted":
+        return f, PowerFamily(_shuffled(rng, outcomes), f.member_sets())
+    if variant == "changed":
+        return f, PowerFamily((*outcomes, "d"), f.members)
+    return f, _family(rng, outcomes)
+
+
+def _dynamic_pair(rng, variant):
+    states = ("s0", "s1", "s2")[: rng.randint(1, 3)]
+    d = random_dynamic_game(rng, states)
+    if variant == "rebuilt":
+        return d, DynamicGame(states, dict(reversed(d.games.items())))
+    if variant == "permuted":
+        return d, DynamicGame(_shuffled(rng, states), d.games)
+    if variant == "changed":
+        u = rng.choice(states)
+        return d, DynamicGame(states, {**d.games, u: op_dual(d.games[u])})
+    return d, random_dynamic_game(rng, states)
+
+
+def _model_pair(rng, variant):
+    kind = rng.choice([GAME_FRAME, INSTANTIAL_FRAME])
+    m = random_model(rng, kind, max_worlds=3, atoms=("p",))
+    data = m.to_json()
+    if variant == "rebuilt":
+        data["RA"].reverse()
+    elif variant == "permuted":
+        data["worlds"] = list(_shuffled(rng, data["worlds"]))
+    elif variant == "changed":
+        data["val"] = {}
+    else:
+        return m, random_model(rng, kind, max_worlds=3, atoms=("p",))
+    return m, NeighborhoodModel.from_json(data)
+
+
+def _input_pair(rng, variant):
+    outcomes = ("a", "b", "c")[: rng.randint(1, 3)]
+    mode = rng.choice(["basic", "relational"])
+    inp = RepresentationInput(outcomes, *random_family_pair(rng, outcomes, mode), mode)
+    if variant == "rebuilt":
+        fa, fb = (PowerFamily(outcomes, _shuffled(rng, f.members)) for f in (inp.fa, inp.fb))
+        return inp, RepresentationInput(outcomes, fa, fb, mode)
+    if variant == "permuted":
+        shuffled = _shuffled(rng, outcomes)
+        fa, fb = (PowerFamily(shuffled, f.member_sets()) for f in (inp.fa, inp.fb))
+        return inp, RepresentationInput(shuffled, fa, fb, mode)
+    if variant == "changed":
+        return inp, RepresentationInput(outcomes, inp.fb, inp.fa, mode)
+    fa, fb = random_family_pair(rng, outcomes, mode)
+    return inp, RepresentationInput(outcomes, fa, fb, mode)
+
+
+# two values of one class from a seeded generator, after a variant: rebuilt
+# from reordered parts, over permuted outcomes or states, changed in one part,
+# or drawn independently
+PAIRS = {
+    "ExtensiveGame": _game_pair,
+    "StrategicGame": _strategic_pair,
+    "PowerFamily": _family_pair,
+    "DynamicGame": _dynamic_pair,
+    "NeighborhoodModel": _model_pair,
+    "RepresentationInput": _input_pair,
+}
+VARIANTS = ("rebuilt", "permuted", "changed", "drawn")
+CORE = [ExtensiveGame, StrategicGame, PowerFamily, DynamicGame, NeighborhoodModel,
+        RepresentationInput]
+
+
+def _core_value(cls):
+    return PAIRS[cls.__name__](Random(7), "rebuilt")[0]
+
+
+def _check_pair(name, a, b):
+    same = REFERENCE_EQUALITY[name](a, b)
+    assert same == REFERENCE_EQUALITY[name](b, a)
+    assert (a == b) is same and (b == a) is same and (a != b) is not same
+    assert a == a and not a != a
+    if name == "NeighborhoodModel":
+        for value in (a, b):
+            with pytest.raises(TypeError):
+                hash(value)
+    elif same:
+        assert hash(a) == hash(b)
+    return same
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(PAIRS)), st.integers(0, 10**6), st.sampled_from(VARIANTS))
+def test_core_equality_matches_the_reference(name, seed, variant):
+    a, b = PAIRS[name](Random(seed), variant)
+    assert type(a) is type(b)
+    _check_pair(name, a, b)
+
+
+def test_core_pairs_draw_both_verdicts_under_each_variant():
+    # families and representation inputs range over an outcome set; games,
+    # strategic games, dynamic games and models keep the order they were given
+    for name, pair in PAIRS.items():
+        verdicts = {
+            variant: {_check_pair(name, *pair(Random(seed), variant)) for seed in range(40)}
+            for variant in VARIANTS
+        }
+        assert verdicts["rebuilt"] == {True}, name
+        unordered = name in ("PowerFamily", "RepresentationInput")
+        assert verdicts["permuted"] == ({True} if unordered else {True, False}), name
+        assert False in verdicts["changed"] and False in verdicts["drawn"], name
+
+
+@pytest.mark.parametrize("cls", CORE, ids=lambda c: c.__name__)
+def test_core_values_are_immutable_records(cls):
+    value = _core_value(cls)
+    assert issubclass(cls, Record)
+    for method in ("__eq__", "__hash__", "__setattr__", "__delattr__"):
+        assert getattr(cls, method).__qualname__.startswith("Record."), method
+    for name in (*cls.__slots__, "extra"):
+        for change in (lambda: setattr(value, name, None), lambda: delattr(value, name)):
+            with pytest.raises(AttributeError) as info:
+                change()
+            assert str(info.value) == f"{cls.__name__} is immutable"
+    assert value == _core_value(cls)
+
+
+@pytest.mark.parametrize("cls", CORE, ids=lambda c: c.__name__)
+def test_core_values_copy_and_pickle(cls):
+    value = _core_value(cls)
+    for lazy in ("leaves", "members"):
+        getattr(value, lazy, None)  # fills the cache of a game or a family
+    copies = (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
+    for other in copies:
+        assert type(other) is cls and other == value and repr(other) == repr(value)
+        if cls is NeighborhoodModel:
+            with pytest.raises(TypeError):
+                hash(other)
+        else:
+            assert hash(other) == hash(value)
