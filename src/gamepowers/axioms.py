@@ -11,8 +11,8 @@ deterministic evaluation budget instead of wall-clock time.
 
 from __future__ import annotations
 
-from functools import cache, partial, reduce
-from itertools import combinations, islice, product
+from functools import partial, reduce
+from itertools import product
 from operator import or_
 from random import Random
 from types import SimpleNamespace
@@ -43,10 +43,11 @@ from .models import (
     model_check,
     random_model,
 )
-from .powers import PowerFamily, _subsets, check_conditions, family_conditions
+from .powers import _subsets, legal_pairs
 
 META_ATOMS = ("p", "q", "r")
 META_DEPTH = 2
+_SOUNDNESS_WORLDS = 5  # the most worlds a soundness sweep's model has
 
 
 def _meta(rng: Random, instantial: bool = True) -> Formula:
@@ -171,8 +172,8 @@ class SoundnessReport(Record):
         }
 
 
-def axiom_soundness_suite(seed: int, samples: int = 1000, max_worlds: int = 5) -> SoundnessReport:
-    """Cycle schema instances over seeded random valid models.
+def axiom_soundness_suite(seed: int, samples: int = 1000) -> SoundnessReport:
+    """Cycle schema instances over seeded random valid models of 1 to 5 worlds.
 
     Every instance must hold at every world of its model; any other
     outcome is recorded as a violation with the failing worlds attached.
@@ -186,7 +187,7 @@ def axiom_soundness_suite(seed: int, samples: int = 1000, max_worlds: int = 5) -
         name = ALL_SCHEMATA[i % len(ALL_SCHEMATA)]
         builder, kind = _BUILDERS[name]
         instance = builder(rng)
-        m = random_model(rng, kind, max_worlds, META_ATOMS)
+        m = random_model(rng, kind, _SOUNDNESS_WORLDS, META_ATOMS)
         counts[name] += 1
         extension = model_check(m, instance)
         if extension != frozenset(m.worlds):
@@ -209,24 +210,6 @@ EXHAUSTIVE_WORLDS = 3
 _MAX_WORLDS = 8
 # family-size caps per world count keep the frame space enumerable
 _FAMILY_CAPS = {1: 3, 2: 2, 3: 1}
-
-
-@cache
-def _legal_world_pairs(worlds: tuple[str, ...], cap: int):
-    # the table depends on the world count only, and every search reads it
-    required = family_conditions(FRAME_KINDS[INSTANTIAL_FRAME])
-    subsets = [s for s in _subsets(worlds) if s]
-    families = [
-        PowerFamily(worlds, fam)
-        for size in range(1, cap + 1)
-        for fam in combinations(subsets, size)
-    ]
-    return tuple(
-        (fa, fb)
-        for fa in families
-        for fb in families
-        if all(side.holds(*required) for side in check_conditions(fa, fb))
-    )
 
 
 def _row_box(player: Player, scope, instants):
@@ -309,7 +292,7 @@ def countermodel_search(
 
     for k in range(1, min(EXHAUSTIVE_WORLDS, max_worlds) + 1):
         worlds = tuple(f"w{i}" for i in range(k))
-        pairs = _legal_world_pairs(worlds, _FAMILY_CAPS[k])
+        pairs = legal_pairs(worlds, FRAME_KINDS[INSTANTIAL_FRAME], _FAMILY_CAPS[k])
         rows = 2 ** (k * len(names))
         # rows past the budget are never read, so none is built
         width = max(min(rows, budget - spent), 1)
@@ -336,11 +319,11 @@ def countermodel_search(
                 continue
             j = (refuted & -refuted).bit_length() - 1
             world = next(w for w in worlds if failing >> at[w] + j & 1)
-            per_atom = [[(a, combo) for combo in _subsets(worlds)] for a in names]
-            refuting = next(islice(product(*per_atom), j, None))
+            refuting = {a: [w for w in worlds if bits >> at[w] + j & 1]
+                        for a, bits in valuation.items()}
             fams = zip(*(pairs[i] for i in assignment))  # A's, then B's
             neigh = {p: dict(zip(worlds, fs)) for p, fs in zip((Player.A, Player.B), fams)}
-            m = NeighborhoodModel._from_families(worlds, neigh, dict(refuting))
+            m = NeighborhoodModel._from_families(worlds, neigh, refuting)
             return SearchResult(text, True, m, world, "exhaustive", spent + j + 1, budget)
 
     rng = Random(seed)

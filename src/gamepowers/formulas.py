@@ -33,9 +33,6 @@ class Formula(Record):
 class Atom(Formula):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
 
 class Top(Formula):
     __slots__ = ()
@@ -44,29 +41,17 @@ class Top(Formula):
 class Not(Formula):
     __slots__ = ("sub",)
 
-    def __init__(self, sub: Formula):
-        object.__setattr__(self, "sub", sub)
-
 
 class And(Formula):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 TOP = Top()
 FALSUM = Not(TOP)
 
 
-class Box(Formula):
+class Box(Formula, instants=frozenset(), scope=TOP):
     __slots__ = ("player", "instants", "scope")
-
-    def __init__(self, player: Player, instants=frozenset(), scope: Formula = TOP):
-        object.__setattr__(self, "player", player)
-        object.__setattr__(self, "instants", instants)
-        object.__setattr__(self, "scope", scope)
 
 
 def lor(a: Formula, b: Formula) -> Formula:

@@ -588,15 +588,15 @@ def strategic_to_extensive(sg: StrategicGame) -> ExtensiveGame:
 
 
 def _read_json(path: str, error: type[ValueError], decode: Callable):
-    """The JSON value in a file, passed through decode; bad JSON, JSON nested
-    deeper than the decoder or decode can follow, or an ``error`` that decode
-    raises, raises ``error`` prefixed with the path."""
+    """The JSON value in a file, passed through decode; bytes not in UTF-8,
+    bad JSON, JSON nested deeper than the decoder or decode can follow, or
+    an ``error`` that decode raises, raises ``error`` prefixed with the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             # up to 3.12 json.load gives out first; on 3.13 its C scanner
             # has its own limit, and decode's recursive walk may give out
             return decode(json.load(fh))
-        except (json.JSONDecodeError, error) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, error) as exc:
             raise error(f"{path}: {exc}") from exc
         except RecursionError:
             raise error(f"{path}: JSON nested too deeply") from None

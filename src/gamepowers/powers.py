@@ -8,7 +8,7 @@ relational basic powers are the exact outcome sets of relational strategies.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, combinations, product
 from operator import and_, or_
 from random import Random
@@ -413,6 +413,7 @@ _MODE_CONDITIONS = {
 # NonEmptiness and Consistency, and union closure Instantiatedness, as they
 # were, so a sampled pair is checked raw and closed only once it is kept
 _CLOSURES = {MONOTONICITY: upward_closure, UNION_CLOSURE: union_closure}
+_MAX_TRIES = 20000  # random_family_pair's tries for one pair
 
 
 def family_conditions(mode: str) -> tuple[str, ...]:
@@ -420,14 +421,32 @@ def family_conditions(mode: str) -> tuple[str, ...]:
     return _lookup(_MODE_CONDITIONS, mode, "mode")
 
 
+@cache
+def legal_pairs(outcomes: tuple[str, ...], kind: str, max_members: int | None = None):
+    """Every pair of families of 1 to ``max_members`` (None: any number of)
+    nonempty subsets of the outcomes that meets the kind's conditions; the
+    families run by size, then in ``combinations`` order, A's slowest."""
+    required = family_conditions(kind)
+    subsets = [s for s in _subsets(outcomes) if s]
+    largest = len(subsets) if max_members is None else max_members
+    sizes = range(1, largest + 1)
+    families = [PowerFamily(outcomes, f) for n in sizes for f in combinations(subsets, n)]
+    return tuple(
+        (fa, fb)
+        for fa in families
+        for fb in families
+        if all(side.holds(*required) for side in check_conditions(fa, fb))
+    )
+
+
 def random_family_pair(
     rng: Random,
     outcomes: Iterable[str],
     mode: str,
     max_members: int = 3,
-    max_tries: int = 20000,
 ) -> tuple[PowerFamily, PowerFamily]:
-    """Rejection-sample a pair of families meeting the mode's conditions.
+    """Rejection-sample a pair of families meeting the mode's conditions, in
+    at most 20000 tries (RuntimeError after that).
 
     Proposals are small random families of nonempty subsets.  A try is
     decided on the raw proposals, checking every required condition except
@@ -446,11 +465,11 @@ def random_family_pair(
         k = rng.randint(1, max_members)
         return PowerFamily(outcomes, [rng.choice(pool) for _ in range(k)])
 
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         fa, fb = proposal(), proposal()
         pa, pb = check_conditions(fa, fb)
         if pa.holds(*checked) and pb.holds(*checked):
             for close in closures:
                 fa, fb = close(fa), close(fb)
             return fa, fb
-    raise RuntimeError(f"no {mode} family pair found in {max_tries} tries")
+    raise RuntimeError(f"no {mode} family pair found in {_MAX_TRIES} tries")

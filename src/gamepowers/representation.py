@@ -31,6 +31,7 @@ from .powers import (
 
 BASIC = "basic"
 RELATIONAL = "relational"
+_MAX_DRAWS = 2000  # sample_legal_families' draws for one input
 
 # a strategy: (member of its player's family, outcome in it, copy index)
 Triple = tuple[frozenset, str, int]
@@ -242,23 +243,22 @@ def sample_legal_families(
     mode: str = BASIC,
     max_members: int = 3,
     max_cost: int = 20000,
-    max_tries: int = 2000,
 ) -> RepresentationInput:
     """Seeded legal family pair of bounded size.
 
     Rejection sampling: draw a condition-respecting pair, then re-draw while
-    its `construction_cost` exceeds max_cost.
+    its `construction_cost` exceeds max_cost, up to 2000 draws in all.
     """
     if o_size < 1:
         raise ValueError("o_size must be at least 1")
     rng = _seeded(seed)
     outcomes = [str(i) for i in range(o_size)]
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         fa, fb = random_family_pair(rng, outcomes, mode, max_members=max_members)
         inp = RepresentationInput(outcomes, fa, fb, mode)
         if construction_cost(inp) <= max_cost:
             return inp
     raise RuntimeError(
         f"no family pair with construction cost <= {max_cost} "
-        f"found in {max_tries} draws"
+        f"found in {_MAX_DRAWS} draws"
     )

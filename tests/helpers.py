@@ -5,13 +5,7 @@ from itertools import chain, combinations, permutations, product
 from random import Random
 
 from gamepowers.algebra import Comp, Dual, Plus, Var
-from gamepowers.axioms import (
-    _BUILDERS,
-    _FAMILY_CAPS,
-    EXHAUSTIVE_WORLDS,
-    SearchResult,
-    _legal_world_pairs,
-)
+from gamepowers.axioms import _BUILDERS, _FAMILY_CAPS, EXHAUSTIVE_WORLDS, SearchResult
 from gamepowers.formulas import (
     FALSUM,
     And,
@@ -37,6 +31,7 @@ from gamepowers.games import (
     outcome_set,
 )
 from gamepowers.models import (
+    FRAME_KINDS,
     INSTANTIAL_FRAME,
     NeighborhoodModel,
     _evaluator,
@@ -47,6 +42,7 @@ from gamepowers.powers import (
     _subsets,
     check_conditions,
     family_conditions,
+    legal_pairs,
     union_closure,
     upward_closure,
 )
@@ -655,7 +651,7 @@ def reference_countermodel_search(f, max_worlds=5, seed=0, budget_ms=1000):
     for k in range(1, min(EXHAUSTIVE_WORLDS, max_worlds) + 1):
         worlds = tuple(f"w{i}" for i in range(k))
         everywhere = frozenset(worlds)
-        pairs = _legal_world_pairs(worlds, _FAMILY_CAPS[k])
+        pairs = legal_pairs(worlds, FRAME_KINDS[INSTANTIAL_FRAME], _FAMILY_CAPS[k])
         per_atom = [[(a, combo) for combo in _subsets(worlds)] for a in names]
         for assignment in product(pairs, repeat=k):
             neigh = {

@@ -416,6 +416,14 @@ REPRESENT = ("represent",)
 FRAME = ("frame", "--kind", "instantial")
 
 
+@pytest.mark.parametrize("argv", [POWERS, FRAME, REPRESENT])
+def test_a_file_that_is_not_utf8_is_an_input_error_naming_its_path(capsys, tmp_path, argv):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b"\xff\xfe{}")
+    error = assert_input_error(capsys, argv[0], str(p), *argv[1:])
+    assert error.startswith(f"{p}: ")
+
+
 OUTCOME_LABELS = "'outcomes' must be a list of labels, all strings or all numbers"
 FAMILY_LISTS = "'FA' must be a list of lists of outcomes"
 MATRIX_LISTS = "'matrix' must be a list of lists of outcome labels"

@@ -1,5 +1,7 @@
 """Power families, closures, lifting and the structural conditions."""
 
+import hashlib
+import json
 from functools import reduce
 from random import Random
 
@@ -15,7 +17,9 @@ from gamepowers.algebra import (
     random_game,
     seq_compose,
 )
+from gamepowers.axioms import _FAMILY_CAPS
 from gamepowers.games import Player, game, leaf, node, strategic_to_extensive
+from gamepowers.models import FRAME_KINDS, INSTANTIAL_FRAME
 from gamepowers.powers import (
     COMBINE,
     CONSISTENCY,
@@ -31,6 +35,7 @@ from gamepowers.powers import (
     check_conditions,
     egli_milner,
     family_conditions,
+    legal_pairs,
     powers,
     random_family_pair,
     relational_basic_powers,
@@ -404,6 +409,39 @@ def test_lazily_ordered_families_read_like_eagerly_sorted_ones(case):
     assert (fa == fb) == (EagerFamily(outcomes, ma) == EagerFamily(outcomes, mb))
     assert fa == same and hash(fa) == hash(same)
     assert len({fa, fb, same}) == (1 if fa == fb else 2)
+
+
+# -- legal pairs --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, counts", [
+    ("plain", [1, 9, 129]),
+    ("basic", [1, 13, 845]),
+    ("relational", [1, 11, 384]),
+])
+def test_legal_pairs_of_each_kind_on_up_to_three_outcomes(kind, counts):
+    for n, count in zip((1, 2, 3), counts):
+        outcomes = tuple("abc"[:n])
+        pairs = legal_pairs(outcomes, kind)
+        assert len(pairs) == len(set(pairs)) == count
+        # a cap keeps the uncapped order, and 0 members is a cap, not None
+        for cap in (0, 1, 2):
+            capped = tuple(p for p in pairs if max(map(len, p)) <= cap)
+            assert legal_pairs(outcomes, kind, cap) == capped
+
+
+def test_the_searchs_frame_tables_are_unchanged():
+    # countermodel_search reads these three tables; their order fixes the
+    # order of its frames, so every search digest rests on this one
+    kind = FRAME_KINDS[INSTANTIAL_FRAME]
+    tables = [
+        legal_pairs(tuple(f"w{i}" for i in range(k)), kind, _FAMILY_CAPS[k])
+        for k in (1, 2, 3)
+    ]
+    assert [len(t) for t in tables] == [1, 11, 7]
+    members = [[[fa.to_json()["members"], fb.to_json()["members"]] for fa, fb in t] for t in tables]
+    digest = hashlib.sha256(json.dumps(members).encode()).hexdigest()
+    assert digest.startswith("460e9144e54228fa")
 
 
 # -- rejection sampling ------------------------------------------------------------

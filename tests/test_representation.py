@@ -14,6 +14,7 @@ from gamepowers.powers import (
     basic_powers,
     check_conditions,
     family_conditions,
+    legal_pairs,
 )
 from gamepowers.equivalence import strongly_equivalent
 from gamepowers.representation import (
@@ -31,7 +32,6 @@ from helpers import (
     choice_map_game,
     claim_witness,
     oracle_union_closure,
-    subsets,
     two_or_three_after_one,
 )
 
@@ -43,20 +43,10 @@ def two_singletons_vs_pair():
     return RepresentationInput(outcomes, fa, fb)
 
 
-def legal_pairs(n: int, mode: str):
+def legal_inputs(n: int, mode: str):
     """Every legal pair of the mode's families over n outcomes."""
     outcomes = tuple("abc"[:n])
-    families = [
-        PowerFamily(outcomes, f)
-        for f in subsets(s for s in subsets(outcomes) if s)
-        if f
-    ]
-    required = family_conditions(mode)
-    for fa in families:
-        for fb in families:
-            pa, pb = check_conditions(fa, fb)
-            if pa.holds(*required) and pb.holds(*required):
-                yield RepresentationInput(outcomes, fa, fb, mode)
+    return [RepresentationInput(outcomes, fa, fb, mode) for fa, fb in legal_pairs(outcomes, mode)]
 
 
 def test_two_outcome_example_shape():
@@ -109,7 +99,7 @@ def test_realizes_families_of_a_known_game():
 def test_direct_matrix_realizes_every_small_legal_pair(mode):
     counts = []
     for n in (1, 2, 3):
-        pairs = list(legal_pairs(n, mode))
+        pairs = legal_inputs(n, mode)
         counts.append(len(pairs))
         for inp in pairs:
             sg = construct_game(inp)
@@ -125,7 +115,7 @@ def test_direct_matrix_realizes_every_small_legal_pair(mode):
 @pytest.mark.parametrize("mode", ["basic", "relational"])
 def test_direct_matrix_agrees_with_the_choice_map_reference(mode):
     kind = POWER_KINDS[mode]
-    inputs = [inp for n in (1, 2, 3) for inp in legal_pairs(n, mode)]
+    inputs = [inp for n in (1, 2, 3) for inp in legal_inputs(n, mode)]
     inputs += [sample_legal_families(4, s, mode, max_cost=2000) for s in range(20)]
     compared = 0
     for inp in inputs:
