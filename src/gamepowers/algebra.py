@@ -512,12 +512,11 @@ def _values_equivalent(split, v1, v2):
     return bool(verdict), verdict.witness
 
 
-def _law_kind(equiv, samples, max_depth) -> str:
+def _law_kind(equiv, samples) -> str:
     # the power kind a law check under equiv reads, once its settings pass
     kind = _lookup(POWER_EQUIVALENCES, equiv, "equivalence")
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
-    _check_depth(max_depth)
     return kind
 
 
@@ -602,7 +601,8 @@ def check_equation(
     evaluates the terms as trees.  A counterexample reports its games.
     """
     lhs_t, rhs_t = _as_term(lhs), _as_term(rhs)
-    kind = _law_kind(equiv, samples, max_depth)
+    kind = _law_kind(equiv, samples)
+    _check_depth(max_depth)
     names = sorted(term_variables(lhs_t) | term_variables(rhs_t))
     dynamic = term_uses_composition(lhs_t) or term_uses_composition(rhs_t)
     outcomes = tuple(outcomes)
@@ -670,8 +670,6 @@ def check_congruence(
     equiv: str = "strong",
     seed: int = 0,
     samples: int = 40,
-    outcomes=("x", "y"),
-    max_depth: int = 3,
 ) -> CongruenceReport:
     """Probe whether the equivalence survives the operation in context.
 
@@ -681,13 +679,15 @@ def check_congruence(
     decided as check_equation decides bindings; only a reported
     counterexample evaluates its pair and contexts as games.  For
     composition the candidate list includes the pair of factors whose
-    one-move difference a branching continuation amplifies.
+    one-move difference a branching continuation amplifies.  Games are
+    drawn on the outcomes x and y at depth at most 3, and dynamic games on
+    the states x and y at depth at most 2.
     """
     combine, _ = _lookup(OPERATIONS, op, "operation")
-    kind = _law_kind(equiv, samples, max_depth)
-    outcomes = tuple(outcomes)
+    kind = _law_kind(equiv, samples)
+    outcomes, depth = ("x", "y"), 3
     dynamic = combine is Comp
-    draw, drawn, decide = _binding_decision(kind, equiv, dynamic, seed, outcomes, max_depth)
+    draw, drawn, decide = _binding_decision(kind, equiv, dynamic, seed, outcomes, depth)
     choice = _choice(Player.B, outcomes)
     a, b, h = Var("a"), Var("b"), Var("h")
     holes = (("left", lambda t: combine(t, h)), ("right", lambda t: combine(h, t)))

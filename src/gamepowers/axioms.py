@@ -139,10 +139,6 @@ _BUILDERS = {
     "plain-consistency": (partial(_consistency, instantial=False), GAME_FRAME),
 }
 ALL_SCHEMATA = tuple(_BUILDERS)
-INSTANTIAL_SCHEMATA, PLAIN_SCHEMATA = (
-    tuple(name for name, (_, on) in _BUILDERS.items() if on == kind)
-    for kind in (INSTANTIAL_FRAME, GAME_FRAME)
-)
 
 
 def schema_instance(name: str, seed: int | Random) -> Formula:

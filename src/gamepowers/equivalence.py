@@ -11,18 +11,17 @@ The strategic form and both model bisimulations are greatest fixpoints,
 computed by partition refinement: the coarsest partition of both games' rows
 and columns, or of both models' worlds, in which keys sharing a block read
 the same over the blocks.  The power equivalences compare the two families
-of each player directly, and ``powers.egli_milner`` remains the lift of a
-relation on outcomes for ``strategy_bisimulation_check``.
+of each player directly.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Any, Iterable
+from typing import Any
 
 from .games import Player, Record, StrategicGame, to_strategic_form
 from .models import GAME_FRAME, INSTANTIAL_FRAME, NeighborhoodModel, validate_frame
-from .powers import POWER_KINDS, basic_powers, egli_milner, upward_closure
+from .powers import POWER_KINDS, basic_powers, upward_closure
 
 POWER = "power"
 STRONG = "strong"
@@ -171,32 +170,6 @@ EQUIVALENCES = {
     SEMI: semi_strongly_equivalent,
     STRATEGIC: strategic_form_equivalent,
 }
-
-
-def strategy_bisimulation_check(
-    g1, g2, r: Iterable[tuple[str, str]]
-) -> EquivalenceVerdict:
-    """Lift relation r on outcomes to basic power families of both players.
-
-    Every basic power of either game must stand in the Egli-Milner lift of
-    r to some basic power of the other game, per player.
-    """
-    pairs = set(r)
-    flipped = {(b, a) for a, b in pairs}
-    for p in (Player.A, Player.B):
-        f1, f2 = basic_powers(g1, p), basic_powers(g2, p)
-        for side, relation, here, there in (
-            ("first", pairs, f1, f2),
-            ("second", flipped, f2, f1),
-        ):
-            for z in here:
-                if not any(egli_milner(relation, z, w) for w in there):
-                    return EquivalenceVerdict(
-                        "strategy-bisimulation",
-                        False,
-                        {"player": p.value, "member": sorted(z), "side": side},
-                    )
-    return EquivalenceVerdict("strategy-bisimulation", True)
 
 
 # -- model bisimulations ----------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 from itertools import chain, combinations, product
+from math import isfinite
 from operator import attrgetter
 from random import Random
 from typing import Any, Callable, Iterable, Mapping
@@ -381,10 +382,6 @@ def validate_game(g: ExtensiveGame) -> list[Violation]:
     return out
 
 
-def is_perfect_information(g: ExtensiveGame) -> bool:
-    return all(len(c) == 1 for c in g.cells)
-
-
 # -- strategies ----------------------------------------------------------------
 
 
@@ -570,32 +567,25 @@ def to_strategic_form(g: ExtensiveGame) -> StrategicGame:
     return StrategicGame(g.outcomes, rows, cols, matrix)
 
 
-def strategic_to_extensive(sg: StrategicGame) -> ExtensiveGame:
-    """Canonical one-shot realization: A moves first, B moves unaware.
-
-    The root is a singleton cell for A; all of B's nodes share one cell, so
-    B's functional strategies correspond exactly to columns.
-    """
-    kids = [
-        node(Player.B, [leaf(sg.matrix[i][j]) for j in range(len(sg.cols))],
-             info="bcell")
-        for i in range(len(sg.rows))
-    ]
-    return game(sg.outcomes, node(Player.A, kids))
-
-
 # -- file IO --------------------------------------------------------------------
 
 
 def _read_json(path: str, error: type[ValueError], decode: Callable):
     """The JSON value in a file, passed through decode; bytes not in UTF-8,
-    bad JSON, JSON nested deeper than the decoder or decode can follow, or
-    an ``error`` that decode raises, raises ``error`` prefixed with the path."""
+    bad JSON, a number that is not finite (NaN, Infinity, 1e400), JSON
+    nested deeper than the decoder or decode can follow, or an ``error``
+    that decode raises, raises ``error`` prefixed with the path."""
+
+    def finite(literal):
+        if not isfinite(number := float(literal)):
+            raise error(f"{literal} is not a finite number")
+        return number
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             # up to 3.12 json.load gives out first; on 3.13 its C scanner
             # has its own limit, and decode's recursive walk may give out
-            return decode(json.load(fh))
+            return decode(json.load(fh, parse_float=finite, parse_constant=finite))
         except (UnicodeDecodeError, json.JSONDecodeError, error) as exc:
             raise error(f"{path}: {exc}") from exc
         except RecursionError:

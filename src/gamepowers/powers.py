@@ -12,7 +12,7 @@ from functools import cache, reduce
 from itertools import chain, combinations, product
 from operator import and_, or_
 from random import Random
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 from .games import (
     ROOT,
@@ -207,17 +207,6 @@ def union_closure(f: PowerFamily) -> PowerFamily:
     return PowerFamily(f.outcomes, reduce(nonempty_join, ({m} for m in f._index), set()))
 
 
-# -- Egli-Milner lifting ------------------------------------------------------------
-
-
-def egli_milner(
-    r: Iterable[tuple[Any, Any]], z1: Iterable[Any], z2: Iterable[Any]
-) -> bool:
-    """Lift relation r to sets: z1 and z2 must cover each other through r."""
-    r, z1, z2 = set(r), set(z1), set(z2)
-    return {x for x, y in r if y in z2} >= z1 and {y for x, y in r if x in z1} >= z2
-
-
 # -- condition checking ----------------------------------------------------------
 
 
@@ -252,9 +241,6 @@ class ConditionProfile:
             witness = None if ok else self._table[name][1](*self._args)
             check = self._checks[name] = ConditionCheck(name, ok, witness)
         return check
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._table
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._table)

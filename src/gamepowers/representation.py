@@ -241,10 +241,9 @@ def sample_legal_families(
     o_size: int,
     seed,
     mode: str = BASIC,
-    max_members: int = 3,
     max_cost: int = 20000,
 ) -> RepresentationInput:
-    """Seeded legal family pair of bounded size.
+    """Seeded legal family pair, each family proposed with 1 to 3 members.
 
     Rejection sampling: draw a condition-respecting pair, then re-draw while
     its `construction_cost` exceeds max_cost, up to 2000 draws in all.
@@ -254,7 +253,7 @@ def sample_legal_families(
     rng = _seeded(seed)
     outcomes = [str(i) for i in range(o_size)]
     for _ in range(_MAX_DRAWS):
-        fa, fb = random_family_pair(rng, outcomes, mode, max_members=max_members)
+        fa, fb = random_family_pair(rng, outcomes, mode)
         inp = RepresentationInput(outcomes, fa, fb, mode)
         if construction_cost(inp) <= max_cost:
             return inp

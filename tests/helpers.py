@@ -6,6 +6,7 @@ from random import Random
 
 from gamepowers.algebra import Comp, Dual, Plus, Var
 from gamepowers.axioms import _BUILDERS, _FAMILY_CAPS, EXHAUSTIVE_WORLDS, SearchResult
+from gamepowers.equivalence import EquivalenceVerdict
 from gamepowers.formulas import (
     FALSUM,
     And,
@@ -40,6 +41,7 @@ from gamepowers.models import (
 from gamepowers.powers import (
     PowerFamily,
     _subsets,
+    basic_powers,
     check_conditions,
     family_conditions,
     legal_pairs,
@@ -169,6 +171,24 @@ def strategic_isomorphic(sg1, sg2) -> bool:
             if shuffled == target:
                 return True
     return False
+
+
+def is_perfect_information(g: ExtensiveGame) -> bool:
+    return all(len(c) == 1 for c in g.cells)
+
+
+def strategic_to_extensive(sg: StrategicGame) -> ExtensiveGame:
+    """Canonical one-shot realization: A moves first, B moves unaware.
+
+    The root is a singleton cell for A; all of B's nodes share one cell, so
+    B's functional strategies correspond exactly to columns.
+    """
+    kids = [
+        node(Player.B, [leaf(sg.matrix[i][j]) for j in range(len(sg.cols))],
+             info="bcell")
+        for i in range(len(sg.rows))
+    ]
+    return game(sg.outcomes, node(Player.A, kids))
 
 
 # -- oracles -----------------------------------------------------------------
@@ -316,6 +336,30 @@ def reference_bisimulation(
                 rel.discard((u1, u2))
                 changed = True
     return rel
+
+
+def strategy_bisimulation_check(g1, g2, r) -> EquivalenceVerdict:
+    """Lift relation r on outcomes to basic power families of both players.
+
+    Every basic power of either game must stand in the Egli-Milner lift of
+    r to some basic power of the other game, per player.
+    """
+    pairs = set(r)
+    flipped = {(b, a) for a, b in pairs}
+    for p in (Player.A, Player.B):
+        f1, f2 = basic_powers(g1, p), basic_powers(g2, p)
+        for side, relation, here, there in (
+            ("first", pairs, f1, f2),
+            ("second", flipped, f2, f1),
+        ):
+            for z in here:
+                if not any(_lift(relation, z, w) for w in there):
+                    return EquivalenceVerdict(
+                        "strategy-bisimulation",
+                        False,
+                        {"player": p.value, "member": sorted(z), "side": side},
+                    )
+    return EquivalenceVerdict("strategy-bisimulation", True)
 
 
 def renamed_model(m: NeighborhoodModel) -> tuple[NeighborhoodModel, dict]:

@@ -46,7 +46,6 @@ from gamepowers.games import (
     game,
     game_from_json,
     game_to_spec,
-    is_perfect_information,
     leaf,
     node,
     validate_game,
@@ -63,6 +62,7 @@ from gamepowers.powers import (
 )
 from helpers import (
     double_move_then_b_choice,
+    is_perfect_information,
     joins,
     one_then_two_or_three,
     reference_term_powers,
@@ -524,8 +524,6 @@ def test_depth_caps_are_checked_before_the_pool(max_depth):
         with pytest.raises(ValueError, match="max_depth"):
             check_equation(lhs, rhs, "strong", seed=1, samples=0,
                            outcomes=("0", "1"), max_depth=max_depth)
-    with pytest.raises(ValueError, match="max_depth"):
-        check_congruence("+", "strong", seed=0, samples=0, max_depth=max_depth)
 
 
 # -- the power domain against the tree oracle ----------------------------------
@@ -753,7 +751,3 @@ def test_law_settings_are_checked_before_the_outcomes_are_read():
     # a bad equivalence is reported even when the outcomes are unusable too
     with pytest.raises(ValueError, match="unknown equivalence 'weak'"):
         check_equation("x", "x", "weak", seed=0, outcomes=5)
-    with pytest.raises(ValueError, match="unknown equivalence 'weak'"):
-        check_congruence("+", "weak", seed=0, outcomes=5)
-    with pytest.raises(ValueError, match="samples must be at least 0"):
-        check_congruence("o", "semi", seed=0, samples=-1, outcomes=5)

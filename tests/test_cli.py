@@ -328,6 +328,16 @@ def test_choices_are_the_keys_of_the_library_tables():
         assert sorted(choices) == sorted(table), (command, dest)
 
 
+def _not_json(literal):
+    raise ValueError(f"{literal} is not JSON")
+
+
+def strict_json(text):
+    """The value of a JSON text, refusing the NaN and Infinity that
+    json.loads accepts by default."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def assert_input_error(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -520,6 +530,27 @@ def test_malformed_files_are_input_errors(capsys, tmp_path, command, data, messa
     assert error == f"{p}: {message}"
 
 
+@pytest.mark.parametrize(
+    "command, text, literal",
+    [
+        (POWERS, '{"outcomes": [NaN], "tree": {"outcome": NaN}}', "NaN"),
+        (POWERS, '{"outcomes": [1e400], "rows": ["r"], "cols": ["c"], '
+                 '"matrix": [[1e400]]}', "1e400"),
+        (FRAME, '{"worlds": [Infinity], "RA": [[Infinity, [Infinity]]], '
+                '"RB": [[Infinity, [Infinity]]]}', "Infinity"),
+        (REPRESENT, '{"outcomes": [-Infinity], "FA": [[-Infinity]], '
+                    '"FB": [[-Infinity]]}', "-Infinity"),
+    ],
+    ids=["game", "strategic-game", "model", "families"],
+)
+def test_non_finite_numbers_are_input_errors(capsys, tmp_path, command, text, literal):
+    # printed back, such a label would make the report invalid JSON
+    p = tmp_path / "input.json"
+    p.write_text(text)
+    error = assert_input_error(capsys, command[0], str(p), *command[1:])
+    assert error == f"{p}: {literal} is not a finite number"
+
+
 def test_numeric_labels_are_accepted(capsys, tmp_path):
     g = tmp_path / "g.json"
     g.write_text(json.dumps({"outcomes": [2, 1], "tree": {
@@ -588,6 +619,18 @@ def test_long_strong_composition_chain_is_an_input_error(capsys):
                        "--samples", "2")
 
 
+def test_the_module_runs_as_a_script():
+    src = os.path.dirname(os.path.dirname(gamepowers.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "gamepowers.cli", "refute", "[A]p -> p", "--seed", "1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    assert strict_json(lines[0])["found"] is True
+
+
 def test_usage_errors(capsys):
     assert main(["nonsense"]) == 2
     assert main([]) == 2
@@ -603,7 +646,8 @@ def test_pretty_reindents_without_changing_content(capsys, game_files):
 
 # -- malformed input, fuzzed --------------------------------------------------
 
-LABELS = st.sampled_from(["x", "y", "u", "v", "A", "", 0, 1, True, None, 1.5])
+LABELS = st.sampled_from(["x", "y", "u", "v", "A", "", 0, 1, True, None, 1.5,
+                          float("nan"), float("inf")])
 KEYS = ("outcomes", "tree", "player", "children", "outcome", "info", "rows",
         "cols", "matrix", "worlds", "RA", "RB", "val", "FA", "FB", "mode")
 JSON = st.recursive(
@@ -723,7 +767,7 @@ def test_fuzzed_input_ends_in_one_json_report(tmp_path_factory, drawn):
     assert code in (0, 1, 2)
     lines = out.getvalue().splitlines()
     assert len(lines) == 1
-    json.loads(lines[0])
+    strict_json(lines[0])
 
 
 def test_model_without_worlds_is_an_input_error(capsys, tmp_path):

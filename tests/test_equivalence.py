@@ -20,7 +20,6 @@ from gamepowers.equivalence import (
     power_equivalent,
     semi_strongly_equivalent,
     strategic_form_equivalent,
-    strategy_bisimulation_check,
     strongly_equivalent,
 )
 from gamepowers.algebra import op_dual, op_plus, op_times, random_game
@@ -41,6 +40,7 @@ from helpers import (
     reference_bisimulation,
     renamed_model,
     single_move_then_b_choice,
+    strategy_bisimulation_check,
     two_or_three_after_one,
     zero_one_matrix_2x3,
     zero_one_matrix_3x3,

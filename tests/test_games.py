@@ -18,14 +18,12 @@ from gamepowers.games import (
     game_from_json,
     game_to_json,
     guided_matches,
-    is_perfect_information,
     joint_match,
     leaf,
     load_game,
     node,
     outcome_set,
     strategic_from_json,
-    strategic_to_extensive,
     strategic_to_json,
     to_strategic_form,
     validate_game,
@@ -33,9 +31,11 @@ from gamepowers.games import (
 from helpers import (
     check_strategy,
     double_move_then_b_choice,
+    is_perfect_information,
     one_then_two_or_three,
     single_move_then_b_choice,
     strategic_isomorphic,
+    strategic_to_extensive,
     two_or_three_after_one,
     zero_one_matrix_2x3,
 )

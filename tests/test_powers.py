@@ -18,7 +18,7 @@ from gamepowers.algebra import (
     seq_compose,
 )
 from gamepowers.axioms import _FAMILY_CAPS
-from gamepowers.games import Player, game, leaf, node, strategic_to_extensive
+from gamepowers.games import Player, game, leaf, node
 from gamepowers.models import FRAME_KINDS, INSTANTIAL_FRAME
 from gamepowers.powers import (
     COMBINE,
@@ -33,7 +33,6 @@ from gamepowers.powers import (
     _CLOSURES,
     basic_powers,
     check_conditions,
-    egli_milner,
     family_conditions,
     legal_pairs,
     powers,
@@ -45,6 +44,7 @@ from gamepowers.powers import (
 from helpers import (
     REFERENCE_COMBINE,
     EagerFamily,
+    _lift,
     double_move_then_b_choice,
     eager_conditions,
     family,
@@ -55,6 +55,7 @@ from helpers import (
     oracle_union_closure,
     reference_family_pair,
     single_move_then_b_choice,
+    strategic_to_extensive,
     subsets,
     two_or_three_after_one,
     zero_one_matrix_2x3,
@@ -260,12 +261,12 @@ def test_tree_powers_match_strategy_enumeration(kind, seed, perfect_info):
 
 def test_egli_milner():
     r = [("1", "1"), ("2", "2")]
-    assert egli_milner(r, {"1", "2"}, {"1", "2"})
-    assert not egli_milner(r, {"1"}, {"1", "2"})
-    assert not egli_milner(r, {"1", "2"}, {"1"})
-    assert egli_milner([("1", "2")], {"1"}, {"2"})
-    assert not egli_milner([], {"1"}, {"2"})
-    assert egli_milner([], set(), set())
+    assert _lift(r, {"1", "2"}, {"1", "2"})
+    assert not _lift(r, {"1"}, {"1", "2"})
+    assert not _lift(r, {"1", "2"}, {"1"})
+    assert _lift([("1", "2")], {"1"}, {"2"})
+    assert not _lift([], {"1"}, {"2"})
+    assert _lift([], set(), set())
 
 
 def test_condition_profiles_on_basic_families():
