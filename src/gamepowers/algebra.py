@@ -21,7 +21,7 @@ from operator import itemgetter
 from random import Random
 from typing import Mapping, Union
 
-from .equivalence import EQUIVALENCES, POWER_EQUIVALENCES, STRONG, _pair_split
+from .equivalence import POWER_EQUIVALENCES, STRONG, _pair_difference
 from .formulas import MAX_NESTING, ParseError, _nesting, _Parser, _walk
 from .games import (
     ROOT,
@@ -498,18 +498,15 @@ def random_dynamic_game(
 
 # -- law checking ------------------------------------------------------------------
 
-def _values_equivalent(split, v1, v2):
-    # split two games or two power pairs, statewise for dynamic values
-    if isinstance(v1, DynamicGame):
-        v1, v2 = v1.games, v2.games
-    if isinstance(v1, dict):
-        for u in v1:
-            verdict = split(v1[u], v2[u])
-            if not verdict:
-                return False, {"state": u, **(verdict.witness or {})}
-        return True, None
-    verdict = split(v1, v2)
-    return bool(verdict), verdict.witness
+def _values_equivalent(v1, v2):
+    # compare two power pairs, statewise for dynamic values
+    if not isinstance(v1, dict):
+        witness = _pair_difference(v1, v2)
+        return witness is None, witness
+    for u in v1:
+        if witness := _pair_difference(v1[u], v2[u]):
+            return False, {"state": u, **witness}
+    return True, None
 
 
 def _law_kind(equiv, samples) -> str:
@@ -533,17 +530,18 @@ def _binding_decision(kind, equiv, dynamic, seed, outcomes, max_depth):
     else:
         draw = partial(random_game, rng, max_depth, outcomes=outcomes)
     trees = dynamic and equiv == STRONG
-    split = EQUIVALENCES[equiv] if trees else partial(_pair_split, equiv)
+    powers = partial(_value_powers, POWER_KINDS[kind])
     fold = cache(lambda t: partial(evaluate, t) if trees else _term_fold(t, kind, dynamic))
 
     def drawn(v):
-        return v, v if trees else _value_powers(POWER_KINDS[kind], v)
+        return v, v if trees else powers(v)
 
     def decide(lhs, rhs):
         f1, f2 = fold(lhs), fold(rhs)
         def on(env):
             v1, v2 = f1(env), f2(env)
-            return (*_values_equivalent(split, v1, v2), (v1, v2) if trees else None)
+            p1, p2 = (powers(v1), powers(v2)) if trees else (v1, v2)
+            return (*_values_equivalent(p1, p2), (v1, v2) if trees else None)
         return on
 
     return draw, drawn, decide
@@ -608,34 +606,22 @@ def check_equation(
     outcomes = tuple(outcomes)
     draw, drawn, decide = _binding_decision(kind, equiv, dynamic, seed, outcomes, max_depth)
     decision = decide(lhs_t, rhs_t)
-    pool = _pool(outcomes, dynamic)
-    tried = 0
-
-    def outcome_of(values, phase):
+    pool = itertools.product(map(drawn, _pool(outcomes, dynamic)), repeat=len(names))
+    bindings = itertools.chain(
+        (("pool", values) for values in itertools.islice(pool, 2048)),
+        (("random", [drawn(draw()) for _ in names]) for _ in range(samples)),
+    )
+    counter, tried = None, 0
+    for tried, (phase, values) in enumerate(bindings, 1):
         # each value comes with its entry in the environment that fold reads
-        nonlocal tried
-        tried += 1
-        env = {name: entry for name, (_, entry) in zip(names, values)}
-        ok, witness, _ = decision(env)
-        if ok:
-            return None
-        return {
-            "phase": phase,
-            "witness": witness,
-            "binding": {name: _value_json(v) for name, (v, _) in zip(names, values)},
-        }
-
-    counter = None
-    assignments = itertools.product(map(drawn, pool), repeat=len(names))
-    for values in itertools.islice(assignments, 2048):
-        counter = outcome_of(values, "pool")
-        if counter:
+        ok, witness, _ = decision({name: entry for name, (_, entry) in zip(names, values)})
+        if not ok:
+            counter = {
+                "phase": phase,
+                "witness": witness,
+                "binding": {name: _value_json(v) for name, (v, _) in zip(names, values)},
+            }
             break
-    if counter is None:
-        for _ in range(samples):
-            counter = outcome_of([drawn(draw()) for _ in names], "random")
-            if counter:
-                break
     return EquationReport(
         lhs=format_term(lhs_t),
         rhs=format_term(rhs_t),
@@ -691,7 +677,6 @@ def check_congruence(
     choice = _choice(Player.B, outcomes)
     a, b, h = Var("a"), Var("b"), Var("h")
     holes = (("left", lambda t: combine(t, h)), ("right", lambda t: combine(h, t)))
-    tried = 0
 
     def candidate_pairs():
         # (lhs, rhs, binding of a and b); draws happen as the pairs are read
@@ -724,28 +709,28 @@ def check_congruence(
     def entries(binding):
         return {name: entry for name, (_, entry) in binding.items()}
 
-    def first_counterexample():
-        nonlocal tried
+    def cases():
+        # (pair, context, values) for each context of each accepted pair, drawn as read
         for _ in range(samples):
             for lhs, rhs, binding in candidate_pairs():
-                if not decide(lhs, rhs)(entries(binding))[0]:
-                    continue
-                for side, fill, partner in contexts():
-                    values = {**binding, "h": partner} if partner else binding
-                    tried += 1
-                    ok, witness, trees = decide(fill(lhs), fill(rhs))(entries(values))
-                    if not ok:
-                        games = {name: v for name, (v, _) in values.items()}
-                        composed = trees or [evaluate(fill(t), games) for t in (lhs, rhs)]
-                        return {
-                            "pair": [_value_json(evaluate(t, games)) for t in (lhs, rhs)],
-                            "context": side,
-                            "composed": list(map(_value_json, composed)),
-                            "witness": witness,
-                        }
-        return None
+                if decide(lhs, rhs)(entries(binding))[0]:
+                    for side, fill, partner in contexts():
+                        values = {**binding, "h": partner} if partner else binding
+                        yield (lhs, rhs), (side, fill), values
 
-    counter = first_counterexample()
+    counter, tried = None, 0
+    for tried, ((lhs, rhs), (side, fill), values) in enumerate(cases(), 1):
+        ok, witness, trees = decide(fill(lhs), fill(rhs))(entries(values))
+        if not ok:
+            games = {name: v for name, (v, _) in values.items()}
+            composed = trees or [evaluate(fill(t), games) for t in (lhs, rhs)]
+            counter = {
+                "pair": [_value_json(evaluate(t, games)) for t in (lhs, rhs)],
+                "context": side,
+                "composed": list(map(_value_json, composed)),
+                "witness": witness,
+            }
+            break
     return CongruenceReport(
         op=op,
         equiv=equiv,

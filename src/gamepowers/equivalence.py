@@ -17,7 +17,6 @@ of each player directly.
 from __future__ import annotations
 
 from itertools import product
-from typing import Any
 
 from .games import Player, Record, StrategicGame, to_strategic_form
 from .models import GAME_FRAME, INSTANTIAL_FRAME, NeighborhoodModel, validate_frame
@@ -36,13 +35,8 @@ class InvalidModelError(ValueError):
     """A bisimulation query was made against an invalid frame."""
 
 
-class EquivalenceVerdict(Record):
+class EquivalenceVerdict(Record, witness=None):
     __slots__ = ("kind", "verdict", "witness")
-
-    def __init__(self, kind: str, verdict: bool, witness: Any = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witness", witness)
 
     def __bool__(self):
         return self.verdict
@@ -69,18 +63,19 @@ def _family_split(kind, g1, g2) -> EquivalenceVerdict:
 
 
 def _pair_split(kind, pair1, pair2) -> EquivalenceVerdict:
-    """Compare the member sets of two (A, B) family pairs, A first; the
-    witness is the least member in canonical order where they differ."""
+    witness = _pair_difference(pair1, pair2)
+    return EquivalenceVerdict(kind, witness is None, witness)
+
+
+def _pair_difference(pair1, pair2) -> dict | None:
+    """Compare the member sets of two (A, B) family pairs, A first: the least
+    member in canonical order where they differ, or None when they agree."""
     for p, f1, f2 in zip((Player.A, Player.B), pair1, pair2):
         if f1 != f2:
             member = min(f1 ^ f2, key=sorted)
             side = "first" if member in f1 else "second"
-            return EquivalenceVerdict(
-                kind,
-                False,
-                {"player": p.value, "member": sorted(member), "only_in": side},
-            )
-    return EquivalenceVerdict(kind, True)
+            return {"player": p.value, "member": sorted(member), "only_in": side}
+    return None
 
 
 def power_equivalent(g1, g2) -> EquivalenceVerdict:

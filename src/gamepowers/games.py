@@ -572,9 +572,9 @@ def to_strategic_form(g: ExtensiveGame) -> StrategicGame:
 
 def _read_json(path: str, error: type[ValueError], decode: Callable):
     """The JSON value in a file, passed through decode; bytes not in UTF-8,
-    bad JSON, a number that is not finite (NaN, Infinity, 1e400), JSON
-    nested deeper than the decoder or decode can follow, or an ``error``
-    that decode raises, raises ``error`` prefixed with the path."""
+    bad JSON, a number that is not finite (NaN, Infinity, 1e400) or too long
+    to convert, JSON nested deeper than the decoder or decode can follow, or
+    a ValueError that decode raises, raises ``error`` prefixed with the path."""
 
     def finite(literal):
         if not isfinite(number := float(literal)):
@@ -586,7 +586,7 @@ def _read_json(path: str, error: type[ValueError], decode: Callable):
             # up to 3.12 json.load gives out first; on 3.13 its C scanner
             # has its own limit, and decode's recursive walk may give out
             return decode(json.load(fh, parse_float=finite, parse_constant=finite))
-        except (UnicodeDecodeError, json.JSONDecodeError, error) as exc:
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
             raise error(f"{path}: {exc}") from exc
         except RecursionError:
             raise error(f"{path}: JSON nested too deeply") from None

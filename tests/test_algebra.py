@@ -35,6 +35,7 @@ from gamepowers.algebra import (
     term_variables,
 )
 from gamepowers.equivalence import (
+    EquivalenceVerdict,
     semi_strongly_equivalent,
     strongly_equivalent,
 )
@@ -514,6 +515,9 @@ def test_negative_sample_counts_are_rejected():
         check_congruence("+", "strong", seed=0, samples=-1)
     assert check_equation("x", "x", "semi", seed=0, samples=0).samples == 5
     assert check_congruence("+", "strong", seed=0, samples=0).samples == 0
+    # the pool's 5^5 bindings are cut at 2048, then the 3 random ones follow
+    assert check_equation("a + b + c + d + e", "e + d + c + b + a", "power",
+                          seed=0, samples=3).samples == 2051
 
 
 @pytest.mark.parametrize("max_depth", [0, 13])
@@ -705,6 +709,24 @@ def test_strong_congruence_of_composition_reports_the_trees_it_decided(monkeypat
         assert report.verdict == "counterexample"
         # one composed tree per side of the refuted context, built once
         assert len(calls) == 2
+
+
+def test_law_checks_build_no_verdict_per_binding(monkeypatch):
+    # bindings, composed trees included, are compared as member-set pairs
+    calls = []
+    init = EquivalenceVerdict.__init__
+
+    def counted(self, *args):
+        calls.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(EquivalenceVerdict, "__init__", counted)
+    g = random_game(0)
+    assert strongly_equivalent(g, g) and len(calls) == 1
+    calls.clear()
+    assert check_equation("x * (y * z)", "(x * y) * z", "strong", seed=0, samples=20)
+    assert check_equation("x o (y o z)", "(x o y) o z", "strong", seed=0, samples=2)
+    assert calls == []
 
 
 def test_congruence_of_plus_under_strong():

@@ -551,6 +551,24 @@ def test_non_finite_numbers_are_input_errors(capsys, tmp_path, command, text, li
     assert error == f"{p}: {literal} is not a finite number"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on integer string conversion")
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (POWERS, '{"outcomes": [N], "tree": {"outcome": N}}'),
+        (FRAME, '{"worlds": [N], "RA": [[N, [N]]], "RB": [[N, [N]]]}'),
+    ],
+    ids=["game", "model"],
+)
+def test_oversized_integers_are_input_errors(capsys, tmp_path, command, text):
+    # past the interpreter's digit limit json.load raises a plain ValueError
+    p = tmp_path / "input.json"
+    p.write_text(text.replace("N", "1" + "0" * 5000))
+    error = assert_input_error(capsys, command[0], str(p), *command[1:])
+    assert error.startswith(f"{p}: ")
+
+
 def test_numeric_labels_are_accepted(capsys, tmp_path):
     g = tmp_path / "g.json"
     g.write_text(json.dumps({"outcomes": [2, 1], "tree": {
