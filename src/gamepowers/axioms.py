@@ -38,6 +38,7 @@ from .models import (
     GAME_FRAME,
     INSTANTIAL_FRAME,
     NeighborhoodModel,
+    _MAX_WORLDS,
     _closure,
     _evaluator,
     model_check,
@@ -201,9 +202,6 @@ def axiom_soundness_suite(seed: int, samples: int = 1000) -> SoundnessReport:
 # -- countermodel search ------------------------------------------------------------
 
 EXHAUSTIVE_WORLDS = 3
-# each random draw lists all 2^n - 1 nonempty subsets of its n worlds, so
-# memory doubles and time grows about 1.65-fold with every world added
-_MAX_WORLDS = 8
 # family-size caps per world count keep the frame space enumerable
 _FAMILY_CAPS = {1: 3, 2: 2, 3: 1}
 

@@ -299,6 +299,10 @@ def encode_game_as_model(
 
 # -- seeded model generation -----------------------------------------------------------
 
+# each random draw lists all 2^n - 1 nonempty subsets of its n worlds, so
+# memory doubles and a pair's draw takes about 1.5 times as long per world
+_MAX_WORLDS = 8
+
 
 def random_model(
     seed: int | Random,
@@ -308,6 +312,8 @@ def random_model(
 ) -> NeighborhoodModel:
     """Seeded random model that is a valid frame of the requested kind."""
     mode = _lookup(FRAME_KINDS, kind, "frame kind")
+    if not 1 <= max_worlds <= _MAX_WORLDS:
+        raise ValueError(f"max_worlds must be between 1 and {_MAX_WORLDS}")
     rng = _seeded(seed)
     n = rng.randint(1, max_worlds)
     worlds = tuple(f"w{i}" for i in range(n))

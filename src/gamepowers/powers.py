@@ -9,7 +9,7 @@ relational basic powers are the exact outcome sets of relational strategies.
 from __future__ import annotations
 
 from functools import cache, reduce
-from itertools import chain, combinations, product
+from itertools import chain, combinations, filterfalse, product
 from operator import and_, or_
 from random import Random
 from typing import Callable, Iterable
@@ -425,6 +425,11 @@ def legal_pairs(outcomes: tuple[str, ...], kind: str, max_members: int | None = 
     )
 
 
+def _partner_pool(fa: PowerFamily, pool: list[frozenset], required) -> list[frozenset]:
+    inside = filter(_reach(fa).issuperset, pool) if INSTANTIATEDNESS in required else pool
+    return list(reduce(lambda sets, m: filterfalse(m.isdisjoint, sets), fa._index, inside))
+
+
 def random_family_pair(
     rng: Random,
     outcomes: Iterable[str],
@@ -434,12 +439,12 @@ def random_family_pair(
     """Rejection-sample a pair of families meeting the mode's conditions, in
     at most 20000 tries (RuntimeError after that).
 
-    Proposals are small random families of nonempty subsets.  A try is
-    decided on the raw proposals, checking every required condition except
-    Monotonicity (plain) and UnionClosure (relational); only the accepted
-    pair is closed upward or under unions, which makes that condition hold
-    and keeps the others' verdicts.  So the pair is the one that closing
-    every proposal before checking it would accept.
+    Proposals are small random families of nonempty subsets, B's members
+    only from sets that meet all of A's, inside A's reach when the mode
+    requires Instantiatedness.  A try checks the raw proposals on all but
+    Monotonicity (plain) and UnionClosure (relational): only the kept pair
+    is closed upward or under unions, which makes that condition hold and
+    keeps the others', so it is the pair closing every proposal would keep.
     """
     outcomes = tuple(outcomes)
     required = family_conditions(mode)
@@ -447,12 +452,13 @@ def random_family_pair(
     closures = [_CLOSURES[c] for c in required if c in _CLOSURES]
     pool = [frozenset(c) for c in _subsets(tuple(sorted(outcomes))) if c]
 
-    def proposal() -> PowerFamily:
+    def proposal(sets: list[frozenset]) -> PowerFamily:
         k = rng.randint(1, max_members)
-        return PowerFamily(outcomes, [rng.choice(pool) for _ in range(k)])
+        return PowerFamily(outcomes, [rng.choice(sets) for _ in range(k)])
 
     for _ in range(_MAX_TRIES):
-        fa, fb = proposal(), proposal()
+        fa = proposal(pool)
+        fb = proposal(_partner_pool(fa, pool, required))
         pa, pb = check_conditions(fa, fb)
         if pa.holds(*checked) and pb.holds(*checked):
             for close in closures:

@@ -522,19 +522,25 @@ def eager_conditions(fa: EagerFamily, fb: EagerFamily):
 
 def reference_family_pair(rng, outcomes, mode, max_members=3, max_tries=20000):
     """``random_family_pair`` as a plain rejection loop: close every proposal
-    (upward for plain, under unions for relational), then check all of the
-    mode's conditions on the closed pair."""
+    (upward for plain, under unions for relational), draw B's members from
+    the nonempty subsets inside the closed A family's reach that meet each
+    of its members, then check all of the mode's conditions on the closed
+    pair.  An upward closure reaches every outcome, and a set meets every
+    member of a family's upward or union closure exactly when it meets every
+    member of the family."""
     outcomes = tuple(outcomes)
     required = family_conditions(mode)
     close = {"plain": upward_closure, "basic": lambda f: f, "relational": union_closure}[mode]
     pool = [frozenset(c) for c in _subsets(tuple(sorted(outcomes))) if c]
 
-    def proposal():
+    def proposal(sets):
         k = rng.randint(1, max_members)
-        return close(PowerFamily(outcomes, [rng.choice(pool) for _ in range(k)]))
+        return close(PowerFamily(outcomes, [rng.choice(sets) for _ in range(k)]))
 
     for _ in range(max_tries):
-        fa, fb = proposal(), proposal()
+        fa = proposal(pool)
+        reach = frozenset().union(*fa)
+        fb = proposal([s for s in pool if s <= reach and all(s & m for m in fa)])
         pa, pb = check_conditions(fa, fb)
         if pa.holds(*required) and pb.holds(*required):
             return fa, fb

@@ -111,7 +111,7 @@ THREE_DISJOINT = "!([A](p; p) & [A](q; q) & ![A](p, q; true) & [A](!p & !q; true
 def test_random_phase_refutes_what_the_exhaustive_caps_cannot_build():
     r = countermodel_search(THREE_DISJOINT, seed=1, budget_ms=4000)
     assert r and r.phase == "random"
-    assert (r.world, len(r.model.worlds), r.evaluations) == ("w0", 4, 24213)
+    assert (r.world, len(r.model.worlds), r.evaluations) == ("w2", 5, 23981)
     assert r.world not in model_check(r.model, parse_formula(THREE_DISJOINT))
     assert validate_frame(r.model, INSTANTIAL_FRAME).all_hold
     want = reference_countermodel_search(THREE_DISJOINT, seed=1, budget_ms=4000)

@@ -69,7 +69,10 @@ def test_every_rejection_try_is_a_traced_condition_check():
     assert summary["calls"]["models.random_model"] == 80
     assert summary["calls"]["powers.random_family_pair"] == 250
     assert summary["tries_in_draws"] == summary["calls"]["powers.check_conditions"]
-    assert summary["tries_in_draws"] == 1702
+    # B's members come from the sets that meet all of A's, inside A's reach
+    # for basic, so few draws need a second try
+    assert summary["tries_in_draws"] == 323
+    assert summary["tries_in_draws"] <= 1.5 * summary["calls"]["powers.random_family_pair"]
 
 
 def test_sequential_law_check_builds_each_game_once():

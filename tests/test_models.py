@@ -3,6 +3,7 @@
 import pytest
 from random import Random
 
+from gamepowers.axioms import countermodel_search
 from gamepowers.formulas import parse_formula
 from gamepowers.games import Player
 from gamepowers.models import (
@@ -256,6 +257,19 @@ def test_random_model_validity_and_determinism():
         m2 = random_model(7, kind=kind, max_worlds=5)
         assert m1 == m2
         assert validate_frame(m1, kind).all_hold
+
+
+@pytest.mark.parametrize("kind", [GAME_FRAME, INSTANTIAL_FRAME])
+def test_random_model_rejects_a_world_cap_out_of_range(kind):
+    # the same bound and message as countermodel_search, checked before
+    # any draw
+    for cap in (-1, 0, 9, 40):
+        with pytest.raises(ValueError) as got:
+            random_model(1, kind, max_worlds=cap)
+        with pytest.raises(ValueError) as search:
+            countermodel_search("p", max_worlds=cap)
+        assert str(got.value) == str(search.value) == "max_worlds must be between 1 and 8"
+    assert validate_frame(random_model(3, kind, max_worlds=8), kind).all_hold
 
 
 def test_neighborhoods_deduplicate():

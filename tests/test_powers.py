@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from functools import reduce
 from random import Random
 
@@ -31,6 +32,8 @@ from gamepowers.powers import (
     UNION_CLOSURE,
     PowerFamily,
     _CLOSURES,
+    _partner_pool,
+    _subsets,
     basic_powers,
     check_conditions,
     family_conditions,
@@ -463,6 +466,38 @@ def test_sampled_pairs_are_those_of_closing_every_proposal(mode):
             assert [f.to_json() for f in got] == [f.to_json() for f in want]
             assert got == want
             assert fast.random() == slow.random()
+
+
+@pytest.mark.parametrize("mode", list(POWER_KINDS))
+def test_every_small_legal_pair_can_still_be_proposed(mode):
+    # B's members are drawn only from the partner pool of A's family; every
+    # member of a legal B family must lie in it, or that pair could never
+    # be drawn
+    required = family_conditions(mode)
+    for n in (1, 2, 3):
+        outcomes = tuple(f"w{i}" for i in range(n))
+        pool = [frozenset(s) for s in _subsets(outcomes) if s]
+        pairs = legal_pairs(outcomes, mode, 3)
+        assert pairs
+        for fa, fb in pairs:
+            assert set(fb.member_sets()) <= set(_partner_pool(fa, pool, required))
+
+
+def test_a_plain_draw_is_kept_on_its_first_try(monkeypatch):
+    # every proposed B member meets all of A's, and plain asks nothing of
+    # the reaches, so the first try's check is the only one
+    checks = []
+
+    def counted(fa, fb):
+        checks.append((fa, fb))
+        return check_conditions(fa, fb)
+
+    monkeypatch.setattr(sys.modules["gamepowers.powers"], "check_conditions", counted)
+    for seed in range(200):
+        checks.clear()
+        outcomes = tuple(f"w{i}" for i in range(1 + seed % 5))
+        random_family_pair(Random(seed), outcomes, "plain", max_members=1 + seed % 4)
+        assert len(checks) == 1
 
 
 @st.composite

@@ -208,7 +208,7 @@ SEEDED = {
 
 PINNED = {
     "axiom_soundness_suite": "3105912afd831af24f8a81846fbb13f82f8174a7b6ae7ee5cca2b37633d4bc3b",
-    "bisimulations": "e92e4512320e23bdcc877c3fb76b3353e2c951d9cb602f9969e7247a0a4586df",
+    "bisimulations": "3856fd6291eae800db6fdd0599872afb83768bdc57493834c1ab6fd76f200516",
     "built_games": "1dc77e47afac74e2a284aa30025f351fc548f8444e937ca130707c516a5e00b3",
     "check_congruence": "026541f177ab1025be6844eb3464a18ac1f644fbb6306fae23d878bde3c0fe72",
     "check_congruence/power": "fe29a8321d2fc8ea6e0696efa75a73a3757270e3f4b90e656e5e0002e02ab4e0",
@@ -219,12 +219,12 @@ PINNED = {
     "countermodel_search": "751246397987c100cb086db16fe26c5bb5ef444859e72d835c6c72ee2f9ccad8",
     "countermodel_search/rows": "9a5466bb9d04bb479bacf4a5e5b42bd24f15b5c239b7d4c27d648dfcb0d9ac13",
     "hierarchy_audit": "bcde27e987a2e393d3fd354ec72ab01ce7dbee5efd3ebf27be722c898a737418",
-    "random_family_pair/basic": "26c033b581302cbc8ee27d029766e72bb213e6953b8f1844a146014f78277793",
-    "random_family_pair/plain": "d89be04979166b670dc69d4bc838880c664cb4a6fbead9442f17418c0fe9ca68",
-    "random_family_pair/relational": "890687c75e0ffe86d82a0bdd3d4f6e5d5a8891415941ca63463918d072cbd08d",
-    "random_model/game": "bab349c8a492936e6343188986288a8191d065a44e36349cc335552129b5d8dd",
-    "random_model/instantial": "bf4c7595dc62c712b69c5bd7418613c7cc8305a7a54fe288707170e599ae6fb2",
-    "represent": "a8dd2f76ccc31e88a411c5e92585ad7ae035d7059712725d097877c74e669a6e",
+    "random_family_pair/basic": "855bf1c74406309f3ec04b868604a127cc5e06decfa5b67e78c53b9968d62b62",
+    "random_family_pair/plain": "18ddd880645588d5cd1e617ba4211dabd61a5bfdbce507650691898e9de4c7ab",
+    "random_family_pair/relational": "c93d85688ffa6665333d1bc6cda0df6ea0dd038b3c9bb5145c4ffd8f7e09e139",
+    "random_model/game": "6e959d27c94489b97f00c8b42ec5762c7b9d45ae46fc1adc28dbd4f8778d10d2",
+    "random_model/instantial": "67c05de488870b4ff712e8c68afd7471316d128e10e8a5548f6796e205631a86",
+    "represent": "39915dc857f3645a29d8d9e7247e5c11e26e58e6311ddaeca93be7e11b11c7e0",
 }
 
 
