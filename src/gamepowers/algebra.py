@@ -7,9 +7,9 @@ composition a home: compose by grafting a fresh copy of the continuation at
 every leaf.  check_equation and check_congruence probe laws on deterministic
 pools first and seeded random games after, and only ever report a
 counterexample that re-verifies.  Both fold their terms (for a congruence, a
-pair and its one-hole contexts) over the bound games' power families; they
-build trees only for strong with o, whose basic powers lose multiplicity,
-and for a counterexample they report.
+pair and its one-hole contexts) over the bound games' power families, a
+composition as its left operand followed by its right at every leaf; they
+build trees only for a counterexample they report.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from __future__ import annotations
 import itertools
 from functools import cache, partial, reduce
 from math import prod
-from operator import itemgetter
 from random import Random
 from typing import Mapping, Union
 
-from .equivalence import POWER_EQUIVALENCES, STRONG, _pair_difference
+from .equivalence import POWER_EQUIVALENCES, _pair_difference
 from .formulas import MAX_NESTING, ParseError, _nesting, _Parser, _walk
 from .games import (
     ROOT,
@@ -43,6 +42,7 @@ from .powers import (
     COMBINE,
     POWER_KINDS,
     PowerFamily,
+    _tree_powers,
     relational_basic_powers,
     union_closure,
 )
@@ -159,9 +159,8 @@ def seq_compose(d1: DynamicGame, d2: DynamicGame) -> DynamicGame:
     return _statewise(lambda g1, _: _graft(g1, d2), d1, d2)
 
 
-# a chain of k compositions builds a tree of about 2^(k+2) nodes under strong:
-# 12 compositions (16,383 nodes) take 2 to 2.6 s on a 2-core machine, 16 had
-# not finished after 40 s
+# o with a branching game doubles the tree: on a 2-core machine 16,383 nodes
+# (13 such games) take 0.35 s to build, 131,071 nodes (16 games) 4.1 s
 _MAX_COMPOSED_NODES = 2 ** 14
 
 
@@ -343,40 +342,58 @@ def _statewise(op, *values):
 
 
 def _term_fold(term: GameTerm, kind: str, dynamic: bool):
-    """Compile a term into env -> the member sets of its (A, B) families.
+    """Compile a term into (env, then) -> the member sets of its (A, B) families.
 
-    env maps each variable to its value's pair, or to a dict of pairs per
-    state when ``dynamic``.  + and * fold their operands' families by the
-    kind's ``COMBINE`` rules, the mover's for the player who owns the new
-    root (A at +, B at *) and the other player's for the other; - swaps the
-    players.  On dynamic values these act state by state.  o composes the
-    families statewise, joining each continuation set once by the other
-    player's rule.
+    env maps each variable to its value and the value's pair, a dict of
+    pairs per state when ``dynamic``; ``then`` is None or the pairs by state
+    of a continuation played at every leaf.  + and * fold their operands'
+    families by the kind's ``COMBINE`` rules, the mover's for the player who
+    owns the new root (A at +, B at *) and the other player's for the other;
+    - swaps the players.  Each acts state by state on dynamic values and
+    hands ``then`` on, - swapped.  o hands its right operand's pairs to its
+    left, and a variable meets them by the kind's ``_FOLLOWED`` rule.
     """
-    if isinstance(term, Var):
-        return itemgetter(term.name)
     mover, other = COMBINE[kind]
+    if isinstance(term, Var):
+        name, follow = term.name, _FOLLOWED[kind]
+        return lambda env, then: env[name][1] if then is None else follow(other, *env[name], then)
     parts = (term.sub,) if isinstance(term, Dual) else (term.left, term.right)
     folds = [_term_fold(t, kind, dynamic) for t in parts]
     if isinstance(term, Comp):
-        left, right = folds
-        def composed(env):
-            cont = right(env)
-            ja, jb = (_Joined({y: p[i] for y, p in cont.items()}, other) for i in (0, 1))
-            return {u: (_composed(a, ja), _composed(b, jb)) for u, (a, b) in left(env).items()}
-        return composed
+        return lambda env, then: folds[0](env, folds[1](env, then))
     if isinstance(term, Dual):
         op = lambda p: (p[1], p[0])
+        sub, = folds
+        folds = [lambda env, then: sub(env, then and {u: op(p) for u, p in then.items()})]
     else:
         fa, fb = (mover, other) if isinstance(term, Plus) else (other, mover)
         op = lambda p, q: (fa(p[0], q[0]), fb(p[1], q[1]))
     if not dynamic:
-        return lambda env: op(*[f(env) for f in folds])
+        return lambda env, then: op(*[f(env, then) for f in folds])
 
-    def statewise(env):
-        first, *rest = [f(env) for f in folds]
+    def statewise(env, then):
+        first, *rest = [f(env, then) for f in folds]
         return {u: op(pair, *[v[u] for v in rest]) for u, pair in first.items()}
     return statewise
+
+
+def _joined_after(other, value, pairs, then):
+    ja, jb = (_Joined({y: p[i] for y, p in then.items()}, other) for i in (0, 1))
+    return {u: (_composed(a, ja), _composed(b, jb)) for u, (a, b) in pairs.items()}
+
+
+def _refolded(other, value, pairs, then):
+    leaves = [{y: p[i] for y, p in then.items()} for i in (0, 1)]
+    return {u: tuple(_tree_powers(g, p, False, at)._index for p, at in zip(Player, leaves))
+            for u, g in value.games.items()}
+
+
+# How a variable meets a continuation.  Plain and relational families absorb
+# a second pick (being upward and union closed), so each continuation set is
+# joined once by the other player's rule.  Basic powers forget how often a
+# state is reached, yet each leaf reaching it picks a continuation of its own,
+# so the variable's games are folded again with those families at the leaves.
+_FOLLOWED = {"plain": _joined_after, "basic": _refolded, "relational": _joined_after}
 
 
 # -- seeded generation -------------------------------------------------------------
@@ -498,15 +515,14 @@ def random_dynamic_game(
 
 # -- law checking ------------------------------------------------------------------
 
-def _values_equivalent(v1, v2):
-    # compare two power pairs, statewise for dynamic values
+def _difference(v1, v2):
+    # where two power pairs differ (the first such state of dynamic values), or None
     if not isinstance(v1, dict):
-        witness = _pair_difference(v1, v2)
-        return witness is None, witness
+        return _pair_difference(v1, v2)
     for u in v1:
         if witness := _pair_difference(v1[u], v2[u]):
-            return False, {"state": u, **witness}
-    return True, None
+            return {"state": u, **witness}
+    return None
 
 
 def _law_kind(equiv, samples) -> str:
@@ -517,32 +533,20 @@ def _law_kind(equiv, samples) -> str:
     return kind
 
 
-def _binding_decision(kind, equiv, dynamic, seed, outcomes, max_depth):
+def _binding_decision(kind, dynamic, seed, outcomes, max_depth):
     # draw() -> a seeded random game, or dynamic game when the terms compose;
-    # drawn(value) -> (value, entry) pairs a game with its entry in the env
-    # that decide(lhs, rhs) -> env -> (ok, witness, trees) folds both terms
-    # over, each compiled once: its power pairs, or for strong with o the game
-    # itself (then trees), as basic powers of a composition lose multiplicity
+    # drawn(value) -> the env entry (value, its power pairs) that
+    # decide(lhs, rhs) -> env -> their difference, or None, folds both over
     rng = Random(seed)
-    if dynamic:
-        # dynamic bindings stay shallow so composed trees remain enumerable
-        draw = partial(random_dynamic_game, rng, outcomes, min(max_depth, 2))
-    else:
-        draw = partial(random_game, rng, max_depth, outcomes=outcomes)
-    trees = dynamic and equiv == STRONG
-    powers = partial(_value_powers, POWER_KINDS[kind])
-    fold = cache(lambda t: partial(evaluate, t) if trees else _term_fold(t, kind, dynamic))
-
-    def drawn(v):
-        return v, v if trees else powers(v)
+    # dynamic draws stay at depth 2 or less only so that seeded draws stay the same
+    draw = (partial(random_dynamic_game, rng, outcomes, min(max_depth, 2)) if dynamic
+            else partial(random_game, rng, max_depth, outcomes=outcomes))
+    drawn = lambda v: (v, _value_powers(POWER_KINDS[kind], v))
+    fold = cache(lambda t: _term_fold(t, kind, dynamic))
 
     def decide(lhs, rhs):
         f1, f2 = fold(lhs), fold(rhs)
-        def on(env):
-            v1, v2 = f1(env), f2(env)
-            p1, p2 = (powers(v1), powers(v2)) if trees else (v1, v2)
-            return (*_values_equivalent(p1, p2), (v1, v2) if trees else None)
-        return on
+        return lambda env: _difference(f1(env, None), f2(env, None))
 
     return draw, drawn, decide
 
@@ -595,8 +599,8 @@ def check_equation(
     composes) is exhausted first, then `samples` further random bindings are
     drawn.  The reported sample count includes both phases.  A hold verdict
     is evidence, not proof.  Each binding is decided on the bound games'
-    power families of the equivalence's kind; only strong equivalence with o
-    evaluates the terms as trees.  A counterexample reports its games.
+    power families of the equivalence's kind, and no term is evaluated as a
+    tree.  A counterexample reports its games.
     """
     lhs_t, rhs_t = _as_term(lhs), _as_term(rhs)
     kind = _law_kind(equiv, samples)
@@ -604,7 +608,7 @@ def check_equation(
     names = sorted(term_variables(lhs_t) | term_variables(rhs_t))
     dynamic = term_uses_composition(lhs_t) or term_uses_composition(rhs_t)
     outcomes = tuple(outcomes)
-    draw, drawn, decide = _binding_decision(kind, equiv, dynamic, seed, outcomes, max_depth)
+    draw, drawn, decide = _binding_decision(kind, dynamic, seed, outcomes, max_depth)
     decision = decide(lhs_t, rhs_t)
     pool = itertools.product(map(drawn, _pool(outcomes, dynamic)), repeat=len(names))
     bindings = itertools.chain(
@@ -613,9 +617,8 @@ def check_equation(
     )
     counter, tried = None, 0
     for tried, (phase, values) in enumerate(bindings, 1):
-        # each value comes with its entry in the environment that fold reads
-        ok, witness, _ = decision({name: entry for name, (_, entry) in zip(names, values)})
-        if not ok:
+        witness = decision(dict(zip(names, values)))
+        if witness:
             counter = {
                 "phase": phase,
                 "witness": witness,
@@ -673,7 +676,7 @@ def check_congruence(
     kind = _law_kind(equiv, samples)
     outcomes, depth = ("x", "y"), 3
     dynamic = combine is Comp
-    draw, drawn, decide = _binding_decision(kind, equiv, dynamic, seed, outcomes, depth)
+    draw, drawn, decide = _binding_decision(kind, dynamic, seed, outcomes, depth)
     choice = _choice(Player.B, outcomes)
     a, b, h = Var("a"), Var("b"), Var("h")
     holes = (("left", lambda t: combine(t, h)), ("right", lambda t: combine(h, t)))
@@ -706,28 +709,24 @@ def check_congruence(
             tagged = {"-of-branching": named, "-of-random": tagged[""]}
         return [(side + tag, fill, p) for tag, p in tagged.items() for side, fill in holes]
 
-    def entries(binding):
-        return {name: entry for name, (_, entry) in binding.items()}
-
     def cases():
         # (pair, context, values) for each context of each accepted pair, drawn as read
         for _ in range(samples):
             for lhs, rhs, binding in candidate_pairs():
-                if decide(lhs, rhs)(entries(binding))[0]:
+                if not decide(lhs, rhs)(binding):
                     for side, fill, partner in contexts():
                         values = {**binding, "h": partner} if partner else binding
                         yield (lhs, rhs), (side, fill), values
 
     counter, tried = None, 0
     for tried, ((lhs, rhs), (side, fill), values) in enumerate(cases(), 1):
-        ok, witness, trees = decide(fill(lhs), fill(rhs))(entries(values))
-        if not ok:
+        witness = decide(fill(lhs), fill(rhs))(values)
+        if witness:
             games = {name: v for name, (v, _) in values.items()}
-            composed = trees or [evaluate(fill(t), games) for t in (lhs, rhs)]
             counter = {
                 "pair": [_value_json(evaluate(t, games)) for t in (lhs, rhs)],
                 "context": side,
-                "composed": list(map(_value_json, composed)),
+                "composed": [_value_json(evaluate(fill(t), games)) for t in (lhs, rhs)],
                 "witness": witness,
             }
             break

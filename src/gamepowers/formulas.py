@@ -324,7 +324,10 @@ def parse_formula(text: str) -> Formula:
 
 
 def format_formula(f: Formula) -> str:
-    return _FormulaParser.format(f)
+    try:
+        return _FormulaParser.format(f)
+    except RecursionError:
+        raise ValueError(f"formula nested more than {MAX_NESTING} levels deep") from None
 
 
 # -- random generation ---------------------------------------------------------

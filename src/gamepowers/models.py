@@ -12,7 +12,7 @@ from __future__ import annotations
 from random import Random
 from typing import Callable, Iterable, Mapping
 
-from .formulas import And, Atom, Box, Formula, Not, Top
+from .formulas import MAX_NESTING, And, Atom, Box, Formula, Not, Top
 from .games import (
     ExtensiveGame,
     Player,
@@ -213,8 +213,11 @@ def _frame_witness(name: str, u: str, p: Player, witness: dict) -> dict:
 
 
 def model_check(m: NeighborhoodModel, f: Formula) -> frozenset[str]:
-    """Truth set of f in m; total on any model, valid or not."""
-    return _evaluator(f)(m)
+    """Truth set of f in m on any model, valid or not; too deep a formula is a ValueError."""
+    try:
+        return _evaluator(f)(m)
+    except RecursionError:
+        raise ValueError(f"formula nested more than {MAX_NESTING} levels deep") from None
 
 
 def _evaluator(f: Formula) -> Callable[[NeighborhoodModel], frozenset[str]]:

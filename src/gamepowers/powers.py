@@ -12,7 +12,7 @@ from functools import cache, reduce
 from itertools import chain, combinations, filterfalse, product
 from operator import and_, or_
 from random import Random
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .games import (
     ROOT,
@@ -90,6 +90,11 @@ def _subsets(universe: tuple[str, ...]):
     )
 
 
+@cache
+def _nonempty_sets(universe: tuple[str, ...]) -> tuple[frozenset[str], ...]:
+    return tuple(frozenset(c) for c in _subsets(universe) if c)
+
+
 # -- powers of games -------------------------------------------------------------
 
 
@@ -142,16 +147,16 @@ COMBINE = {
 }
 
 
-def _tree_powers(g: ExtensiveGame, p: Player, relational: bool) -> PowerFamily:
+def _tree_powers(g: ExtensiveGame, p: Player, relational: bool, leaves={}) -> PowerFamily:
     """Exact outcome sets of p's functional or relational strategies.
 
-    A strategy's outcome set is assembled bottom-up, each node combining its
-    children's families by the ``COMBINE`` rules of p's kind, p's own where p
-    moves.  Choices at p's singleton cells are independent of each other, so
-    each node's family folds them in; p's shared cells couple nodes, so every
-    assignment to them gets its own pass, joining the children it picks.
-    ``enumerate_strategies`` with ``outcome_set`` is the definition this
-    agrees with.
+    A strategy's outcome set is built bottom-up: a leaf gives the member
+    sets ``leaves`` maps its outcome to (a continuation's family), or else
+    its singleton; a node combines its children's by the ``COMBINE`` rules
+    of p's kind, p's own where p moves.  Choices at p's singleton cells are
+    independent, so each node's family folds them in; p's shared cells
+    couple nodes, so every assignment to them gets its own pass, joining the
+    children it picks.  ``enumerate_strategies`` with ``outcome_set`` agrees.
     """
     mover, other = COMBINE["relational" if relational else "basic"]
     shared = [c for c in g.player_cells(p) if len(c) > 1]
@@ -162,7 +167,7 @@ def _tree_powers(g: ExtensiveGame, p: Player, relational: bool) -> PowerFamily:
             _nonempty_subsets(n) if relational else [(i,) for i in range(n)]
         )
     deepest_first = sorted(g.internal_nodes, key=len, reverse=True)
-    leaf_families = {w: {frozenset((g.outcome[w],))} for w in g.leaves}
+    leaf_families = {w: leaves.get(o, {frozenset((o,))}) for w, o in g.outcome.items()}
     out: set[frozenset[str]] = set()
     for assignment in product(*options):
         picked = {w: moves for cell, moves in zip(shared, assignment) for w in cell}
@@ -413,7 +418,7 @@ def legal_pairs(outcomes: tuple[str, ...], kind: str, max_members: int | None = 
     nonempty subsets of the outcomes that meets the kind's conditions; the
     families run by size, then in ``combinations`` order, A's slowest."""
     required = family_conditions(kind)
-    subsets = [s for s in _subsets(outcomes) if s]
+    subsets = _nonempty_sets(outcomes)
     largest = len(subsets) if max_members is None else max_members
     sizes = range(1, largest + 1)
     families = [PowerFamily(outcomes, f) for n in sizes for f in combinations(subsets, n)]
@@ -425,7 +430,7 @@ def legal_pairs(outcomes: tuple[str, ...], kind: str, max_members: int | None = 
     )
 
 
-def _partner_pool(fa: PowerFamily, pool: list[frozenset], required) -> list[frozenset]:
+def _partner_pool(fa: PowerFamily, pool: Sequence[frozenset], required) -> list[frozenset]:
     inside = filter(_reach(fa).issuperset, pool) if INSTANTIATEDNESS in required else pool
     return list(reduce(lambda sets, m: filterfalse(m.isdisjoint, sets), fa._index, inside))
 
@@ -450,9 +455,9 @@ def random_family_pair(
     required = family_conditions(mode)
     checked = tuple(c for c in required if c not in _CLOSURES)
     closures = [_CLOSURES[c] for c in required if c in _CLOSURES]
-    pool = [frozenset(c) for c in _subsets(tuple(sorted(outcomes))) if c]
+    pool = _nonempty_sets(tuple(sorted(outcomes)))
 
-    def proposal(sets: list[frozenset]) -> PowerFamily:
+    def proposal(sets: Sequence[frozenset]) -> PowerFamily:
         k = rng.randint(1, max_members)
         return PowerFamily(outcomes, [rng.choice(sets) for _ in range(k)])
 

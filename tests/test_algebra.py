@@ -355,6 +355,17 @@ def test_term_objects_are_held_to_the_nesting_bound():
     assert check_equation(_plus_chain(200), "x", "power", samples=2).verdict == "holds-on-sample"
 
 
+def test_evaluating_a_long_composition_chain_is_bounded():
+    # each o grafts a two-leaf choice at every leaf, so the tree doubles;
+    # check_equation decides the same chain without building it
+    states = ("0", "1", "2")
+    choice = node(Player.A, [leaf("0"), leaf("1")])
+    branching = DynamicGame(states, {u: game(states, choice) for u in states})
+    chain = parse_term(" o ".join(["x"] * 17))
+    with pytest.raises(ValueError, match="more than 16384$"):
+        evaluate(chain, {"x": branching})
+
+
 # -- seeded generation -------------------------------------------------------------
 
 
@@ -561,8 +572,6 @@ def test_term_powers_match_the_powers_of_the_evaluated_tree(
 ):
     term = parse_term(text)
     dynamic = term_uses_composition(term)
-    # basic powers of a composition lose multiplicity
-    assume(not (dynamic and kind == "basic"))
     rng = Random(seed)
     outcomes = ("0", "1", "2")[:n]
     binding = {
@@ -572,8 +581,8 @@ def test_term_powers_match_the_powers_of_the_evaluated_tree(
         for name in sorted(term_variables(term))
     }
     fn = POWER_KINDS[kind]
-    env = {name: algebra._value_powers(fn, v) for name, v in binding.items()}
-    got = algebra._term_fold(term, kind, dynamic)(env)
+    env = {name: (v, algebra._value_powers(fn, v)) for name, v in binding.items()}
+    got = algebra._term_fold(term, kind, dynamic)(env, None)
     tree = evaluate(term, binding)
     if dynamic:
         assert set(got) == set(outcomes)
@@ -609,6 +618,9 @@ def _random_entry(rng, kind, outcomes, dynamic, source):
 )
 def test_compiled_fold_matches_the_reference_fold(text, kind, dynamic, source, seed, n):
     term = parse_term(text)
+    # a basic variable before a continuation is folded again from its games,
+    # which these entries lack; the tree test above covers that case
+    assume(not (kind == "basic" and term_uses_composition(term)))
     dynamic = dynamic or term_uses_composition(term)
     rng = Random(seed)
     outcomes = ("0", "1", "2")[:n]
@@ -616,7 +628,8 @@ def test_compiled_fold_matches_the_reference_fold(text, kind, dynamic, source, s
         name: _random_entry(rng, kind, outcomes, dynamic, source)
         for name in sorted(term_variables(term))
     }
-    got = algebra._term_fold(term, kind, dynamic)(env)
+    entries = {name: (None, pair) for name, pair in env.items()}
+    got = algebra._term_fold(term, kind, dynamic)(entries, None)
     want = reference_term_powers(term, env, kind)
     assert got == want
     if dynamic:
@@ -658,11 +671,11 @@ def _joins_calls(monkeypatch, *check):
 
 def test_law_checks_join_each_continuation_set_once(monkeypatch):
     # joining each continuation set anew for every state that lists it makes
-    # 1,210 and 853 calls
+    # 1,184 and 796 calls
     assert _joins_calls(
-        monkeypatch, "(x + y) o z", "(x o z) + (y o z)", "semi", 3, 2) == 773
+        monkeypatch, "(x + y) o z", "(x o z) + (y o z)", "semi", 3, 2) == 668
     assert _joins_calls(
-        monkeypatch, "x o (y o z)", "(x o y) o z", "semi", 0, 2) == 299
+        monkeypatch, "x o (y o z)", "(x o y) o z", "semi", 0, 2) == 280
     # plain powers are upward closed, so their joins are intersections
     # (joining them as sets instead makes 540 and 2,229 calls)
     assert _joins_calls(
@@ -671,7 +684,7 @@ def test_law_checks_join_each_continuation_set_once(monkeypatch):
         monkeypatch, "x o (y o z)", "(x o y) o z", "power", 0, 2) == 0
 
 
-def test_only_strong_laws_with_composition_build_composed_trees(monkeypatch):
+def test_law_checks_build_no_composed_trees(monkeypatch):
     calls = []
 
     def counted(fn):
@@ -680,17 +693,15 @@ def test_only_strong_laws_with_composition_build_composed_trees(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(algebra, "op_plus", counted(op_plus))
-    monkeypatch.setattr(algebra, "seq_compose", counted(seq_compose))
-    for equiv in ("power", "semi"):
+    for fn in (op_plus, op_times, op_dual, seq_compose):
+        monkeypatch.setattr(algebra, fn.__name__, counted(fn))
+    for equiv in ("power", "semi", "strong"):
         assert check_equation("-(x o y)", "(-x) o (-y)", equiv, seed=1, samples=2)
-    assert calls == []
-    assert check_equation("-(x o y)", "(-x) o (-y)", "strong", seed=1, samples=2)
-    # 16 pool bindings and 2 random ones, one composition on each side
-    assert calls == ["seq_compose"] * (2 * 18)
-    # congruences decide their pairs and contexts the same way
-    calls.clear()
-    assert check_congruence("+", "strong", seed=0, samples=3)
+        assert check_equation("x o (y o z)", "(x o y) o z", equiv, seed=1, samples=2)
+        assert check_equation("-(x + y)", "-x * -y", equiv, seed=1, samples=2)
+        # congruences decide their pairs and contexts the same way
+        assert check_congruence("+", equiv, seed=0, samples=2)
+        assert check_congruence("-", equiv, seed=0, samples=2)
     assert check_congruence("o", "semi", seed=0, samples=2)
     assert calls == []
 

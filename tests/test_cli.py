@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from contextlib import redirect_stdout
 
@@ -630,11 +631,19 @@ def test_term_at_the_nesting_bound_is_checked(capsys):
     assert json.loads(out)["verdict"] == "holds-on-sample"
 
 
-def test_long_strong_composition_chain_is_an_input_error(capsys):
-    # each o doubles the composed tree that strong equivalence builds
-    equation = " o ".join(["x"] * 17) + " = x"
-    assert_input_error(capsys, "algebra", equation, "--equiv", "strong", "--seed", "1",
-                       "--samples", "2")
+def test_long_strong_composition_chain_is_answered(capsys):
+    # strong equivalence folds basic powers through the continuation, so the
+    # chain builds no composed tree; evaluating it would double one per o
+    # (about 0.01 and 0.1 s on a 2-core machine)
+    for k in (17, 201):
+        equation = " o ".join(["x"] * k) + " = x"
+        start = time.perf_counter()
+        code, out = run(capsys, "algebra", equation, "--equiv", "strong", "--seed", "1",
+                        "--samples", "2")
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        report = json.loads(out)
+        assert (report["verdict"], report["samples"]) == ("counterexample", 6)
 
 
 def test_the_module_runs_as_a_script():

@@ -35,6 +35,8 @@ from gamepowers.algebra import (
     format_term,
     parse_term,
 )
+from gamepowers.axioms import countermodel_search
+from gamepowers.models import model_check, random_model
 from helpers import big_or, depth, read_formula_file
 
 
@@ -133,6 +135,19 @@ def test_negation_chains_nest_to_the_bound(opening, closing):
     assert f == Atom("p")
     with pytest.raises(ParseError, match="nested more than 200 levels"):
         parse_formula(opening * 201 + "p" + closing * 201)
+
+
+def test_formula_objects_past_the_stack_are_a_value_error():
+    # a formula built in Python skips the parser; what the stack cannot hold
+    # is refused as too deep instead of ending in RecursionError
+    deep = Atom("p")
+    for _ in range(3000):
+        deep = Not(deep)
+    calls = (format_formula, lambda f: countermodel_search(f, seed=1),
+             lambda f: model_check(random_model(Random(0)), f))
+    for call in calls:
+        with pytest.raises(ValueError, match="formula nested more than 200 levels deep"):
+            call(deep)
 
 
 def test_parentheses_add_no_level():

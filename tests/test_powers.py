@@ -34,6 +34,7 @@ from gamepowers.powers import (
     _CLOSURES,
     _partner_pool,
     _subsets,
+    _tree_powers,
     basic_powers,
     check_conditions,
     family_conditions,
@@ -260,6 +261,23 @@ def test_tree_powers_match_strategy_enumeration(kind, seed, perfect_info):
         assert members(relational_basic_powers(g, p)) == oracle_outcome_sets(
             g, p, relational=True
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.integers(0, 10**6), st.sampled_from([2, 3]), st.booleans())
+def test_leaf_families_give_the_powers_of_the_composed_game(relational, seed, n, perfect_info):
+    # a game with a continuation's families at its leaves has the powers of
+    # the game with the continuation grafted at every leaf
+    states = ("u", "v", "w")[:n]
+    rng = Random(seed)
+    first, then = (random_dynamic_game(rng, states, 3, 2, perfect_info) for _ in range(2))
+    composed = seq_compose(first, then)
+    fn = relational_basic_powers if relational else basic_powers
+    for u in states:
+        for p in Player:
+            leaves = {y: fn(then.games[y], p)._index for y in states}
+            got = _tree_powers(first.games[u], p, relational, leaves)
+            assert got == fn(composed.games[u], p)
 
 
 def test_egli_milner():
