@@ -27,8 +27,10 @@ from .games import (
     Address,
     ExtensiveGame,
     GameFormatError,
+    InputError,
     Player,
     Record,
+    _bounded,
     _is_sortable_label_list,
     _lookup,
     _seeded,
@@ -59,7 +61,7 @@ def _prefixed(g: ExtensiveGame, prefix: Address):
 
 def _rooted_choice(owner: Player, g1: ExtensiveGame, g2: ExtensiveGame):
     if set(g1.outcomes) != set(g2.outcomes):
-        raise ValueError("games must share an outcome set")
+        raise InputError("games must share an outcome set")
     n1, t1, o1, c1 = _prefixed(g1, (0,))
     n2, t2, o2, c2 = _prefixed(g2, (1,))
     nodes = frozenset({ROOT} | n1 | n2)
@@ -95,17 +97,17 @@ class DynamicGame(Record):
     def __init__(self, states, games: Mapping[str, ExtensiveGame]):
         states = tuple(states)
         if not states or len(set(states)) != len(states):
-            raise ValueError("states must be nonempty and distinct")
+            raise InputError("states must be nonempty and distinct")
         unknown = set(games) - set(states)
         if unknown:
-            raise ValueError(f"games assigned to unknown states {sorted(unknown)}")
+            raise InputError(f"games assigned to unknown states {sorted(unknown)}")
         fixed = {}
         for u in states:
             if u not in games:
-                raise ValueError(f"no game assigned to state {u!r}")
+                raise InputError(f"no game assigned to state {u!r}")
             g = games[u]
             if not set(g.outcomes) <= set(states):
-                raise ValueError(
+                raise InputError(
                     f"game at state {u!r} uses outcomes outside the state set"
                 )
             # redeclare over the full state tuple so statewise ops type-check
@@ -139,7 +141,7 @@ class DynamicGame(Record):
         games = {u: game_from_json(spec) for u, spec in specs.items()}
         try:
             return cls(states, games)
-        except ValueError as exc:
+        except InputError as exc:
             raise GameFormatError(str(exc)) from exc
 
 
@@ -154,7 +156,7 @@ def seq_compose(d1: DynamicGame, d2: DynamicGame) -> DynamicGame:
 
     Grafted copies keep their information cells to themselves, so cells never
     span two copies of the continuation.  A composed game of more than 2^14
-    nodes is a ValueError.
+    nodes is an InputError.
     """
     return _statewise(lambda g1, _: _graft(g1, d2), d1, d2)
 
@@ -168,7 +170,7 @@ def _graft(g1: ExtensiveGame, d2: DynamicGame) -> ExtensiveGame:
     grafted = [d2.games[g1.outcome[l]] for l in g1.leaves]
     size = len(g1.internal_nodes) + sum(len(g2.nodes) for g2 in grafted)
     if size > _MAX_COMPOSED_NODES:
-        raise ValueError(
+        raise InputError(
             f"a composed game would have {size} nodes, more than {_MAX_COMPOSED_NODES}"
         )
     nodes: set[Address] = set()
@@ -201,7 +203,7 @@ def composed_power_relation(r1: Mapping, r2: Mapping, u) -> PowerFamily:
     that Z joins, over every y in Y, a nonempty union of r2 powers of y.
     """
     if set(r1) != set(r2):
-        raise ValueError("power maps must share a state set")
+        raise InputError("power maps must share a state set")
     at_u = _lookup(r1, u, "state")
     closed = {y: union_closure(f)._index for y, f in r2.items()}
     joined = _Joined(closed, COMBINE["relational"][1])
@@ -291,13 +293,13 @@ def _as_term(term) -> GameTerm:
     if isinstance(term, str):
         return parse_term(term)
     if _nesting(term) > MAX_NESTING:
-        raise ValueError(f"term nested more than {MAX_NESTING} levels deep")
+        raise InputError(f"term nested more than {MAX_NESTING} levels deep")
     return term
 
 
 def evaluate(term: GameTerm, env: Mapping):
     """Evaluate a term over an environment of games or of dynamic games; a
-    term nested deeper than MAX_NESTING is a ValueError."""
+    term nested deeper than MAX_NESTING is an InputError."""
     return _evaluate(_as_term(term), env)
 
 
@@ -306,14 +308,14 @@ def _evaluate(term: GameTerm, env: Mapping):
         try:
             return env[term.name]
         except KeyError:
-            raise ValueError(f"unbound variable {term.name!r}") from None
+            raise InputError(f"unbound variable {term.name!r}") from None
     if isinstance(term, Dual):
         return _statewise(op_dual, _evaluate(term.sub, env))
     left = _evaluate(term.left, env)
     right = _evaluate(term.right, env)
     if isinstance(term, Comp):
         if not isinstance(left, DynamicGame):
-            raise ValueError("sequential composition needs dynamic games")
+            raise InputError("sequential composition needs dynamic games")
         return seq_compose(left, right)
     return _statewise(op_plus if isinstance(term, Plus) else op_times, left, right)
 
@@ -333,9 +335,9 @@ def _statewise(op, *values):
     if not any(dynamic):
         return op(*values)
     if not all(dynamic):
-        raise ValueError("cannot combine a game with a dynamic game")
+        raise InputError("cannot combine a game with a dynamic game")
     if any(set(v.states) != set(first.states) for v in values):
-        raise ValueError("dynamic games must share a state set")
+        raise InputError("dynamic games must share a state set")
     return DynamicGame(
         first.states, {u: op(*(v.games[u] for v in values)) for u in first.states}
     )
@@ -455,13 +457,6 @@ _MAX_PROPOSALS = 1000
 _MAX_DEPTH = 12
 
 
-def _check_depth(max_depth: int) -> None:
-    if not 1 <= max_depth <= _MAX_DEPTH:
-        raise ValueError(
-            f"max_depth must be between 1 and {_MAX_DEPTH}, got {max_depth}"
-        )
-
-
 def random_game(
     seed,
     max_depth: int = 3,
@@ -476,21 +471,21 @@ def random_game(
     a count being the product of 2^k - 1 over the player's cells of k moves.
     That bounds the strategies ``to_strategic_form`` tabulates and the
     shared-cell assignments basic and relational powers each make a pass for.
-    Raises ValueError when none of 1,000 proposals fits within ``max_cost``,
-    or when ``max_depth`` is outside 1 to 12.
+    Raises InputError when none of 1,000 proposals fits within ``max_cost``,
+    when ``max_depth`` is outside 1 to 12, or when ``outcomes`` is empty.
     """
-    _check_depth(max_depth)
-    if max_branch < 1:
-        raise ValueError("max_branch must be at least 1")
+    _bounded("max_depth", max_depth, 1, _MAX_DEPTH)
+    _bounded("max_branch", max_branch, 1)
     rng = _seeded(seed)
-    outcomes = tuple(outcomes)
+    if not (outcomes := tuple(outcomes)):
+        raise InputError("outcomes must be nonempty")
     for _ in range(_MAX_PROPOSALS):
         g = game(outcomes, _random_tree(rng, max_depth, max_branch, outcomes))
         if not perfect_info:
             g = _merge_cells(rng, g)
         if _enumeration_cost(g) <= max_cost:
             return g
-    raise ValueError(
+    raise InputError(
         f"no random game within max_cost={max_cost} in {_MAX_PROPOSALS} proposals"
     )
 
@@ -528,8 +523,7 @@ def _difference(v1, v2):
 def _law_kind(equiv, samples) -> str:
     # the power kind a law check under equiv reads, once its settings pass
     kind = _lookup(POWER_EQUIVALENCES, equiv, "equivalence")
-    if samples < 0:
-        raise ValueError(f"samples must be at least 0, got {samples}")
+    _bounded("samples", samples, 0)
     return kind
 
 
@@ -604,10 +598,11 @@ def check_equation(
     """
     lhs_t, rhs_t = _as_term(lhs), _as_term(rhs)
     kind = _law_kind(equiv, samples)
-    _check_depth(max_depth)
+    _bounded("max_depth", max_depth, 1, _MAX_DEPTH)
     names = sorted(term_variables(lhs_t) | term_variables(rhs_t))
     dynamic = term_uses_composition(lhs_t) or term_uses_composition(rhs_t)
-    outcomes = tuple(outcomes)
+    if not (outcomes := tuple(outcomes)):
+        raise InputError("outcomes must be nonempty")
     draw, drawn, decide = _binding_decision(kind, dynamic, seed, outcomes, max_depth)
     decision = decide(lhs_t, rhs_t)
     pool = itertools.product(map(drawn, _pool(outcomes, dynamic)), repeat=len(names))

@@ -32,7 +32,7 @@ from .formulas import (
     parse_formula,
     random_formula,
 )
-from .games import Player, Record, _lookup, _seeded
+from .games import Player, Record, _bounded, _lookup, _seeded
 from .models import (
     FRAME_KINDS,
     GAME_FRAME,
@@ -175,8 +175,7 @@ def axiom_soundness_suite(seed: int, samples: int = 1000) -> SoundnessReport:
     Every instance must hold at every world of its model; any other
     outcome is recorded as a violation with the failing worlds attached.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be at least 0, got {samples}")
+    _bounded("samples", samples, 0)
     rng = Random(seed)
     counts = {name: 0 for name in ALL_SCHEMATA}
     violations = []
@@ -265,7 +264,7 @@ def countermodel_search(
     Exhausts models with up to three worlds first (under the family-size
     caps), deciding all valuation rows of a frame at once, then samples
     seeded random models up to ``max_worlds``, which must lie between 1
-    and 8 (ValueError otherwise).  The budget, at least 1 nominal
+    and 8 (InputError otherwise).  The budget, at least 1 nominal
     millisecond, is spent as ten evaluations per millisecond, one
     evaluation being one valuation row of one frame or one random model,
     so runs replay exactly.  A not-found result is only a bounded search
@@ -273,10 +272,8 @@ def countermodel_search(
     """
     if isinstance(f, str):
         f = parse_formula(f)
-    if not 1 <= max_worlds <= _MAX_WORLDS:
-        raise ValueError(f"max_worlds must be between 1 and {_MAX_WORLDS}")
-    if budget_ms < 1:
-        raise ValueError(f"budget_ms must be at least 1, got {budget_ms}")
+    _bounded("max_worlds", max_worlds, 1, _MAX_WORLDS)
+    _bounded("budget_ms", budget_ms, 1)
     text = format_formula(f)
     names = tuple(sorted(atoms(f)))
     evaluate = _evaluator(f)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 when the checked property holds (equivalent, valid frame,
 holds everywhere, no counterexample), 1 when the analysis produced a
-distinguishing witness or refutation, 2 on unusable input or arguments.
+distinguishing witness or refutation, 2 on bad usage or on an InputError,
+which every unusable input raises.  Any other exception is a fault of the
+program: a traceback on stderr, nothing on stdout.
 Identical arguments, files, and seeds produce byte-identical output;
 ``--pretty`` re-indents without changing content.
 """
@@ -17,7 +19,7 @@ from .algebra import OPERATIONS, check_congruence, check_equation
 from .axioms import axiom_soundness_suite, countermodel_search
 from .equivalence import BISIMULATIONS, EQUIVALENCES, POWER_EQUIVALENCES
 from .formulas import format_formula, parse_formula
-from .games import Player, load_game, strategic_to_json
+from .games import InputError, Player, load_game, strategic_to_json
 from .models import (
     FRAME_KINDS,
     GAME_FRAME,
@@ -117,7 +119,7 @@ def _cmd_represent(args) -> tuple[int, dict]:
 def _cmd_algebra(args) -> tuple[int, dict]:
     sides = args.equation.split("=")
     if len(sides) != 2:
-        raise ValueError(f"equation must contain exactly one '=': {args.equation!r}")
+        raise InputError(f"equation must contain exactly one '=': {args.equation!r}")
     report = check_equation(
         sides[0],
         sides[1],
@@ -234,7 +236,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         code, report = args.handler(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, InputError) as exc:
         _emit({"error": str(exc)}, getattr(args, "pretty", False))
         return 2
     _emit(report, args.pretty)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .games import Player, Record, StrategicGame, to_strategic_form
+from .games import InputError, Player, Record, StrategicGame, to_strategic_form
 from .models import GAME_FRAME, INSTANTIAL_FRAME, NeighborhoodModel, validate_frame
 from .powers import POWER_KINDS, basic_powers, upward_closure
 
@@ -31,7 +31,7 @@ STRATEGIC = "strategic"
 POWER_EQUIVALENCES = {POWER: "plain", STRONG: "basic", SEMI: "relational"}
 
 
-class InvalidModelError(ValueError):
+class InvalidModelError(InputError):
     """A bisimulation query was made against an invalid frame."""
 
 
@@ -47,7 +47,7 @@ class EquivalenceVerdict(Record, witness=None):
 
 def _require_shared_outcomes(g1, g2):
     if set(g1.outcomes) != set(g2.outcomes):
-        raise ValueError("games must share an outcome set")
+        raise InputError("games must share an outcome set")
 
 
 def _family_split(kind, g1, g2) -> EquivalenceVerdict:
@@ -227,7 +227,7 @@ BISIMULATIONS = {
 
 def _model_bisim(kind, frame, m1, w1, m2, w2) -> EquivalenceVerdict:
     if w1 not in m1.worlds or w2 not in m2.worlds:
-        raise ValueError("pointed world missing from its model")
+        raise InputError("pointed world missing from its model")
     for m in (m1, m2):
         profile = validate_frame(m, frame)
         if not profile.all_hold:

@@ -23,7 +23,7 @@ import re
 from random import Random
 from typing import Iterable
 
-from .games import Player, Record
+from .games import InputError, Player, Record
 
 
 class Formula(Record):
@@ -73,7 +73,7 @@ def atoms(f: Formula) -> frozenset[str]:
 # -- parsing and printing -------------------------------------------------------
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message: str, pos: int, expected: Iterable[str] = ()):
         self.pos = pos
         self.expected = tuple(sorted(expected))
@@ -327,7 +327,7 @@ def format_formula(f: Formula) -> str:
     try:
         return _FormulaParser.format(f)
     except RecursionError:
-        raise ValueError(f"formula nested more than {MAX_NESTING} levels deep") from None
+        raise InputError(f"formula nested more than {MAX_NESTING} levels deep") from None
 
 
 # -- random generation ---------------------------------------------------------

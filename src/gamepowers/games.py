@@ -100,19 +100,29 @@ def _as_player(value) -> Player:
     return Player(value)
 
 
+class InputError(ValueError):
+    """An unusable argument or input; the command line exits 2 on it."""
+
+
 def _lookup(table: Mapping, key, what: str):
     # a key read from JSON may be a list or an object, which no table can hold
     try:
         return table[key]
     except (KeyError, TypeError):
-        raise ValueError(f"unknown {what} {key!r}") from None
+        raise InputError(f"unknown {what} {key!r}") from None
+
+
+def _bounded(name: str, value: int, low: int, high: int | None = None) -> None:
+    if value < low or high is not None and value > high:
+        span = f"at least {low}" if high is None else f"between {low} and {high}"
+        raise InputError(f"{name} must be {span}, got {value}")
 
 
 def _seeded(seed) -> Random:
     return seed if isinstance(seed, Random) else Random(seed)
 
 
-class GameFormatError(ValueError):
+class GameFormatError(InputError):
     """Raised when serialized game data cannot be decoded."""
 
 
@@ -570,7 +580,7 @@ def to_strategic_form(g: ExtensiveGame) -> StrategicGame:
 # -- file IO --------------------------------------------------------------------
 
 
-def _read_json(path: str, error: type[ValueError], decode: Callable):
+def _read_json(path: str, error: type[InputError], decode: Callable):
     """The JSON value in a file, passed through decode; bytes not in UTF-8,
     bad JSON, a number that is not finite (NaN, Infinity, 1e400) or too long
     to convert, JSON nested deeper than the decoder or decode can follow, or

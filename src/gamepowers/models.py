@@ -15,9 +15,11 @@ from typing import Callable, Iterable, Mapping
 from .formulas import MAX_NESTING, And, Atom, Box, Formula, Not, Top
 from .games import (
     ExtensiveGame,
+    InputError,
     Player,
     Record,
     _as_player,
+    _bounded,
     _is_label,
     _is_label_list,
     _is_sortable_label_list,
@@ -38,7 +40,7 @@ from .powers import (
 )
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(InputError):
     """Raised when serialized model data cannot be decoded."""
 
 
@@ -213,11 +215,11 @@ def _frame_witness(name: str, u: str, p: Player, witness: dict) -> dict:
 
 
 def model_check(m: NeighborhoodModel, f: Formula) -> frozenset[str]:
-    """Truth set of f in m on any model, valid or not; too deep a formula is a ValueError."""
+    """Truth set of f in m on any model, valid or not; too deep a formula is an InputError."""
     try:
         return _evaluator(f)(m)
     except RecursionError:
-        raise ValueError(f"formula nested more than {MAX_NESTING} levels deep") from None
+        raise InputError(f"formula nested more than {MAX_NESTING} levels deep") from None
 
 
 def _evaluator(f: Formula) -> Callable[[NeighborhoodModel], frozenset[str]]:
@@ -315,8 +317,7 @@ def random_model(
 ) -> NeighborhoodModel:
     """Seeded random model that is a valid frame of the requested kind."""
     mode = _lookup(FRAME_KINDS, kind, "frame kind")
-    if not 1 <= max_worlds <= _MAX_WORLDS:
-        raise ValueError(f"max_worlds must be between 1 and {_MAX_WORLDS}")
+    _bounded("max_worlds", max_worlds, 1, _MAX_WORLDS)
     rng = _seeded(seed)
     n = rng.randint(1, max_worlds)
     worlds = tuple(f"w{i}" for i in range(n))

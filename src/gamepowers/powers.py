@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 from .games import (
     ROOT,
     ExtensiveGame,
+    InputError,
     Player,
     Record,
     StrategicGame,
@@ -388,7 +389,7 @@ def check_conditions(
     verdict from ``_CONDITIONS`` the first time it is asked for.
     """
     if fa.outcomes != fb.outcomes and set(fa.outcomes) != set(fb.outcomes):
-        raise ValueError("families must share an outcome set")
+        raise InputError("families must share an outcome set")
     return ConditionProfile(_CONDITIONS, (fa, fb)), ConditionProfile(_B_SIDE, (fb, fa))
 
 
@@ -405,6 +406,7 @@ _MODE_CONDITIONS = {
 # were, so a sampled pair is checked raw and closed only once it is kept
 _CLOSURES = {MONOTONICITY: upward_closure, UNION_CLOSURE: union_closure}
 _MAX_TRIES = 20000  # random_family_pair's tries for one pair
+_MAX_MEMBERS = 3  # and the members of each family it proposes
 
 
 def family_conditions(mode: str) -> tuple[str, ...]:
@@ -439,7 +441,6 @@ def random_family_pair(
     rng: Random,
     outcomes: Iterable[str],
     mode: str,
-    max_members: int = 3,
 ) -> tuple[PowerFamily, PowerFamily]:
     """Rejection-sample a pair of families meeting the mode's conditions, in
     at most 20000 tries (RuntimeError after that).
@@ -458,7 +459,7 @@ def random_family_pair(
     pool = _nonempty_sets(tuple(sorted(outcomes)))
 
     def proposal(sets: Sequence[frozenset]) -> PowerFamily:
-        k = rng.randint(1, max_members)
+        k = rng.randint(1, _MAX_MEMBERS)
         return PowerFamily(outcomes, [rng.choice(sets) for _ in range(k)])
 
     for _ in range(_MAX_TRIES):

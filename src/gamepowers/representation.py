@@ -12,9 +12,11 @@ from math import prod
 from typing import Mapping
 
 from .games import (
+    InputError,
     Player,
     Record,
     StrategicGame,
+    _bounded,
     _is_label_list,
     _is_sortable_label_list,
     _lookup,
@@ -37,7 +39,7 @@ _MAX_DRAWS = 2000  # sample_legal_families' draws for one input
 Triple = tuple[frozenset, str, int]
 
 
-class IllegalFamilies(ValueError):
+class IllegalFamilies(InputError):
     """Input families fail a required condition; profiles carry witnesses."""
 
     def __init__(self, mode, profile_a, profile_b):
@@ -59,9 +61,9 @@ class RepresentationInput(Record):
         _lookup(dict.fromkeys((BASIC, RELATIONAL)), mode, "mode")
         outcomes = tuple(outcomes)
         if len(set(outcomes)) != len(outcomes):
-            raise ValueError("duplicate outcome labels")
+            raise InputError("duplicate outcome labels")
         if set(fa.outcomes) != set(outcomes) or set(fb.outcomes) != set(outcomes):
-            raise ValueError("families must range over the declared outcomes")
+            raise InputError("families must range over the declared outcomes")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "fa", fa)
         object.__setattr__(self, "fb", fb)
@@ -87,13 +89,13 @@ class RepresentationInput(Record):
     @classmethod
     def from_json(cls, obj: Mapping) -> "RepresentationInput":
         if not isinstance(obj, Mapping):
-            raise ValueError("representation input must be an object")
+            raise InputError("representation input must be an object")
         for key in ("outcomes", "FA", "FB"):
             if key not in obj:
-                raise ValueError(f"representation input needs {key!r}")
+                raise InputError(f"representation input needs {key!r}")
         outcomes = obj["outcomes"]
         if not _is_sortable_label_list(outcomes):
-            raise ValueError(
+            raise InputError(
                 "'outcomes' must be a list of labels, all strings or all numbers"
             )
         known = set(outcomes)
@@ -103,16 +105,16 @@ class RepresentationInput(Record):
             if not isinstance(members, list) or not all(
                 map(_is_label_list, members)
             ):
-                raise ValueError(f"{key!r} must be a list of lists of outcomes")
+                raise InputError(f"{key!r} must be a list of lists of outcomes")
             unknown = [x for m in members for x in m if x not in known]
             if unknown:
-                raise ValueError(f"{key!r} names {unknown[0]!r}, not an outcome")
+                raise InputError(f"{key!r} names {unknown[0]!r}, not an outcome")
             families.append(PowerFamily(outcomes, members))
         return cls(outcomes, *families, obj.get("mode", BASIC))
 
 
 def load_representation_input(path) -> RepresentationInput:
-    return _read_json(path, ValueError, RepresentationInput.from_json)
+    return _read_json(path, InputError, RepresentationInput.from_json)
 
 
 def check_input(inp: RepresentationInput):
@@ -248,8 +250,7 @@ def sample_legal_families(
     Rejection sampling: draw a condition-respecting pair, then re-draw while
     its `construction_cost` exceeds max_cost, up to 2000 draws in all.
     """
-    if o_size < 1:
-        raise ValueError("o_size must be at least 1")
+    _bounded("o_size", o_size, 1)
     rng = _seeded(seed)
     outcomes = [str(i) for i in range(o_size)]
     for _ in range(_MAX_DRAWS):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gamepowers.algebra as algebra
+from gamepowers import InputError, sample_legal_families
 from gamepowers.algebra import (
     OPERATIONS,
     Comp,
@@ -428,6 +429,28 @@ def test_random_game_rejects_bad_caps():
     # every game costs at least one strategy per player
     with pytest.raises(ValueError, match="max_cost"):
         random_game(0, max_cost=1)
+
+
+def test_an_empty_outcome_set_is_an_input_error():
+    for lhs in ("x + y", "x o y"):
+        with pytest.raises(InputError, match="outcomes must be nonempty"):
+            check_equation(lhs, "y", "power", seed=0, outcomes=())
+    with pytest.raises(InputError, match="outcomes must be nonempty"):
+        random_game(1, outcomes=())
+    with pytest.raises(InputError, match="states must be nonempty"):
+        random_dynamic_game(1, ())
+
+
+def test_a_bound_message_names_the_bound_and_the_value():
+    with pytest.raises(InputError) as got:
+        random_game(0, 2, 0)
+    assert str(got.value) == "max_branch must be at least 1, got 0"
+    with pytest.raises(InputError) as got:
+        random_game(0, 13)
+    assert str(got.value) == "max_depth must be between 1 and 12, got 13"
+    with pytest.raises(InputError) as got:
+        sample_legal_families(0, seed=0)
+    assert str(got.value) == "o_size must be at least 1, got 0"
 
 
 def _cell_product(g, cells) -> int:

@@ -23,7 +23,7 @@ from gamepowers.equivalence import (
     strongly_equivalent,
 )
 from gamepowers.games import game_to_json
-from gamepowers.models import FRAME_KINDS
+from gamepowers.models import FRAME_KINDS, ModelFormatError
 from gamepowers.powers import POWER_KINDS
 from helpers import one_then_two_or_three, two_or_three_after_one
 
@@ -752,6 +752,9 @@ def _files(docs):
     return (JSON | docs).map(lambda obj: (obj,))
 
 
+# integer options on and around their bounds: samples from 0, budget from 1,
+# max-depth 1 to 12 and max-worlds 1 to 8
+BOUNDS = st.sampled_from(["-1", "0", "1", "2", "9", "13"])
 GAME_FILES = _files(GAMES | STRATEGIC)
 MODEL_FILES = _files(MODELS)
 # every command that reads a file or a string; "--" ends the options, so a
@@ -768,11 +771,18 @@ ARGVS = st.one_of(
               st.sampled_from(["power", "instantial"])).map(
         lambda a: ["bisim", a[0], "u", a[0], a[1], "--kind", a[2]]),
     _files(FAMILIES).map(lambda f: ["represent", f, "--verify"]),
-    FORMULAS.map(lambda f: ["refute", "--seed", "1", "--max-worlds", "2",
-                            "--budget", "2", "--", f]),
-    st.tuples(EQUATIONS, st.sampled_from(["power", "semi", "strong"])).map(
-        lambda a: ["algebra", "--equiv", a[1], "--seed", "1", "--samples", "1",
-                   "--max-depth", "2", "--", a[0]]),
+    st.tuples(FORMULAS, BOUNDS, BOUNDS).map(
+        lambda a: ["refute", "--seed", "1", "--max-worlds", a[1], "--budget", a[2],
+                   "--", a[0]]),
+    st.tuples(EQUATIONS, st.sampled_from(["power", "semi", "strong"]), BOUNDS,
+              BOUNDS).map(
+        lambda a: ["algebra", "--equiv", a[1], "--seed", "1", "--samples", a[2],
+                   "--max-depth", a[3], "--", a[0]]),
+    st.tuples(st.sampled_from(list(OPERATIONS)),
+              st.sampled_from(["power", "semi", "strong"]), BOUNDS).map(
+        lambda a: ["congruence", a[0], "--equiv", a[1], "--seed", "1",
+                   "--samples", a[2]]),
+    BOUNDS.map(lambda n: ["axioms", "--seed", "1", "--samples", n]),
 )
 
 
@@ -795,6 +805,27 @@ def test_fuzzed_input_ends_in_one_json_report(tmp_path_factory, drawn):
     lines = out.getvalue().splitlines()
     assert len(lines) == 1
     strict_json(lines[0])
+
+
+def test_a_value_error_from_the_program_is_not_an_input_error(capsys, monkeypatch):
+    # exit 2 means the input; a fault of the program ends in a traceback,
+    # with nothing on stdout
+    def broken(seed, samples):
+        return max([])
+
+    monkeypatch.setattr("gamepowers.cli.axiom_soundness_suite", broken)
+    with pytest.raises(ValueError, match="empty sequence"):
+        main(["axioms", "--seed", "1"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("error", [
+    gamepowers.GameFormatError, ModelFormatError, gamepowers.ParseError,
+    gamepowers.TermParseError, gamepowers.IllegalFamilies, gamepowers.InvalidModelError,
+])
+def test_every_input_error_class_is_an_input_error(error):
+    assert issubclass(error, gamepowers.InputError)
+    assert issubclass(gamepowers.InputError, ValueError)
 
 
 def test_model_without_worlds_is_an_input_error(capsys, tmp_path):

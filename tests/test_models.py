@@ -268,7 +268,8 @@ def test_random_model_rejects_a_world_cap_out_of_range(kind):
             random_model(1, kind, max_worlds=cap)
         with pytest.raises(ValueError) as search:
             countermodel_search("p", max_worlds=cap)
-        assert str(got.value) == str(search.value) == "max_worlds must be between 1 and 8"
+        assert str(got.value) == str(search.value) == (
+            f"max_worlds must be between 1 and 8, got {cap}")
     assert validate_frame(random_model(3, kind, max_worlds=8), kind).all_hold
 
 
