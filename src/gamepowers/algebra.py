@@ -31,6 +31,7 @@ from .games import (
     Player,
     Record,
     _bounded,
+    _fields,
     _is_sortable_label_list,
     _lookup,
     _seeded,
@@ -131,9 +132,9 @@ class DynamicGame(Record):
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "DynamicGame":
-        if not isinstance(obj, Mapping) or "states" not in obj or "games" not in obj:
-            raise GameFormatError("dynamic game needs states and games")
-        states, specs = obj["states"], obj["games"]
+        states, specs = _fields(
+            obj, ("states", "games"), GameFormatError, "dynamic game needs states and games"
+        )
         if not _is_sortable_label_list(states) or not isinstance(specs, Mapping):
             raise GameFormatError(
                 "dynamic game needs a list of state labels and an object of games"

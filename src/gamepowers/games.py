@@ -148,6 +148,24 @@ def _is_sortable_label_list(value) -> bool:
     return True
 
 
+def _sortable_labels(value, error=GameFormatError, name="outcomes", nonempty=False) -> list:
+    if not _is_sortable_label_list(value) or nonempty and not value:
+        some = "a nonempty" if nonempty else "a"
+        raise error(f"'{name}' must be {some} list of labels, all strings or all numbers")
+    return value
+
+
+def _fields(obj, keys, error: type[InputError], missing: str, not_object: str = "") -> list:
+    # obj[key] for each key, or error(missing) naming the first key obj lacks as
+    # {key}; a value that is not a JSON object raises error(not_object or missing)
+    if not isinstance(obj, Mapping):
+        raise error(not_object or missing)
+    for key in keys:
+        if key not in obj:
+            raise error(missing.format(key=key))
+    return [obj[key] for key in keys]
+
+
 class ExtensiveGame(Record):
     """Immutable extensive game.
 
@@ -329,16 +347,10 @@ def game_to_json(g: ExtensiveGame) -> dict:
 
 
 def game_from_json(obj: Mapping) -> ExtensiveGame:
-    try:
-        outcomes = obj["outcomes"]
-        tree = obj["tree"]
-    except (KeyError, TypeError) as exc:
-        raise GameFormatError("game object needs 'outcomes' and 'tree'") from exc
-    if not _is_sortable_label_list(outcomes):
-        raise GameFormatError(
-            "'outcomes' must be a list of labels, all strings or all numbers"
-        )
-    return game(outcomes, tree)
+    outcomes, tree = _fields(
+        obj, ("outcomes", "tree"), GameFormatError, "game object needs 'outcomes' and 'tree'"
+    )
+    return game(_sortable_labels(outcomes), tree)
 
 
 # -- validation ----------------------------------------------------------------
@@ -537,18 +549,11 @@ def strategic_to_json(sg: StrategicGame) -> dict:
 
 
 def strategic_from_json(obj: Mapping) -> StrategicGame:
-    try:
-        outcomes, rows, cols, matrix = (
-            obj[key] for key in ("outcomes", "rows", "cols", "matrix")
-        )
-    except (KeyError, TypeError) as exc:
-        raise GameFormatError(
-            "strategic game needs 'outcomes', 'rows', 'cols', 'matrix'"
-        ) from exc
-    if not _is_sortable_label_list(outcomes):
-        raise GameFormatError(
-            "'outcomes' must be a list of labels, all strings or all numbers"
-        )
+    outcomes, rows, cols, matrix = _fields(
+        obj, ("outcomes", "rows", "cols", "matrix"), GameFormatError,
+        "strategic game needs 'outcomes', 'rows', 'cols', 'matrix'",
+    )
+    _sortable_labels(outcomes)
     for key, labels in (("rows", rows), ("cols", cols)):
         if not _is_label_list(labels):
             raise GameFormatError(f"'{key}' must be a list of labels")
@@ -581,10 +586,10 @@ def to_strategic_form(g: ExtensiveGame) -> StrategicGame:
 
 
 def _read_json(path: str, error: type[InputError], decode: Callable):
-    """The JSON value in a file, passed through decode; bytes not in UTF-8,
+    """The JSON value in a file, passed through decode.  Bytes not in UTF-8,
     bad JSON, a number that is not finite (NaN, Infinity, 1e400) or too long
-    to convert, JSON nested deeper than the decoder or decode can follow, or
-    a ValueError that decode raises, raises ``error`` prefixed with the path."""
+    to convert, nesting deeper than json.load or decode can follow, and an
+    InputError from decode raise ``error`` prefixed with the path; nothing else is caught."""
 
     def finite(literal):
         if not isfinite(number := float(literal)):
@@ -595,8 +600,12 @@ def _read_json(path: str, error: type[InputError], decode: Callable):
         try:
             # up to 3.12 json.load gives out first; on 3.13 its C scanner
             # has its own limit, and decode's recursive walk may give out
-            return decode(json.load(fh, parse_float=finite, parse_constant=finite))
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
+            try:
+                obj = json.load(fh, parse_float=finite, parse_constant=finite)
+            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
+                raise InputError(exc) from exc
+            return decode(obj)
+        except InputError as exc:
             raise error(f"{path}: {exc}") from exc
         except RecursionError:
             raise error(f"{path}: JSON nested too deeply") from None

@@ -20,12 +20,13 @@ from .games import (
     Record,
     _as_player,
     _bounded,
+    _fields,
     _is_label,
     _is_label_list,
-    _is_sortable_label_list,
     _lookup,
     _read_json,
     _seeded,
+    _sortable_labels,
 )
 from .powers import (
     CONSISTENCY,
@@ -127,25 +128,16 @@ class NeighborhoodModel(Record):
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "NeighborhoodModel":
-        try:
-            worlds = obj["worlds"]
-            ra = obj.get("RA", [])
-            rb = obj.get("RB", [])
-            val = obj.get("val", {})
-        except (KeyError, TypeError) as exc:
-            raise ModelFormatError("model object with 'worlds' expected") from exc
-        if not _is_sortable_label_list(worlds) or not worlds:
-            raise ModelFormatError(
-                "'worlds' must be a nonempty list of labels, all strings or all numbers"
-            )
+        (worlds,) = _fields(
+            obj, ("worlds",), ModelFormatError, "model object with 'worlds' expected"
+        )
+        _sortable_labels(worlds, ModelFormatError, "worlds", nonempty=True)
+        ra, rb, val = obj.get("RA", []), obj.get("RB", []), obj.get("val", {})
         if len(set(worlds)) != len(worlds):
             raise ModelFormatError("duplicate world labels")
         for name, rel in (("RA", ra), ("RB", rb)):
-            if not isinstance(rel, list) or any(
-                not isinstance(e, list)
-                or len(e) != 2
-                or not _is_label(e[0])
-                or not _is_label_list(e[1])
+            if not isinstance(rel, list) or not all(
+                isinstance(e, list) and len(e) == 2 and _is_label(e[0]) and _is_label_list(e[1])
                 for e in rel
             ):
                 raise ModelFormatError(f"'{name}' must be a list of [world, [worlds]]")

@@ -22,6 +22,7 @@ from .games import (
     Record,
     StrategicGame,
     _as_player,
+    _bounded,
     _lookup,
     _nonempty_subsets,
 )
@@ -199,8 +200,10 @@ POWER_KINDS = {
 
 
 def upward_closure(f: PowerFamily) -> PowerFamily:
-    out = set()
     universe = frozenset(f.outcomes)
+    candidates = sum(1 << len(universe - m) for m in f._index)
+    _bounded("upward closure candidates", candidates, 0, _MAX_CLOSURE)
+    out = set()
     for m in f._index:
         for extra in _subsets(tuple(universe - m)):
             out.add(m | frozenset(extra))
@@ -407,6 +410,7 @@ _MODE_CONDITIONS = {
 _CLOSURES = {MONOTONICITY: upward_closure, UNION_CLOSURE: union_closure}
 _MAX_TRIES = 20000  # random_family_pair's tries for one pair
 _MAX_MEMBERS = 3  # and the members of each family it proposes
+_MAX_CLOSURE = 1 << 18  # upward_closure's supersets, 2^(n - |m|) for a member m of n outcomes
 
 
 def family_conditions(mode: str) -> tuple[str, ...]:

@@ -17,11 +17,12 @@ from .games import (
     Record,
     StrategicGame,
     _bounded,
+    _fields,
     _is_label_list,
-    _is_sortable_label_list,
     _lookup,
     _read_json,
     _seeded,
+    _sortable_labels,
 )
 from .powers import (
     POWER_KINDS,
@@ -88,23 +89,14 @@ class RepresentationInput(Record):
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "RepresentationInput":
-        if not isinstance(obj, Mapping):
-            raise InputError("representation input must be an object")
-        for key in ("outcomes", "FA", "FB"):
-            if key not in obj:
-                raise InputError(f"representation input needs {key!r}")
-        outcomes = obj["outcomes"]
-        if not _is_sortable_label_list(outcomes):
-            raise InputError(
-                "'outcomes' must be a list of labels, all strings or all numbers"
-            )
-        known = set(outcomes)
+        outcomes, *given = _fields(
+            obj, ("outcomes", "FA", "FB"), InputError,
+            "representation input needs {key!r}", "representation input must be an object",
+        )
+        known = set(_sortable_labels(outcomes, InputError))
         families = []
-        for key in ("FA", "FB"):
-            members = obj[key]
-            if not isinstance(members, list) or not all(
-                map(_is_label_list, members)
-            ):
+        for key, members in zip(("FA", "FB"), given):
+            if not isinstance(members, list) or not all(map(_is_label_list, members)):
                 raise InputError(f"{key!r} must be a list of lists of outcomes")
             unknown = [x for m in members for x in m if x not in known]
             if unknown:

@@ -438,6 +438,9 @@ def test_a_file_that_is_not_utf8_is_an_input_error_naming_its_path(capsys, tmp_p
 OUTCOME_LABELS = "'outcomes' must be a list of labels, all strings or all numbers"
 FAMILY_LISTS = "'FA' must be a list of lists of outcomes"
 MATRIX_LISTS = "'matrix' must be a list of lists of outcome labels"
+# A choosing among 20 outcomes: 20 singletons, 2^19 supersets each
+CLOSURE_BOUND = "upward closure candidates must be between 0 and 262144, got 10485760"
+TWENTY = [f"o{i}" for i in range(20)]
 
 
 @pytest.mark.parametrize(
@@ -513,6 +516,11 @@ MATRIX_LISTS = "'matrix' must be a list of lists of outcome labels"
          "valuation of 'p' leaves the world set"),
         (FRAME, [{"worlds": ["w"]}], "model object with 'worlds' expected"),
         (REPRESENT, [{"outcomes": ["x"]}], "representation input must be an object"),
+        # a game that decodes, but whose plain powers would take 2^20 sets
+        (("powers", "--player", "A", "--kind", "plain"),
+         {"outcomes": TWENTY,
+          "tree": {"player": "A", "children": [{"outcome": o} for o in TWENTY]}},
+         CLOSURE_BOUND),
     ],
     ids=["outcome-list", "info-list", "row-list", "member-label-list",
          "outcomes-string", "member-string", "unknown-outcome",
@@ -522,13 +530,15 @@ MATRIX_LISTS = "'matrix' must be a list of lists of outcome labels"
          "mode-list", "strategic-duplicate-rows", "strategic-duplicate-outcomes",
          "strategic-ragged-matrix", "strategic-without-rows", "game-top-level-list",
          "game-child-number", "game-leaf-with-player", "model-unknown-world",
-         "model-valuation-outside", "model-top-level-list", "family-top-level-list"],
+         "model-valuation-outside", "model-top-level-list", "family-top-level-list",
+         "plain-closure-over-bound"],
 )
 def test_malformed_files_are_input_errors(capsys, tmp_path, command, data, message):
     p = tmp_path / "input.json"
     p.write_text(json.dumps(data))
     error = assert_input_error(capsys, command[0], str(p), *command[1:])
-    assert error == f"{p}: {message}"
+    # the closure bound is hit after decoding, so its message names no path
+    assert error == (message if message == CLOSURE_BOUND else f"{p}: {message}")
 
 
 @pytest.mark.parametrize(
@@ -807,15 +817,28 @@ def test_fuzzed_input_ends_in_one_json_report(tmp_path_factory, drawn):
     strict_json(lines[0])
 
 
-def test_a_value_error_from_the_program_is_not_an_input_error(capsys, monkeypatch):
-    # exit 2 means the input; a fault of the program ends in a traceback,
-    # with nothing on stdout
-    def broken(seed, samples):
-        return max([])
+@pytest.mark.parametrize(
+    "target, fault, argv",
+    [
+        ("gamepowers.cli.axiom_soundness_suite", ValueError, ["axioms", "--seed", "1"]),
+        ("gamepowers.games.game_from_json", ValueError, ["powers", "GAME", *POWERS[1:]]),
+        ("gamepowers.games.game_from_json", KeyError, ["powers", "GAME", *POWERS[1:]]),
+    ],
+    ids=["handler", "decoder-value-error", "decoder-key-error"],
+)
+def test_a_value_error_from_the_program_is_not_an_input_error(
+    capsys, monkeypatch, tmp_path, target, fault, argv
+):
+    # exit 2 means the input; a fault of the program, in a command or in a
+    # file decoder, ends in a traceback, with nothing on stdout
+    def broken(*args):
+        raise fault("a fault of the program")
 
-    monkeypatch.setattr("gamepowers.cli.axiom_soundness_suite", broken)
-    with pytest.raises(ValueError, match="empty sequence"):
-        main(["axioms", "--seed", "1"])
+    monkeypatch.setattr(target, broken)
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(game_to_json(one_then_two_or_three())))
+    with pytest.raises(fault, match="a fault of the program"):
+        main([str(g) if arg == "GAME" else arg for arg in argv])
     assert capsys.readouterr().out == ""
 
 

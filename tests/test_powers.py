@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamepowers.algebra import (
+    check_equation,
     op_dual,
     op_plus,
     op_times,
@@ -19,7 +20,8 @@ from gamepowers.algebra import (
     seq_compose,
 )
 from gamepowers.axioms import _FAMILY_CAPS
-from gamepowers.games import Player, game, leaf, node
+from gamepowers.equivalence import hierarchy_audit, power_equivalent
+from gamepowers.games import InputError, Player, game, leaf, node
 from gamepowers.models import FRAME_KINDS, INSTANTIAL_FRAME
 from gamepowers.powers import (
     COMBINE,
@@ -160,6 +162,32 @@ def test_upward_closure():
     )
     # already-closed family is a fixpoint
     assert upward_closure(upward_closure(f)) == upward_closure(f)
+
+
+def test_an_upward_closure_past_its_bound_is_refused_before_it_is_built(monkeypatch):
+    # A choosing among 20 outcomes: 20 singletons with 2^19 supersets each
+    outcomes = [f"o{i}" for i in range(20)]
+    g = game(outcomes, node("A", [leaf(o) for o in outcomes]))
+    refusals = [
+        lambda: upward_closure(basic_powers(g, Player.A)),
+        lambda: powers(g, Player.A),
+        lambda: power_equivalent(g, g),
+        lambda: hierarchy_audit(g, g),
+    ]
+    for refused in refusals:
+        with pytest.raises(InputError) as caught:
+            refused()
+        assert str(caught.value) == (
+            "upward closure candidates must be between 0 and 262144, got 10485760"
+        )
+    # a law check's first drawn game, one leaf: 2^19 supersets of its singleton
+    with pytest.raises(InputError, match="upward closure candidates .* got 524288"):
+        check_equation("x + y", "y + x", "power", seed=1, outcomes=outcomes)
+    # a family at the bound closes, one candidate more is refused
+    monkeypatch.setattr(sys.modules["gamepowers.powers"], "_MAX_CLOSURE", 8)
+    assert len(upward_closure(PowerFamily("0123", ["0"]))) == 8
+    with pytest.raises(InputError, match="between 0 and 8, got 9"):
+        upward_closure(PowerFamily("0123", ["0", "0123"]))
 
 
 def test_union_closure_matches_subfamily_oracle():
