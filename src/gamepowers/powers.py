@@ -8,8 +8,9 @@ relational basic powers are the exact outcome sets of relational strategies.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import chain, combinations, filterfalse, product
+from math import prod
 from operator import and_, or_
 from random import Random
 from typing import Callable, Iterable, Sequence
@@ -104,11 +105,8 @@ def basic_powers(g: ExtensiveGame | StrategicGame, p: Player) -> PowerFamily:
     """Exact outcome sets of p's functional strategies."""
     p = _as_player(p)
     if isinstance(g, StrategicGame):
-        if p is Player.A:
-            sets = [g.row_set(i) for i in range(len(g.rows))]
-        else:
-            sets = [g.col_set(j) for j in range(len(g.cols))]
-        return PowerFamily(g.outcomes, sets)
+        labels, cell_set = (g.rows, g.row_set) if p is Player.A else (g.cols, g.col_set)
+        return PowerFamily(g.outcomes, map(cell_set, range(len(labels))))
     return _tree_powers(g, p, relational=False)
 
 
@@ -138,6 +136,14 @@ def _nonempty_join(f, g) -> set[frozenset[str]]:
     return _join(f, g).union(f, g)
 
 
+def _nonempty_joins(families, n: int) -> set[frozenset[str]]:
+    # _nonempty_join folded over the families, refused before it is built when
+    # it may pass _MAX_CLOSURE: min(prod(|F| + 1), 2^n) - 1 sets over n outcomes
+    count = min(prod(len(f) + 1 for f in families), 1 << n) - 1
+    _bounded("nonempty unions", count, 0, _MAX_CLOSURE)
+    return reduce(_nonempty_join, families, set())
+
+
 # Each power kind's rules at a choice between parts, as binary operations on
 # member sets: the mover's, who picks a part (a relational mover a nonempty
 # set of them), then the other player's, who answers in every part.  Upward
@@ -155,12 +161,13 @@ def _tree_powers(g: ExtensiveGame, p: Player, relational: bool, leaves={}) -> Po
     A strategy's outcome set is built bottom-up: a leaf gives the member
     sets ``leaves`` maps its outcome to (a continuation's family), or else
     its singleton; a node combines its children's by the ``COMBINE`` rules
-    of p's kind, p's own where p moves.  Choices at p's singleton cells are
+    of p's kind, p's own where p moves (a relational mover's through
+    ``_nonempty_joins``, so bounded).  Choices at p's singleton cells are
     independent, so each node's family folds them in; p's shared cells
     couple nodes, so every assignment to them gets its own pass, joining the
     children it picks.  ``enumerate_strategies`` with ``outcome_set`` agrees.
     """
-    mover, other = COMBINE["relational" if relational else "basic"]
+    mover = partial(_nonempty_joins, n=len(g.outcomes)) if relational else partial(reduce, or_)
     shared = [c for c in g.player_cells(p) if len(c) > 1]
     options = []
     for cell in shared:
@@ -177,9 +184,9 @@ def _tree_powers(g: ExtensiveGame, p: Player, relational: bool, leaves={}) -> Po
         for w in deepest_first:
             kids = [fam[c] for c in g.children(w)]
             if w in picked:
-                fam[w] = reduce(other, [kids[i] for i in picked[w]])
+                fam[w] = reduce(_join, [kids[i] for i in picked[w]])
             else:
-                fam[w] = reduce(mover if g.turn[w] is p else other, kids)
+                fam[w] = mover(kids) if g.turn[w] is p else reduce(_join, kids)
         out |= fam[ROOT]
     return PowerFamily(g.outcomes, out)
 
@@ -205,15 +212,13 @@ def upward_closure(f: PowerFamily) -> PowerFamily:
     _bounded("upward closure candidates", candidates, 0, _MAX_CLOSURE)
     out = set()
     for m in f._index:
-        for extra in _subsets(tuple(universe - m)):
-            out.add(m | frozenset(extra))
+        out.update(map(m.union, _subsets(tuple(universe - m))))
     return PowerFamily(f.outcomes, out)
 
 
 def union_closure(f: PowerFamily) -> PowerFamily:
     """Every nonempty union of members of f."""
-    nonempty_join = COMBINE["relational"][0]
-    return PowerFamily(f.outcomes, reduce(nonempty_join, ({m} for m in f._index), set()))
+    return PowerFamily(f.outcomes, _nonempty_joins([{m} for m in f._index], len(f.outcomes)))
 
 
 # -- condition checking ----------------------------------------------------------
@@ -307,8 +312,7 @@ def _monotone(fam: PowerFamily, other: PowerFamily) -> bool:
 def _monotonicity_witness(fam: PowerFamily, other: PowerFamily) -> dict:
     universe = frozenset(fam.outcomes)
     for mset in fam.member_sets():
-        for extra in _subsets(tuple(sorted(universe - mset))):
-            sup = mset | frozenset(extra)
+        for sup in map(mset.union, _subsets(tuple(sorted(universe - mset)))):
             if sup not in fam._index:
                 return {"member": sorted(mset), "superset": sorted(sup)}
 
@@ -404,13 +408,12 @@ _MODE_CONDITIONS = {
     "relational": (NON_EMPTINESS, INSTANTIATEDNESS, CONSISTENCY, UNION_CLOSURE),
 }
 
-# the closure that makes each of these conditions hold; both keep
-# NonEmptiness and Consistency, and union closure Instantiatedness, as they
-# were, so a sampled pair is checked raw and closed only once it is kept
+# the closure that makes each of these conditions hold; both keep NonEmptiness
+# and Consistency, and union closure Instantiatedness, so only a kept pair is closed
 _CLOSURES = {MONOTONICITY: upward_closure, UNION_CLOSURE: union_closure}
 _MAX_TRIES = 20000  # random_family_pair's tries for one pair
 _MAX_MEMBERS = 3  # and the members of each family it proposes
-_MAX_CLOSURE = 1 << 18  # upward_closure's supersets, 2^(n - |m|) for a member m of n outcomes
+_MAX_CLOSURE = 1 << 18  # the sets an upward closure or a relational join may build
 
 
 def family_conditions(mode: str) -> tuple[str, ...]:
@@ -436,9 +439,9 @@ def legal_pairs(outcomes: tuple[str, ...], kind: str, max_members: int | None = 
     )
 
 
-def _partner_pool(fa: PowerFamily, pool: Sequence[frozenset], required) -> list[frozenset]:
-    inside = filter(_reach(fa).issuperset, pool) if INSTANTIATEDNESS in required else pool
-    return list(reduce(lambda sets, m: filterfalse(m.isdisjoint, sets), fa._index, inside))
+def _partner_pool(members, pool: Sequence[frozenset], inside=None) -> list[frozenset]:
+    sets = pool if inside is None else filter(inside.issuperset, pool)
+    return list(reduce(lambda sets, m: filterfalse(m.isdisjoint, sets), members, sets))
 
 
 def random_family_pair(
@@ -449,29 +452,25 @@ def random_family_pair(
     """Rejection-sample a pair of families meeting the mode's conditions, in
     at most 20000 tries (RuntimeError after that).
 
-    Proposals are small random families of nonempty subsets, B's members
-    only from sets that meet all of A's, inside A's reach when the mode
-    requires Instantiatedness.  A try checks the raw proposals on all but
-    Monotonicity (plain) and UnionClosure (relational): only the kept pair
-    is closed upward or under unions, which makes that condition hold and
-    keeps the others', so it is the pair closing every proposal would keep.
+    A try proposes 1 to 3 nonempty subsets for A, then 1 to 3 for B from
+    the sets that meet every member of A's, inside A's reach when the mode
+    requires Instantiatedness.  So both families are nonempty, the pair is
+    consistent and B's reach lies inside A's: a try fails only when the mode
+    requires Instantiatedness and B's reach falls short of A's.  The kept
+    pair is closed upward (plain) or under unions (relational).
     """
     outcomes = tuple(outcomes)
     required = family_conditions(mode)
-    checked = tuple(c for c in required if c not in _CLOSURES)
-    closures = [_CLOSURES[c] for c in required if c in _CLOSURES]
+    instantiated = INSTANTIATEDNESS in required
     pool = _nonempty_sets(tuple(sorted(outcomes)))
-
-    def proposal(sets: Sequence[frozenset]) -> PowerFamily:
-        k = rng.randint(1, _MAX_MEMBERS)
-        return PowerFamily(outcomes, [rng.choice(sets) for _ in range(k)])
-
     for _ in range(_MAX_TRIES):
-        fa = proposal(pool)
-        fb = proposal(_partner_pool(fa, pool, required))
-        pa, pb = check_conditions(fa, fb)
-        if pa.holds(*checked) and pb.holds(*checked):
-            for close in closures:
+        ma = [rng.choice(pool) for _ in range(rng.randint(1, _MAX_MEMBERS))]
+        reach = frozenset().union(*ma)
+        partners = _partner_pool(ma, pool, reach if instantiated else None)
+        mb = [rng.choice(partners) for _ in range(rng.randint(1, _MAX_MEMBERS))]
+        if not instantiated or reach.issubset(chain.from_iterable(mb)):
+            fa, fb = PowerFamily(outcomes, ma), PowerFamily(outcomes, mb)
+            for close in (_CLOSURES[c] for c in required if c in _CLOSURES):
                 fa, fb = close(fa), close(fb)
             return fa, fb
     raise RuntimeError(f"no {mode} family pair found in {_MAX_TRIES} tries")

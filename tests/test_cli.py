@@ -443,6 +443,12 @@ CLOSURE_BOUND = "upward closure candidates must be between 0 and 262144, got 104
 TWENTY = [f"o{i}" for i in range(20)]
 
 
+def one_move(outcomes):
+    """A game file where A picks one of the outcomes."""
+    return {"outcomes": outcomes,
+            "tree": {"player": "A", "children": [{"outcome": o} for o in outcomes]}}
+
+
 @pytest.mark.parametrize(
     "command, data, message",
     [
@@ -517,10 +523,7 @@ TWENTY = [f"o{i}" for i in range(20)]
         (FRAME, [{"worlds": ["w"]}], "model object with 'worlds' expected"),
         (REPRESENT, [{"outcomes": ["x"]}], "representation input must be an object"),
         # a game that decodes, but whose plain powers would take 2^20 sets
-        (("powers", "--player", "A", "--kind", "plain"),
-         {"outcomes": TWENTY,
-          "tree": {"player": "A", "children": [{"outcome": o} for o in TWENTY]}},
-         CLOSURE_BOUND),
+        (("powers", "--player", "A", "--kind", "plain"), one_move(TWENTY), CLOSURE_BOUND),
     ],
     ids=["outcome-list", "info-list", "row-list", "member-label-list",
          "outcomes-string", "member-string", "unknown-outcome",
@@ -654,6 +657,23 @@ def test_long_strong_composition_chain_is_answered(capsys):
         assert code == 1
         report = json.loads(out)
         assert (report["verdict"], report["samples"]) == ("counterexample", 6)
+
+
+def test_relational_joins_past_their_bound_exit_2_at_once(capsys, tmp_path):
+    # A's relational powers on 20 outcomes would be 2^20 - 1 unions (24 s and
+    # 1.5 GiB unbounded); on 16 outcomes they are 2^16 - 1 and are answered
+    p = tmp_path / "twenty.json"
+    p.write_text(json.dumps(one_move(TWENTY)))
+    for argv in (("powers", str(p), "--player", "A", "--kind", "relational"),
+                 ("equiv", str(p), str(p), "--relation", "semi")):
+        start = time.perf_counter()
+        error = assert_input_error(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert error == "nonempty unions must be between 0 and 262144, got 1048575"
+    p.write_text(json.dumps(one_move(TWENTY[:16])))
+    code, out = run(capsys, "powers", str(p), "--player", "A", "--kind", "relational")
+    assert code == 0
+    assert len(json.loads(out)["members"]) == 2**16 - 1
 
 
 def test_the_module_runs_as_a_script():

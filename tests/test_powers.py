@@ -20,9 +20,9 @@ from gamepowers.algebra import (
     seq_compose,
 )
 from gamepowers.axioms import _FAMILY_CAPS
-from gamepowers.equivalence import hierarchy_audit, power_equivalent
+from gamepowers.equivalence import hierarchy_audit, power_equivalent, semi_strongly_equivalent
 from gamepowers.games import InputError, Player, game, leaf, node
-from gamepowers.models import FRAME_KINDS, INSTANTIAL_FRAME
+from gamepowers.models import FRAME_KINDS, GAME_FRAME, INSTANTIAL_FRAME, random_model
 from gamepowers.powers import (
     COMBINE,
     CONSISTENCY,
@@ -188,6 +188,31 @@ def test_an_upward_closure_past_its_bound_is_refused_before_it_is_built(monkeypa
     assert len(upward_closure(PowerFamily("0123", ["0"]))) == 8
     with pytest.raises(InputError, match="between 0 and 8, got 9"):
         upward_closure(PowerFamily("0123", ["0", "0123"]))
+
+
+def test_nonempty_joins_past_their_bound_are_refused_before_they_are_built(monkeypatch):
+    # A choosing among 20 outcomes relationally: 2^20 - 1 nonempty unions
+    outcomes = [f"o{i}" for i in range(20)]
+    g = game(outcomes, node("A", [leaf(o) for o in outcomes]))
+    refusals = [
+        lambda: relational_basic_powers(g, Player.A),
+        lambda: semi_strongly_equivalent(g, g),
+        lambda: union_closure(basic_powers(g, Player.A)),
+    ]
+    for refused in refusals:
+        with pytest.raises(InputError) as caught:
+            refused()
+        assert str(caught.value) == "nonempty unions must be between 0 and 262144, got 1048575"
+    # B answers at A's node with a join of singletons, which is never refused
+    assert members(relational_basic_powers(g, Player.B)) == {tuple(sorted(outcomes))}
+    # a count at the bound is built, one more is refused; the count is the
+    # fewer of prod(|F| + 1) - 1 and 2^n - 1
+    monkeypatch.setattr(sys.modules["gamepowers.powers"], "_MAX_CLOSURE", 7)
+    three = game("abc", node("A", [leaf("a"), leaf("b"), leaf("c")]))
+    assert len(relational_basic_powers(three, Player.A)) == 7
+    assert len(union_closure(PowerFamily("abc", ["a", "b", "c", "ab", "abc"]))) == 7
+    with pytest.raises(InputError, match="between 0 and 7, got 15"):
+        relational_basic_powers(game("abcd", node("A", [leaf(o) for o in "abcd"])), Player.A)
 
 
 def test_union_closure_matches_subfamily_oracle():
@@ -497,14 +522,32 @@ def test_the_searchs_frame_tables_are_unchanged():
 # -- rejection sampling ------------------------------------------------------------
 
 
+class CountingRandom(Random):
+    """A generator that counts its ``randint`` calls: each try of
+    ``random_family_pair`` makes two, and ``random_model`` one more."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.randints = 0
+
+    def randint(self, a, b):
+        self.randints += 1
+        return super().randint(a, b)
+
+
 @pytest.mark.parametrize("mode", list(POWER_KINDS))
 def test_sampled_pairs_are_those_of_closing_every_proposal(mode, monkeypatch):
-    # the sampler decides each try on the raw proposals and closes only the
-    # pair it keeps; closing every proposal first must give the same pair
-    # and leave the generator in the same state
-    for n in range(1, 5):
-        outcomes = tuple(f"w{i}" for i in range(n))
-        for seed in range(200):
+    # the sampler decides each try on the raw proposals, guaranteeing all but
+    # B's reach by how it proposes, and closes only the pair it keeps; a plain
+    # loop that closes every proposal and checks every condition must give
+    # the same legal pair and leave the generator in the same state
+    required = family_conditions(mode)
+    seeds = {1: 200, 2: 200, 3: 200, 4: 200, 5: 40, 6: 24, 7: 12, 8: 12}
+    for n, count in seeds.items():
+        for seed in range(count):
+            outcomes = [f"w{i}" for i in range(n)]
+            if seed % 2:
+                Random(seed).shuffle(outcomes)
             fast, slow = Random(seed), Random(seed)
             cap = 1 + seed % 4
             monkeypatch.setattr(sys.modules["gamepowers.powers"], "_MAX_MEMBERS", cap)
@@ -513,6 +556,7 @@ def test_sampled_pairs_are_those_of_closing_every_proposal(mode, monkeypatch):
             assert [f.to_json() for f in got] == [f.to_json() for f in want]
             assert got == want
             assert fast.random() == slow.random()
+            assert all(side.holds(*required) for side in check_conditions(*got))
 
 
 @pytest.mark.parametrize("mode", list(POWER_KINDS))
@@ -520,32 +564,40 @@ def test_every_small_legal_pair_can_still_be_proposed(mode):
     # B's members are drawn only from the partner pool of A's family; every
     # member of a legal B family must lie in it, or that pair could never
     # be drawn
-    required = family_conditions(mode)
+    instantiated = INSTANTIATEDNESS in family_conditions(mode)
     for n in (1, 2, 3):
         outcomes = tuple(f"w{i}" for i in range(n))
         pool = [frozenset(s) for s in _subsets(outcomes) if s]
         pairs = legal_pairs(outcomes, mode, 3)
         assert pairs
         for fa, fb in pairs:
-            assert set(fb.member_sets()) <= set(_partner_pool(fa, pool, required))
+            reach = frozenset().union(*fa)
+            partners = _partner_pool(fa.member_sets(), pool, reach if instantiated else None)
+            assert set(fb.member_sets()) <= set(partners)
 
 
 def test_a_plain_draw_is_kept_on_its_first_try(monkeypatch):
     # every proposed B member meets all of A's, and plain asks nothing of
-    # the reaches, so the first try's check is the only one
-    checks = []
-
-    def counted(fa, fb):
-        checks.append((fa, fb))
-        return check_conditions(fa, fb)
-
-    monkeypatch.setattr(sys.modules["gamepowers.powers"], "check_conditions", counted)
+    # the reaches, so the first try is the only one
     for seed in range(200):
-        checks.clear()
+        rng = CountingRandom(seed)
         outcomes = tuple(f"w{i}" for i in range(1 + seed % 5))
         monkeypatch.setattr(sys.modules["gamepowers.powers"], "_MAX_MEMBERS", 1 + seed % 4)
-        random_family_pair(Random(seed), outcomes, "plain")
-        assert len(checks) == 1
+        random_family_pair(rng, outcomes, "plain")
+        assert rng.randints == 2
+
+
+def test_few_model_draws_need_a_second_try():
+    # B's members come from the sets that meet all of A's, inside A's reach
+    # for basic, so 250 draws over 80 models take 323 tries
+    draws = tries = 0
+    for seed in range(40):
+        for kind in (GAME_FRAME, INSTANTIAL_FRAME):
+            rng = CountingRandom(seed)
+            model = random_model(rng, kind)
+            draws += len(model.worlds)
+            tries += (rng.randints - 1) // 2
+    assert (draws, tries) == (250, 323)
 
 
 @st.composite
