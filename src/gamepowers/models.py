@@ -34,7 +34,7 @@ from .powers import (
     POWER_KINDS,
     ConditionProfile,
     PowerFamily,
-    check_conditions,
+    _CONDITIONS,
     family_conditions,
     random_family_pair,
     upward_closure,
@@ -170,23 +170,17 @@ def validate_frame(m: NeighborhoodModel, kind: str) -> ConditionProfile:
     """
     names = family_conditions(_lookup(FRAME_KINDS, kind, "frame kind"))
     fams_a, fams_b = m._neigh[Player.A], m._neigh[Player.B]
-    at_world = [(u, check_conditions(fams_a[u], fams_b[u])) for u in m.worlds]
-
-    def failures(name: str):
-        # Consistency is one joint check, shared by both profiles of a world
-        sides = (Player.A,) if name == CONSISTENCY else (Player.A, Player.B)
-        for u, profiles in at_world:
-            for p, profile in zip(sides, profiles):
-                if not profile.holds(name):
-                    yield u, p, profile
+    both = ((Player.A, fams_a, fams_b), (Player.B, fams_b, fams_a))
 
     def condition(name: str):
-        # (verdict, witness) of one condition over every world
-        def witness() -> dict:
-            u, p, profile = next(failures(name))
-            return _frame_witness(name, u, p, profile[name].witness)
+        # Consistency is one joint check, read from A's side only
+        search, sides = _CONDITIONS[name], both[: 1 if name == CONSISTENCY else 2]
 
-        return (lambda: next(failures(name), None) is None), witness
+        def witness() -> dict | None:
+            found = ((u, p, search(own[u], other[u])) for u in m.worlds for p, own, other in sides)
+            return next((_frame_witness(name, u, p, w) for u, p, w in found if w is not None), None)
+
+        return witness
 
     return ConditionProfile({name: condition(name) for name in names}, ())
 

@@ -234,26 +234,23 @@ class ConditionCheck(Record, witness=None):
 class ConditionProfile:
     """Ordered bundle of named condition checks.
 
-    ``table`` maps each condition's name, in profile order, to a pair of
-    functions of ``args``: its verdict, and the witness of its failure.  A
-    verdict is decided the first time it is read; a witness is found only
-    when a failing check is read.  Both are kept.
+    ``table`` maps each condition's name, in profile order, to one function
+    of ``args``: a search in canonical order whose result is both the
+    verdict and the witness, the first witness of the condition's failure
+    or None when it holds.  Building a profile decides nothing; each check
+    is decided the first time it is read, and kept.
     """
 
-    __slots__ = ("_table", "_args", "_verdicts", "_checks")
+    __slots__ = ("_table", "_args", "_checks")
 
-    def __init__(self, table: dict[str, tuple[Callable, Callable]], args: tuple):
-        self._table = table
-        self._args = args
-        self._verdicts: dict[str, bool] = {}
-        self._checks: dict[str, ConditionCheck] = {}
+    def __init__(self, table: dict[str, Callable], args: tuple):
+        self._table, self._args, self._checks = table, args, {}
 
     def __getitem__(self, name: str) -> ConditionCheck:
         check = self._checks.get(name)
         if check is None:
-            ok = self.holds(name)
-            witness = None if ok else self._table[name][1](*self._args)
-            check = self._checks[name] = ConditionCheck(name, ok, witness)
+            witness = self._table[name](*self._args)
+            check = self._checks[name] = ConditionCheck(name, witness is None, witness)
         return check
 
     def names(self) -> tuple[str, ...]:
@@ -265,15 +262,8 @@ class ConditionProfile:
 
     def holds(self, *names: str) -> bool:
         """Whether the named conditions hold, deciding them in order up to
-        the first that fails; no witness is searched for."""
-        verdicts = self._verdicts
-        for name in names:
-            ok = verdicts.get(name)
-            if ok is None:
-                ok = verdicts[name] = self._table[name][0](*self._args)
-            if not ok:
-                return False
-        return True
+        the first that fails."""
+        return all(self[n].holds for n in names)
 
     def failed(self) -> tuple[str, ...]:
         return tuple(n for n in self._table if not self.holds(n))
@@ -296,20 +286,14 @@ INSTANTIATEDNESS = "Instantiatedness"
 UNION_CLOSURE = "UnionClosure"
 
 
-def _consistency_witness(fa: PowerFamily, fb: PowerFamily) -> dict:
+def _consistency_witness(fa: PowerFamily, fb: PowerFamily) -> dict | None:
     for p in fa.member_sets():
         for q in fb.member_sets():
             if not (p & q):
                 return {"A": sorted(p), "B": sorted(q)}
 
 
-def _monotone(fam: PowerFamily, other: PowerFamily) -> bool:
-    # closure under one-element extensions gives every superset
-    index, universe = fam._index, frozenset(fam.outcomes)
-    return all(m.union((x,)) in index for m in index for x in universe - m)
-
-
-def _monotonicity_witness(fam: PowerFamily, other: PowerFamily) -> dict:
+def _monotonicity_witness(fam: PowerFamily, other: PowerFamily) -> dict | None:
     universe = frozenset(fam.outcomes)
     for mset in fam.member_sets():
         for sup in map(mset.union, _subsets(tuple(sorted(universe - mset)))):
@@ -317,28 +301,22 @@ def _monotonicity_witness(fam: PowerFamily, other: PowerFamily) -> dict:
                 return {"member": sorted(mset), "superset": sorted(sup)}
 
 
-def _undetermined(fam: PowerFamily, other: PowerFamily) -> frozenset | None:
+def _determinacy_witness(fam: PowerFamily, other: PowerFamily) -> dict | None:
     # the first subset that fam lacks while other lacks its complement
     universe = tuple(sorted(set(fam.outcomes)))
-    for sub in _subsets(universe):
-        p = frozenset(sub)
+    for p in map(frozenset, _subsets(universe)):
         if p not in fam._index and (frozenset(universe) - p) not in other._index:
-            return p
-    return None
+            return {"subset": sorted(p)}
 
 
-def _reach(fam: PowerFamily) -> frozenset:
-    return frozenset().union(*fam._index)
-
-
-def _instantiatedness_witness(fam: PowerFamily, other: PowerFamily) -> dict:
-    reached = _reach(other)
+def _instantiatedness_witness(fam: PowerFamily, other: PowerFamily) -> dict | None:
+    reached = frozenset().union(*other._index)
     for p in fam.member_sets():
         if not p <= reached:
             return {"member": sorted(p), "element": min(p - reached)}
 
 
-def _union_closure_witness(fam: PowerFamily, other: PowerFamily) -> dict:
+def _union_closure_witness(fam: PowerFamily, other: PowerFamily) -> dict | None:
     pairs = tuple(zip(fam.members, fam.member_sets()))
     for x, xs in pairs:
         for y, ys in pairs:
@@ -347,41 +325,23 @@ def _union_closure_witness(fam: PowerFamily, other: PowerFamily) -> dict:
                 return {"parts": [list(x), list(y)], "union": sorted(u)}
 
 
-# Every condition, in profile order, as (verdict, witness), each read from
-# one family toward the other.  A verdict is set algebra on the unordered
-# member index.  A witness search walks the members in canonical order; it
-# runs only after its verdict has failed, so it always finds one.
+# Every condition, in profile order, as one search read from one family
+# toward the other.  Each walks the members (Determinacy: the subsets) in
+# canonical order and returns the first witness of the condition's failure,
+# or None once it has walked them all: its result is verdict and witness.
 _CONDITIONS = {
-    NON_EMPTINESS: (
-        lambda fam, other: bool(fam._index),
-        lambda fam, other: {"family": "empty"},
-    ),
-    MONOTONICITY: (_monotone, _monotonicity_witness),
-    CONSISTENCY: (
-        lambda fam, other: not any(
-            p.isdisjoint(q) for p in fam._index for q in other._index
-        ),
-        _consistency_witness,
-    ),
-    DETERMINACY: (
-        lambda fam, other: _undetermined(fam, other) is None,
-        lambda fam, other: {"subset": sorted(_undetermined(fam, other))},
-    ),
-    INSTANTIATEDNESS: (
-        lambda fam, other: _reach(fam) <= _reach(other),
-        _instantiatedness_witness,
-    ),
+    NON_EMPTINESS: lambda fam, other: None if fam._index else {"family": "empty"},
+    MONOTONICITY: _monotonicity_witness,
+    CONSISTENCY: _consistency_witness,
+    DETERMINACY: _determinacy_witness,
+    INSTANTIATEDNESS: _instantiatedness_witness,
     # pairwise closure is equivalent to closure under nonempty unions
-    UNION_CLOSURE: (
-        lambda fam, other: all(x | y in fam._index for x in fam._index for y in fam._index),
-        _union_closure_witness,
-    ),
+    UNION_CLOSURE: _union_closure_witness,
 }
 
 
 # B's side, whose Consistency witness also names A's member first
-_B_SIDE = dict(_CONDITIONS)
-_B_SIDE[CONSISTENCY] = (_CONDITIONS[CONSISTENCY][0], lambda fb, fa: _consistency_witness(fa, fb))
+_B_SIDE = {**_CONDITIONS, CONSISTENCY: lambda fb, fa: _consistency_witness(fa, fb)}
 
 
 def check_conditions(
@@ -392,8 +352,9 @@ def check_conditions(
     NonEmptiness, Monotonicity and UnionClosure describe one family;
     Consistency is joint and symmetric, with the same witness in both
     profiles; Determinacy and Instantiatedness are read from the given side
-    toward the other.  Building a profile decides nothing: it reads each
-    verdict from ``_CONDITIONS`` the first time it is asked for.
+    toward the other.  Building a profile decides nothing: each check is
+    one canonical-order search from ``_CONDITIONS``, run the first time it
+    is read, whose result is both its verdict and its witness.
     """
     if fa.outcomes != fb.outcomes and set(fa.outcomes) != set(fb.outcomes):
         raise InputError("families must share an outcome set")

@@ -427,6 +427,39 @@ def oracle_frame_conditions(m, kind):
     return {name: all(cond(na, nb) for na, nb in at) for name, cond in named}
 
 
+def reference_frame_report(m, kind):
+    """``validate_frame(m, kind).to_json()`` rebuilt from per-world
+    ``check_conditions`` profiles: a failing condition's witness comes from
+    the first failing world, A's profile before B's (Consistency from A's
+    only), with the family witness's member named a neighborhood."""
+    at_world = [
+        (u, check_conditions(*(PowerFamily(m.worlds, m.neigh(p, u)) for p in (Player.A, Player.B))))
+        for u in m.worlds
+    ]
+    report = {}
+    for name in family_conditions(FRAME_KINDS[kind]):
+        sides = (Player.A,) if name == "Consistency" else (Player.A, Player.B)
+        failing = [
+            (u, p.value, profile[name].witness)
+            for u, profiles in at_world
+            for p, profile in zip(sides, profiles)
+            if not profile[name].holds
+        ]
+        if not failing:
+            report[name] = {"holds": True, "witness": None}
+            continue
+        u, p, witness = failing[0]
+        if name == "Consistency":
+            witness = {"world": u, **witness}
+        elif name == "NonEmptiness":
+            witness = {"world": u, "player": p}
+        else:
+            rest = dict(witness)
+            witness = {"world": u, "player": p, "neighborhood": rest.pop("member"), **rest}
+        report[name] = {"holds": False, "witness": witness}
+    return report
+
+
 def family(members):
     return {tuple(sorted(m)) for m in members}
 

@@ -441,6 +441,20 @@ def test_an_empty_outcome_set_is_an_input_error():
         random_dynamic_game(1, ())
 
 
+def test_a_law_check_refuses_more_than_six_outcomes_before_drawing(monkeypatch):
+    seven = tuple("0123456")
+    six = check_equation("x + y", "y + x", "power", seed=1, samples=20, outcomes=seven[:6])
+    assert six.verdict == "holds-on-sample"
+
+    def drawn(*args):
+        raise AssertionError("bindings drawn past the outcome bound")
+
+    monkeypatch.setattr(algebra, "_binding_decision", drawn)
+    for lhs, rhs in (("x + y", "y + x"), ("(x + y) o z", "(x o z) + (y o z)")):
+        with pytest.raises(InputError, match="outcomes must be between 1 and 6, got 7"):
+            check_equation(lhs, rhs, "power", seed=1, outcomes=seven)
+
+
 def test_a_bound_message_names_the_bound_and_the_value():
     with pytest.raises(InputError) as got:
         random_game(0, 2, 0)

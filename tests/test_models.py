@@ -30,6 +30,7 @@ from helpers import (
     one_then_two_or_three,
     oracle_frame_conditions,
     outcome_valuation,
+    reference_frame_report,
     single_move_then_b_choice,
     two_or_three_after_one,
     with_valuation,
@@ -125,6 +126,8 @@ def test_frame_conditions_match_their_definitions():
             prof = validate_frame(m, kind)
             got = {name: prof[name].holds for name in prof.names()}
             assert got == oracle_frame_conditions(m, kind)
+            # the witnesses too, as the per-world family profiles place them
+            assert validate_frame(m, kind).to_json() == reference_frame_report(m, kind)
 
 
 def test_unknown_frame_kind_rejected():

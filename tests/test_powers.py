@@ -32,6 +32,7 @@ from gamepowers.powers import (
     NON_EMPTINESS,
     POWER_KINDS,
     UNION_CLOSURE,
+    ConditionProfile,
     PowerFamily,
     _CLOSURES,
     _partner_pool,
@@ -180,8 +181,9 @@ def test_an_upward_closure_past_its_bound_is_refused_before_it_is_built(monkeypa
         assert str(caught.value) == (
             "upward closure candidates must be between 0 and 262144, got 10485760"
         )
-    # a law check's first drawn game, one leaf: 2^19 supersets of its singleton
-    with pytest.raises(InputError, match="upward closure candidates .* got 524288"):
+    # a law check over as many outcomes is refused before it draws a game,
+    # whose closures stay far below the bound on the 6 outcomes it allows
+    with pytest.raises(InputError, match="outcomes must be between 1 and 6, got 20"):
         check_equation("x + y", "y + x", "power", seed=1, outcomes=outcomes)
     # a family at the bound closes, one candidate more is refused
     monkeypatch.setattr(sys.modules["gamepowers.powers"], "_MAX_CLOSURE", 8)
@@ -388,6 +390,27 @@ def test_instantiatedness_witness():
     assert not pa[INSTANTIATEDNESS].holds
     assert pa[INSTANTIATEDNESS].witness == {"member": ["0", "1"], "element": "1"}
     assert pb[INSTANTIATEDNESS].holds
+
+
+def test_a_profile_runs_each_search_once_and_only_when_read():
+    calls = []
+
+    def counting(name, witness):
+        def search(*args):
+            calls.append((name, args))
+            return witness
+        return search
+
+    table = {"a": counting("a", None), "b": counting("b", {"x": 1}), "c": counting("c", None)}
+    profile = ConditionProfile(table, ("fam", "other"))
+    assert calls == []
+    # holds stops at the first failure, so c is never searched
+    assert not profile.holds("a", "b", "c")
+    assert calls == [("a", ("fam", "other")), ("b", ("fam", "other"))]
+    # a decided check is kept: reading it again searches nothing
+    assert not profile.holds("a", "b")
+    assert profile["a"].holds and profile["b"].witness == {"x": 1}
+    assert len(calls) == 2
 
 
 def test_union_closure_flag():
