@@ -106,21 +106,23 @@ def _coarsest(block: dict, signature) -> dict:
 
 
 def strategic_form_equivalent(g1, g2) -> EquivalenceVerdict:
-    """Greatest profile bisimulation, then a totality check.
+    """Strategic-form equivalence, read off the coarsest stable partition.
 
     The bisimulation clauses for a profile pair factor through the row pair
-    and the column pair alone: the A-clauses quantify rows with the columns
-    held fixed and the B-clauses do the opposite.  The greatest fixpoint is
-    therefore the profile pairs with equal outcomes whose row pair and column
-    pair share a block once both games' rows and columns refine each other.
+    and the column pair alone, so the greatest one relates the profiles with
+    equal outcomes whose rows and whose columns share blocks once both games'
+    rows and columns refine each other.  Rows sharing a block read the same
+    (column block, outcome) pairs, so it is total exactly when each row of
+    game 1 has a row of game 2 in its block: the columns follow, and through
+    them game 2's rows.  A failure names the first row of game 1 without one,
+    at the first column.  A success lists the row blocks and the column
+    blocks as [game-1 labels, game-2 labels], in order of their first label.
     """
     _require_shared_outcomes(g1, g2)
-    sg1 = g1 if isinstance(g1, StrategicGame) else to_strategic_form(g1)
-    sg2 = g2 if isinstance(g2, StrategicGame) else to_strategic_form(g2)
-    m1, m2 = sg1.matrix, sg2.matrix
+    sgs = [g if isinstance(g, StrategicGame) else to_strategic_form(g) for g in (g1, g2)]
     # a key is (game, 0 for a row or 1 for a column, index); its signature
     # pairs the block of each line crossing it with the outcome there
-    shapes = [(range(len(sg.rows)), range(len(sg.cols)), sg.matrix) for sg in (sg1, sg2)]
+    shapes = [(range(len(sg.rows)), range(len(sg.cols)), sg.matrix) for sg in sgs]
 
     def signature(key, block):
         g, line, i = key
@@ -133,30 +135,17 @@ def strategic_form_equivalent(g1, g2) -> EquivalenceVerdict:
         (g, line, i): line for g, shape in enumerate(shapes) for line in (0, 1) for i in shape[line]
     }
     block = _coarsest(start, signature)
-    rows, cols = (
-        {(a, b) for a, b in product(shapes[0][line], shapes[1][line])
-         if block[0, line, a] == block[1, line, b]}
-        for line in (0, 1)
-    )
-    relation = sorted(
-        (i1, j1, i2, j2)
-        for i1, i2 in rows
-        for j1, j2 in cols
-        if m1[i1][j1] == m2[i2][j2]
-    )
-    for game, sg, covered in (
-        (1, sg1, {r[:2] for r in relation}),
-        (2, sg2, {r[2:] for r in relation}),
-    ):
-        for i, j in product(range(len(sg.rows)), range(len(sg.cols))):
-            if (i, j) not in covered:
-                witness = {"game": game, "profile": [sg.rows[i], sg.cols[j]]}
-                return EquivalenceVerdict(STRATEGIC, False, witness)
-    bisimulation = [
-        [sg1.rows[i1], sg1.cols[j1], sg2.rows[i2], sg2.cols[j2]]
-        for i1, j1, i2, j2 in relation
-    ]
-    return EquivalenceVerdict(STRATEGIC, True, {"bisimulation": bisimulation})
+    matched = {block[1, 0, i] for i in shapes[1][0]}
+    for i in shapes[0][0]:
+        if block[0, 0, i] not in matched:
+            witness = {"game": 1, "profile": [sgs[0].rows[i], sgs[0].cols[0]]}
+            return EquivalenceVerdict(STRATEGIC, False, witness)
+    # keys run game 1's rows and columns first, so game 1 opens every block
+    found = ({}, {})
+    for (g, line, i), b in block.items():
+        found[line].setdefault(b, [[], []])[g].append((sgs[g].rows, sgs[g].cols)[line][i])
+    witness = {"rows": list(found[0].values()), "cols": list(found[1].values())}
+    return EquivalenceVerdict(STRATEGIC, True, witness)
 
 
 EQUIVALENCES = {

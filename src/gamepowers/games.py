@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 from itertools import chain, combinations, product
-from math import isfinite
+from math import isfinite, prod
 from operator import attrgetter
 from random import Random
 from typing import Any, Callable, Iterable, Mapping
@@ -110,6 +110,9 @@ def _lookup(table: Mapping, key, what: str):
         return table[key]
     except (KeyError, TypeError):
         raise InputError(f"unknown {what} {key!r}") from None
+
+
+_MAX_CLOSURE = 1 << 18  # the sets a closure builds, profiles a form lists, passes powers take
 
 
 def _bounded(name: str, value: int, low: int, high: int | None = None) -> None:
@@ -570,8 +573,11 @@ def to_strategic_form(g: ExtensiveGame) -> StrategicGame:
     """Tabulate all functional strategy profiles of g.
 
     Rows and columns follow the canonical enumeration order, labelled
-    a0, a1, ... and b0, b1, ...
+    a0, a1, ... and b0, b1, ...  More profiles than ``_MAX_CLOSURE``, the
+    product of the arities of both players' cells, are refused at once.
     """
+    cells = g.player_cells(Player.A) + g.player_cells(Player.B)
+    _bounded("strategy profiles", prod(g.num_children(c[0]) for c in cells), 0, _MAX_CLOSURE)
     sas = enumerate_strategies(g, Player.A)
     sbs = enumerate_strategies(g, Player.B)
     matrix = [

@@ -22,6 +22,7 @@ from .games import (
     Player,
     Record,
     StrategicGame,
+    _MAX_CLOSURE,
     _as_player,
     _bounded,
     _lookup,
@@ -165,7 +166,8 @@ def _tree_powers(g: ExtensiveGame, p: Player, relational: bool, leaves={}) -> Po
     ``_nonempty_joins``, so bounded).  Choices at p's singleton cells are
     independent, so each node's family folds them in; p's shared cells
     couple nodes, so every assignment to them gets its own pass, joining the
-    children it picks.  ``enumerate_strategies`` with ``outcome_set`` agrees.
+    children it picks; more passes than ``_MAX_CLOSURE`` are refused before
+    the first.  ``enumerate_strategies`` with ``outcome_set`` agrees.
     """
     mover = partial(_nonempty_joins, n=len(g.outcomes)) if relational else partial(reduce, or_)
     shared = [c for c in g.player_cells(p) if len(c) > 1]
@@ -175,6 +177,7 @@ def _tree_powers(g: ExtensiveGame, p: Player, relational: bool, leaves={}) -> Po
         options.append(
             _nonempty_subsets(n) if relational else [(i,) for i in range(n)]
         )
+    _bounded("shared-cell passes", prod(map(len, options)), 0, _MAX_CLOSURE)
     deepest_first = sorted(g.internal_nodes, key=len, reverse=True)
     leaf_families = {w: leaves.get(o, {frozenset((o,))}) for w, o in g.outcome.items()}
     out: set[frozenset[str]] = set()
@@ -374,7 +377,6 @@ _MODE_CONDITIONS = {
 _CLOSURES = {MONOTONICITY: upward_closure, UNION_CLOSURE: union_closure}
 _MAX_TRIES = 20000  # random_family_pair's tries for one pair
 _MAX_MEMBERS = 3  # and the members of each family it proposes
-_MAX_CLOSURE = 1 << 18  # the sets an upward closure or a relational join may build
 
 
 def family_conditions(mode: str) -> tuple[str, ...]:

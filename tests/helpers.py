@@ -126,6 +126,31 @@ def zero_one_matrix_2x3():
     )
 
 
+def alternating_tree(depth, player="A"):
+    """The perfect-information binary tree on x and y: A and B alternate, A at
+    the root, and each last mover picks x or y.  At depth 4 the strategic
+    form is 32 x 1,024; at depth 8 A alone has 2^85 strategies."""
+    def spec(d, p):
+        if d == 1:
+            return node(p, [leaf("x"), leaf("y")])
+        q = "B" if p == "A" else "A"
+        return node(p, [spec(d - 1, q), spec(d - 1, q)])
+
+    return game(["x", "y"], spec(depth, player))
+
+
+def twin_chains(k):
+    """B picks one of two chains of k A nodes; level i of both chains is one
+    A cell, so A's powers take one pass per assignment to the k shared cells:
+    2^k passes, 3^k relational ones."""
+    def chain(i, end):
+        if i == k:
+            return leaf(end)
+        return node("A", [chain(i + 1, end), leaf("y" if i % 2 else "x")], info=f"c{i}")
+
+    return game(["x", "y"], node("B", [chain(0, "x"), chain(0, "y")]))
+
+
 # -- game helpers ------------------------------------------------------------
 
 def check_strategy(g, s) -> list[str]:
@@ -277,6 +302,21 @@ def oracle_profile_bisimulation(sg1, sg2):
     }
     return total, relation
 
+
+def blocks_to_profile_pairs(sg1, sg2, witness):
+    """The profile pairs a strategic success witness stands for, as (row1,
+    col1, row2, col2) labels: a row pair and a column pair that share a
+    block, where both profiles reach the same outcome."""
+    def at(sg, row, col):
+        return sg.matrix[sg.rows.index(row)][sg.cols.index(col)]
+
+    return {
+        (r1, c1, r2, c2)
+        for rows1, rows2 in witness["rows"]
+        for cols1, cols2 in witness["cols"]
+        for r1, c1, r2, c2 in product(rows1, cols1, rows2, cols2)
+        if at(sg1, r1, c1) == at(sg2, r2, c2)
+    }
 
 
 # -- the model bisimulations by their pair fixpoint ------------------------------

@@ -25,7 +25,7 @@ from gamepowers.equivalence import (
 from gamepowers.games import game_to_json
 from gamepowers.models import FRAME_KINDS, ModelFormatError
 from gamepowers.powers import POWER_KINDS
-from helpers import one_then_two_or_three, two_or_three_after_one
+from helpers import alternating_tree, one_then_two_or_three, twin_chains, two_or_three_after_one
 
 
 def run(capsys, *argv):
@@ -674,6 +674,22 @@ def test_relational_joins_past_their_bound_exit_2_at_once(capsys, tmp_path):
     code, out = run(capsys, "powers", str(p), "--player", "A", "--kind", "relational")
     assert code == 0
     assert len(json.loads(out)["members"]) == 2**16 - 1
+
+
+def test_strategic_forms_and_shared_cells_past_their_bounds_exit_2_at_once(capsys, tmp_path):
+    # the depth-8 tree would list 2^85 strategies for A, and 24 shared A
+    # cells would take 2^24 passes
+    t8, chains = tmp_path / "t8.json", tmp_path / "chains.json"
+    t8.write_text(json.dumps(game_to_json(alternating_tree(8))))
+    chains.write_text(json.dumps(game_to_json(twin_chains(24))))
+    for argv, error in (
+        (("equiv", str(t8), str(t8), "--relation", "strategic"), "strategy profiles"),
+        (("powers", str(chains), "--player", "A", "--kind", "basic"), "shared-cell passes"),
+        (("equiv", str(chains), str(chains), "--relation", "strong"), "shared-cell passes"),
+    ):
+        start = time.perf_counter()
+        assert assert_input_error(capsys, *argv).startswith(f"{error} must be between 0 and 262144")
+        assert time.perf_counter() - start < 1
 
 
 def test_the_module_runs_as_a_script():

@@ -1,6 +1,7 @@
 """Game equivalences, the implication hierarchy and model bisimulations."""
 
 import sys
+import time
 from itertools import product
 from random import Random
 
@@ -32,6 +33,8 @@ from gamepowers.models import (
     random_model,
 )
 from helpers import (
+    alternating_tree,
+    blocks_to_profile_pairs,
     double_move_then_b_choice,
     doubled_model,
     one_then_two_or_three,
@@ -108,8 +111,11 @@ def test_strategic_equivalence_tolerates_duplicated_rows():
     )
     verdict = strategic_form_equivalent(g1, g2)
     assert verdict
-    pairs = {tuple(p) for p in verdict.witness["bisimulation"]}
-    assert ("a0", "b0", "a1", "b0") in pairs
+    assert verdict.witness == {
+        "rows": [[["a0"], ["a0", "a1"]]],
+        "cols": [[["b0"], ["b0"]], [["b1"], ["b1"]]],
+    }
+    assert ("a0", "b0", "a1", "b0") in blocks_to_profile_pairs(g1, g2, verdict.witness)
 
 
 def _seeded_game_pairs(n):
@@ -124,22 +130,61 @@ def _seeded_game_pairs(n):
         yield op_dual(op_dual(a)), a
 
 
+def _random_matrix_pairs(n):
+    # 1-4 x 1-4 cells, one row repeated in every third draw; each draw meets
+    # another, then itself with one more row, which may be matched or not
+    rng = Random(3)
+    for k in range(n):
+        outcomes = ("0", "1", "2")[: rng.randint(1, 3)]
+        cols = rng.randint(1, 4)
+
+        def rows(count):
+            return [[rng.choice(outcomes) for _ in range(cols)] for _ in range(count)]
+
+        def strategic(m):
+            return StrategicGame(outcomes, [f"r{i}" for i in range(len(m))],
+                                 [f"c{j}" for j in range(cols)], m)
+
+        m1, m2 = rows(rng.randint(1, 3)), rows(rng.randint(1, 4))
+        if k % 3 == 0:
+            m1.append(list(rng.choice(m1)))
+        yield strategic(m1), strategic(m2)
+        yield strategic(m1), strategic(m1 + rows(1))
+
+
 def test_strategic_equivalence_matches_the_definition():
     seen = {True: 0, False: 0}
-    for g1, g2 in _seeded_game_pairs(75):
+    for g1, g2 in [*_seeded_game_pairs(75), *_random_matrix_pairs(400)]:
         verdict = strategic_form_equivalent(g1, g2)
-        total, relation = oracle_profile_bisimulation(
-            to_strategic_form(g1), to_strategic_form(g2)
-        )
+        sg1, sg2 = (g if isinstance(g, StrategicGame) else to_strategic_form(g) for g in (g1, g2))
+        total, relation = oracle_profile_bisimulation(sg1, sg2)
         assert verdict.verdict == total
         if verdict:
-            assert {tuple(p) for p in verdict.witness["bisimulation"]} == relation
+            assert blocks_to_profile_pairs(sg1, sg2, verdict.witness) == relation
         else:
-            side = 2 * (verdict.witness["game"] - 1)
-            covered = {r[side:side + 2] for r in relation}
-            assert tuple(verdict.witness["profile"]) not in covered
+            # the first profile, game 1's before game 2's, that no pair covers
+            covered = {1: {p[:2] for p in relation}, 2: {p[2:] for p in relation}}
+            game, profile = next(
+                (game, [r, c])
+                for game, sg in ((1, sg1), (2, sg2))
+                for r, c in product(sg.rows, sg.cols)
+                if (r, c) not in covered[game]
+            )
+            assert verdict.witness == {"game": game, "profile": profile}
         seen[total] += 1
-    assert seen[True] >= 150 and seen[False] >= 40
+    assert seen[True] >= 400 and seen[False] >= 400
+
+
+def test_the_depth_4_tree_answers_strategic_against_itself_within_a_second():
+    # a 32 x 1,024 strategic form: about 10^9 profile pairs, 1,056 lines
+    g = alternating_tree(4)
+    start = time.perf_counter()
+    verdict = strategic_form_equivalent(g, g)
+    assert time.perf_counter() - start < 1
+    assert verdict
+    blocks = verdict.witness["rows"] + verdict.witness["cols"]
+    assert all(labels1 == labels2 for labels1, labels2 in blocks)
+    assert sum(len(labels1) for labels1, _ in blocks) == 32 + 1024
 
 
 def test_strategic_equivalence_accepts_extensive_inputs():

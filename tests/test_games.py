@@ -1,6 +1,7 @@
 """Tree structure, strategies, matches and strategic-form conversions."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from gamepowers.games import (
     ExtensiveGame,
     FunctionalStrategy,
     GameFormatError,
+    InputError,
     Player,
     RelationalStrategy,
     StrategicGame,
@@ -29,8 +31,10 @@ from gamepowers.games import (
     validate_game,
 )
 from helpers import (
+    alternating_tree,
     check_strategy,
     double_move_then_b_choice,
+    forgetful_chooser,
     is_perfect_information,
     one_then_two_or_three,
     single_move_then_b_choice,
@@ -253,6 +257,24 @@ def test_strategic_roundtrip_isomorphic():
     back = to_strategic_form(strategic_to_extensive(sg))
     assert back.matrix == sg.matrix
     assert strategic_isomorphic(back, sg)
+
+
+def test_a_strategic_form_past_its_bound_is_refused_before_a_strategy_is_listed(monkeypatch):
+    # the depth-8 tree: 2^85 strategies for A and 2^170 for B
+    with pytest.raises(InputError) as caught:
+        to_strategic_form(alternating_tree(8))
+    assert str(caught.value) == f"strategy profiles must be between 0 and 262144, got {2**255}"
+    # the depth-3 tree has 32 x 4 profiles: at the bound they are tabulated,
+    # one past it they are refused
+    games = sys.modules["gamepowers.games"]
+    monkeypatch.setattr(games, "_MAX_CLOSURE", 128)
+    assert len(to_strategic_form(alternating_tree(3)).rows) == 32
+    monkeypatch.setattr(games, "_MAX_CLOSURE", 127)
+    with pytest.raises(InputError, match="between 0 and 127, got 128$"):
+        to_strategic_form(alternating_tree(3))
+    # a shared cell's moves count once: A's three nodes are two cells
+    monkeypatch.setattr(games, "_MAX_CLOSURE", 4)
+    assert len(to_strategic_form(forgetful_chooser()).rows) == 4
 
 
 @st.composite

@@ -64,6 +64,7 @@ from helpers import (
     single_move_then_b_choice,
     strategic_to_extensive,
     subsets,
+    twin_chains,
     two_or_three_after_one,
     zero_one_matrix_2x3,
     zero_one_matrix_3x3,
@@ -215,6 +216,27 @@ def test_nonempty_joins_past_their_bound_are_refused_before_they_are_built(monke
     assert len(union_closure(PowerFamily("abc", ["a", "b", "c", "ab", "abc"]))) == 7
     with pytest.raises(InputError, match="between 0 and 7, got 15"):
         relational_basic_powers(game("abcd", node("A", [leaf(o) for o in "abcd"])), Player.A)
+
+
+def test_shared_cell_passes_past_their_bound_are_refused_before_the_first(monkeypatch):
+    # 24 A cells shared by two chains: one pass for each of 2^24 assignments,
+    # 3^24 relational ones; B's one node is a cell of its own
+    g = twin_chains(24)
+    for refused, passes in ((basic_powers, 2**24), (relational_basic_powers, 3**24)):
+        with pytest.raises(InputError) as caught:
+            refused(g, Player.A)
+        assert str(caught.value) == f"shared-cell passes must be between 0 and 262144, got {passes}"
+    with pytest.raises(InputError, match="got 16777216"):
+        hierarchy_audit(g, g)
+    assert len(basic_powers(g, Player.B)) == 1
+    # a count at the bound is passed over, one more is refused
+    monkeypatch.setattr(sys.modules["gamepowers.powers"], "_MAX_CLOSURE", 8)
+    three = twin_chains(3)
+    assert members(basic_powers(three, Player.A)) == oracle_outcome_sets(three, Player.A)
+    with pytest.raises(InputError, match="between 0 and 8, got 16"):
+        basic_powers(twin_chains(4), Player.A)
+    with pytest.raises(InputError, match="between 0 and 8, got 9"):
+        relational_basic_powers(twin_chains(2), Player.A)
 
 
 def test_union_closure_matches_subfamily_oracle():
@@ -480,15 +502,14 @@ def family_pairs(draw):
 def test_verdicts_and_witnesses_match_the_eager_checks(case):
     outcomes, ma, mb = case
     expected = eager_conditions(EagerFamily(outcomes, ma), EagerFamily(outcomes, mb))
-    # verdicts first, on families never put in canonical order
-    verdicts = check_conditions(PowerFamily(outcomes, ma), PowerFamily(outcomes, mb))
-    checks = check_conditions(PowerFamily(outcomes, ma), PowerFamily(outcomes, mb))
-    for by_verdict, by_check, want in zip(verdicts, checks, expected):
-        assert by_verdict.names() == tuple(want)
+    # one profile pair, its verdicts read first on families never put in
+    # canonical order, then its whole report
+    profiles = check_conditions(PowerFamily(outcomes, ma), PowerFamily(outcomes, mb))
+    for profile, want in zip(profiles, expected):
+        assert profile.names() == tuple(want)
         for name in want:
-            assert by_verdict.holds(name) == by_check[name].holds
-        assert by_check.to_json() == want
-        assert by_verdict.to_json() == want
+            assert profile.holds(name) == want[name]["holds"]
+        assert profile.to_json() == want
 
 
 @settings(max_examples=200, deadline=None)

@@ -218,7 +218,7 @@ PINNED = {
     "check_equation/sequential": "35d31ace7076830071efb8a0b1634b35bf304f144d86ae600af5ea75d9ef4687",
     "countermodel_search": "751246397987c100cb086db16fe26c5bb5ef444859e72d835c6c72ee2f9ccad8",
     "countermodel_search/rows": "9a5466bb9d04bb479bacf4a5e5b42bd24f15b5c239b7d4c27d648dfcb0d9ac13",
-    "hierarchy_audit": "bcde27e987a2e393d3fd354ec72ab01ce7dbee5efd3ebf27be722c898a737418",
+    "hierarchy_audit": "c4d7a81b468fbbddba5aaf62312ecdfd266f5086c34d69c6810c3ddb7817993d",
     "random_family_pair/basic": "855bf1c74406309f3ec04b868604a127cc5e06decfa5b67e78c53b9968d62b62",
     "random_family_pair/plain": "18ddd880645588d5cd1e617ba4211dabd61a5bfdbce507650691898e9de4c7ab",
     "random_family_pair/relational": "c93d85688ffa6665333d1bc6cda0df6ea0dd038b3c9bb5145c4ffd8f7e09e139",
