@@ -34,6 +34,7 @@ from .games import (
     _fields,
     _is_sortable_label_list,
     _lookup,
+    _outcome_labels,
     _seeded,
     game,
     game_from_json,
@@ -402,18 +403,20 @@ _FOLLOWED = {"plain": _joined_after, "basic": _refolded, "relational": _joined_a
 # -- seeded generation -------------------------------------------------------------
 
 
-def _random_tree(rng: Random, depth_left: int, max_branch: int, outcomes):
+def _random_tree(rng: Random, depth_left: int, max_branch: int, outcomes, at: Address, parts):
+    # draws the subtree at ``at`` into parts (outcome, turn, arity); arity lists every node
+    outcome, turn, arity = parts
     if depth_left <= 1 or rng.random() < 0.35:
-        return leaf(rng.choice(outcomes))
-    width = rng.randint(min(2, max_branch), max_branch)
-    kids = [
-        _random_tree(rng, depth_left - 1, max_branch, outcomes)
-        for _ in range(width)
-    ]
-    return node(rng.choice((Player.A, Player.B)), kids)
+        arity[at] = 0
+        outcome[at] = rng.choice(outcomes)
+        return
+    arity[at] = width = rng.randint(min(2, max_branch), max_branch)
+    for i in range(width):
+        _random_tree(rng, depth_left - 1, max_branch, outcomes, at + (i,), parts)
+    turn[at] = rng.choice((Player.A, Player.B))
 
 
-def _merge_cells(rng: Random, g: ExtensiveGame) -> ExtensiveGame:
+def _merge_cells(rng: Random, turn: dict, arity: dict) -> tuple:
     # merging is legal only for same-mover, same-arity nodes whose mover
     # reached them through the same own cells and choices; a player who
     # forgot their own moves gets coupled choice sets, and unions of
@@ -421,17 +424,10 @@ def _merge_cells(rng: Random, g: ExtensiveGame) -> ExtensiveGame:
     cells: list[list[Address]] = []
     cell_key: dict[int, tuple] = {}
     cell_of: dict[Address, int] = {}
-
-    def own_history(n: Address) -> tuple:
-        mover = g.turn[n]
-        return tuple(
-            (cell_of[n[:d]], n[d])
-            for d in range(len(n))
-            if g.turn[n[:d]] is mover
-        )
-
-    for n in sorted(g.internal_nodes, key=lambda a: (len(a), a)):
-        key = (g.turn[n].value, g.num_children(n), own_history(n))
+    for n in sorted(turn, key=lambda a: (len(a), a)):
+        mover = turn[n]
+        own_history = tuple((cell_of[n[:d]], n[d]) for d in range(len(n)) if turn[n[:d]] is mover)
+        key = (mover.value, arity[n], own_history)
         open_cells = [i for i, k in cell_key.items() if k == key]
         if open_cells and rng.random() < 0.8:
             i = rng.choice(open_cells)
@@ -441,20 +437,19 @@ def _merge_cells(rng: Random, g: ExtensiveGame) -> ExtensiveGame:
             cell_key[i] = key
         cells[i].append(n)
         cell_of[n] = i
-    merged = tuple(sorted(tuple(sorted(c)) for c in cells))
-    return ExtensiveGame(g.outcomes, g.nodes, g.turn, g.outcome, merged)
+    return tuple(sorted(tuple(sorted(c)) for c in cells))
 
 
-def _enumeration_cost(g: ExtensiveGame) -> int:
+def _enumeration_cost(turn: dict, arity: dict, cells: tuple) -> int:
     # both players' relational strategies
-    return sum(prod(2 ** g.num_children(c[0]) - 1 for c in g.player_cells(p)) for p in Player)
+    return sum(prod(2 ** arity[c[0]] - 1 for c in cells if turn[c[0]] is p) for p in Player)
 
 
 _MAX_PROPOSALS = 1000
-# a proposal is built whole before its cost can reject it, and its size grows
-# exponentially with depth: on a 2-core machine check_equation with 200
-# samples takes 0.4 s at depth 12 and 2 s at depth 16, and had not finished
-# at depth 40 after 30 s
+# a proposal's parts are drawn whole before its cost can reject it, and their
+# size grows exponentially with depth: on a 2-core machine check_equation with
+# 200 samples takes 0.4 s at depth 12 and 2 s at depth 16, and had not
+# finished at depth 40 after 30 s
 _MAX_DEPTH = 12
 # a binding's families grow exponentially with the outcomes: under power on a
 # 2-core machine x + y = y + x takes 0.1 s on 6, 1 s on 10 and 20 s on 13, and
@@ -476,23 +471,24 @@ def random_game(
     a count being the product of 2^k - 1 over the player's cells of k moves.
     That bounds the strategies ``to_strategic_form`` tabulates and the
     shared-cell assignments basic and relational powers each make a pass for.
-    Raises InputError when none of 1,000 proposals fits within ``max_cost``,
-    when ``max_depth`` is outside 1 to 12, or when ``outcomes`` is empty.
+    Only a kept proposal is built, in canonical form and without validation:
+    draws are valid by construction, which a differential test against a
+    sampler that builds through `game` checks.  Raises InputError when none
+    of 1,000 proposals fits within ``max_cost``, when ``max_depth`` is
+    outside 1 to 12, or when ``outcomes`` is empty or not distinct labels.
     """
     _bounded("max_depth", max_depth, 1, _MAX_DEPTH)
     _bounded("max_branch", max_branch, 1)
     rng = _seeded(seed)
-    if not (outcomes := tuple(outcomes)):
-        raise InputError("outcomes must be nonempty")
+    outcomes = _outcome_labels(outcomes)
     for _ in range(_MAX_PROPOSALS):
-        g = game(outcomes, _random_tree(rng, max_depth, max_branch, outcomes))
-        if not perfect_info:
-            g = _merge_cells(rng, g)
-        if _enumeration_cost(g) <= max_cost:
-            return g
-    raise InputError(
-        f"no random game within max_cost={max_cost} in {_MAX_PROPOSALS} proposals"
-    )
+        outcome, turn, arity = parts = {}, {}, {}
+        _random_tree(rng, max_depth, max_branch, outcomes, ROOT, parts)
+        cells = (tuple((n,) for n in sorted(turn)) if perfect_info
+                 else _merge_cells(rng, turn, arity))
+        if _enumeration_cost(turn, arity, cells) <= max_cost:
+            return ExtensiveGame(outcomes, frozenset(arity), turn, outcome, cells)
+    raise InputError(f"no random game within max_cost={max_cost} in {_MAX_PROPOSALS} proposals")
 
 
 def random_dynamic_game(
@@ -574,7 +570,6 @@ def _pool(outcomes, dynamic: bool) -> list:
     # the bindings a law check tries first: each outcome's leaf, or for dynamic
     # games the identity and then the first outcome's leaf at every state;
     # then each player's choice, at every state when dynamic
-    outcomes = tuple(outcomes)
     choices = [_choice(owner, outcomes) for owner in Player]
     if not dynamic:
         return [game(outcomes, t) for t in [*map(leaf, outcomes), *choices]]
@@ -606,8 +601,7 @@ def check_equation(
     _bounded("max_depth", max_depth, 1, _MAX_DEPTH)
     names = sorted(term_variables(lhs_t) | term_variables(rhs_t))
     dynamic = term_uses_composition(lhs_t) or term_uses_composition(rhs_t)
-    if not (outcomes := tuple(outcomes)):
-        raise InputError("outcomes must be nonempty")
+    outcomes = _outcome_labels(outcomes)
     _bounded("outcomes", len(outcomes), 1, _MAX_OUTCOMES)
     draw, drawn, decide = _binding_decision(kind, dynamic, seed, outcomes, max_depth)
     decision = decide(lhs_t, rhs_t)

@@ -135,6 +135,15 @@ def _is_label(value) -> bool:
     return not isinstance(value, (list, dict, bool))
 
 
+def _outcome_labels(outcomes) -> tuple:
+    # a game's outcome tuple, checked before any tree is walked or drawn
+    if not (outcomes := tuple(outcomes)):
+        raise GameFormatError("outcomes must be nonempty")
+    if not all(map(_is_label, outcomes)) or len(set(outcomes)) < len(outcomes):
+        raise GameFormatError("outcomes must be distinct labels (duplicate-outcome-labels)")
+    return outcomes
+
+
 def _is_label_list(value) -> bool:
     return isinstance(value, list) and all(map(_is_label, value))
 
@@ -275,13 +284,12 @@ def node(player, children: list, info=None) -> dict:
 def game(outcomes: Iterable[str], tree: Mapping) -> ExtensiveGame:
     """Build an ExtensiveGame from a nested tree spec.
 
-    The parts are put into the canonical form the constructor stores, and
-    the game is validated: a spec that does not describe a valid game over
-    ``outcomes`` raises GameFormatError listing every violation.
+    Outcomes that are empty or not distinct labels are refused first.  The
+    parts are put into the constructor's canonical form and validated: a spec
+    that is not a valid game raises GameFormatError listing every violation.
     """
-    nodes = []
-    turn = {}
-    outcome = {}
+    outcomes = _outcome_labels(outcomes)
+    nodes, turn, outcome = [], {}, {}
     cells_by_id: dict[Any, list[Address]] = {}
     singletons = []
 
@@ -316,9 +324,7 @@ def game(outcomes: Iterable[str], tree: Mapping) -> ExtensiveGame:
 
     walk(tree, ROOT)
     cells = sorted(tuple(sorted(c)) for c in (*cells_by_id.values(), *singletons))
-    g = ExtensiveGame(
-        tuple(outcomes), frozenset(nodes), turn, outcome, tuple(cells)
-    )
+    g = ExtensiveGame(outcomes, frozenset(nodes), turn, outcome, tuple(cells))
     report = validate_game(g)
     if report:
         raise GameFormatError("; ".join(str(v) for v in report))

@@ -1,5 +1,6 @@
 """Shared fixtures and brute-force oracles for the test suite."""
 
+import math
 from dataclasses import field, make_dataclass
 from itertools import chain, combinations, permutations, product
 from random import Random
@@ -317,6 +318,58 @@ def blocks_to_profile_pairs(sg1, sg2, witness):
         for r1, c1, r2, c2 in product(rows1, cols1, rows2, cols2)
         if at(sg1, r1, c1) == at(sg2, r2, c2)
     }
+
+
+# -- the seeded game sampler as a spec built through game() ----------------------
+
+
+def _spec_random_tree(rng, depth_left, max_branch, outcomes):
+    if depth_left <= 1 or rng.random() < 0.35:
+        return leaf(rng.choice(outcomes))
+    width = rng.randint(min(2, max_branch), max_branch)
+    kids = [_spec_random_tree(rng, depth_left - 1, max_branch, outcomes) for _ in range(width)]
+    return node(rng.choice((Player.A, Player.B)), kids)
+
+
+def _spec_merge_cells(rng, g: ExtensiveGame) -> ExtensiveGame:
+    # the same-mover, same-arity, same-own-history merge, read off a built game
+    cells, cell_key, cell_of = [], {}, {}
+
+    def own_history(n):
+        mover = g.turn[n]
+        return tuple((cell_of[n[:d]], n[d]) for d in range(len(n)) if g.turn[n[:d]] is mover)
+
+    for n in sorted(g.internal_nodes, key=lambda a: (len(a), a)):
+        key = (g.turn[n].value, g.num_children(n), own_history(n))
+        open_cells = [i for i, k in cell_key.items() if k == key]
+        if open_cells and rng.random() < 0.8:
+            i = rng.choice(open_cells)
+        else:
+            i = len(cells)
+            cells.append([])
+            cell_key[i] = key
+        cells[i].append(n)
+        cell_of[n] = i
+    merged = tuple(sorted(tuple(sorted(c)) for c in cells))
+    return ExtensiveGame(g.outcomes, g.nodes, g.turn, g.outcome, merged)
+
+
+def spec_random_game(rng, max_depth, max_branch, outcomes, perfect_info, max_cost):
+    """The seeded sampler built through game(): each proposal is a nested
+    spec that game() walks and validates, an imperfect-information proposal
+    is built again once its cells merge, and the cost is read off the built
+    game.  ``random_game`` must draw the same games from the same seed, or
+    refuse alike, and leave ``rng`` in the same state."""
+    outcomes = tuple(outcomes)
+    for _ in range(1000):
+        g = game(outcomes, _spec_random_tree(rng, max_depth, max_branch, outcomes))
+        if not perfect_info:
+            g = _spec_merge_cells(rng, g)
+        cost = sum(math.prod(2 ** g.num_children(c[0]) - 1 for c in g.player_cells(p))
+                   for p in Player)
+        if cost <= max_cost:
+            return g
+    raise ValueError(f"no random game within max_cost={max_cost} in 1000 proposals")
 
 
 # -- the model bisimulations by their pair fixpoint ------------------------------

@@ -47,6 +47,7 @@ from gamepowers.games import (
     enumerate_strategies,
     game,
     game_from_json,
+    game_to_json,
     game_to_spec,
     leaf,
     node,
@@ -69,6 +70,7 @@ from helpers import (
     one_then_two_or_three,
     reference_term_powers,
     single_move_then_b_choice,
+    spec_random_game,
     two_or_three_after_one,
 )
 
@@ -486,6 +488,57 @@ def test_drawn_games_keep_their_relational_strategies_within_max_cost(depth, bra
         if max_cost <= 64:
             for p, count in zip(Player, strategies):
                 assert len(enumerate_strategies(g, p, relational=True)) == count
+
+
+def _draws(sampler, seed, args):
+    # four games a sampler draws in turn from one seed (None when it refuses),
+    # each with the seed's next draw after it
+    rng, out = Random(seed), []
+    for _ in range(4):
+        try:
+            g = sampler(rng, *args)
+        except ValueError:
+            g = None
+        out.append((g, rng.random()))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.booleans(),
+    st.sampled_from((8, 64, 4096)),
+)
+def test_drawn_parts_build_what_game_builds_from_the_drawn_spec(
+        seed, depth, branch, k, perfect_info, max_cost):
+    # random_game builds each kept draw straight from its parts, unvalidated;
+    # the sampler that walks a spec through game() and builds a merged game
+    # again must draw the same games, or refuse alike, and leave the seed alike
+    args = (depth, branch, ("x", "y", "z")[:k], perfect_info, max_cost)
+    for (g, after), (oracle, oracle_after) in zip(
+            _draws(random_game, seed, args), _draws(spec_random_game, seed, args)):
+        assert after == oracle_after
+        assert (g is None) == (oracle is None)
+        if g is not None:
+            assert g == oracle
+            assert game_to_json(g) == game_to_json(oracle)
+            assert g.cells == oracle.cells
+            assert validate_game(g) == []
+
+
+@pytest.mark.parametrize("outcomes", [
+    ("x", "x"), ("x", ["a"]), ("x", {"a": 1}), ("x", True), (1, 1.0)])
+def test_bad_outcomes_are_refused_before_any_walk_or_draw(outcomes):
+    # a label that is a list, an object or a boolean, or one named twice, is
+    # refused whatever the seed and whatever the tree would have reached
+    with pytest.raises(GameFormatError, match="outcomes must be distinct labels"):
+        game(outcomes, leaf("x"))
+    for seed in range(40):
+        with pytest.raises(GameFormatError, match="outcomes must be distinct labels"):
+            random_game(seed, 3, 2, outcomes)
 
 
 def test_random_dynamic_game_deterministic():

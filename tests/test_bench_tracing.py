@@ -74,9 +74,11 @@ def test_every_model_draw_is_a_traced_span():
 
 def test_sequential_law_check_builds_each_game_once():
     # the law is decided on the bound games' power families, so no composed
-    # tree is built and each pool game and random draw is built once; when
-    # every binding was evaluated as trees, this check made 198 seq_compose
-    # calls and 1,038 constructions (2,058 before games were built once)
+    # tree is built and each pool game and random draw is built once, a draw
+    # with shared cells too; when each such draw was built again after its
+    # cells merged, this check made 48 constructions, and when every binding
+    # was evaluated as trees, 198 seq_compose calls and 1,038 constructions
+    # (2,058 before games were built once)
     tracer = _load_tracing().Tracer()
     try:
         tracer.install()
@@ -87,4 +89,4 @@ def test_sequential_law_check_builds_each_game_once():
     calls = tracer.summary()["calls"]
     assert report.samples == 66
     assert calls["algebra.seq_compose"] == 0
-    assert calls["games.ExtensiveGame.init"] == 48
+    assert calls["games.ExtensiveGame.init"] == 30
