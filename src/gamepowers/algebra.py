@@ -9,13 +9,14 @@ pools first and seeded random games after, and only ever report a
 counterexample that re-verifies.  Both fold their terms (for a congruence, a
 pair and its one-hole contexts) over the bound games' power families, a
 composition as its left operand followed by its right at every leaf; they
-build trees only for a counterexample they report.
+build trees only for a counterexample they report.  The pool and its
+families are built once per process, a continuation's joins once per check.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache, partial, reduce
+from functools import cache, lru_cache, partial, reduce
 from math import prod
 from random import Random
 from typing import Mapping, Union
@@ -381,8 +382,17 @@ def _term_fold(term: GameTerm, kind: str, dynamic: bool):
     return statewise
 
 
+class _Bound(dict):
+    # a dynamic value's pairs by state as one law check binds them; read as a
+    # continuation, they keep each player's joins for the rest of the check
+    __slots__ = ("joins",)
+
+
 def _joined_after(other, value, pairs, then):
-    ja, jb = (_Joined({y: p[i] for y, p in then.items()}, other) for i in (0, 1))
+    ja, jb = joins = getattr(then, "joins", None) or [
+        _Joined({y: p[i] for y, p in then.items()}, other) for i in (0, 1)]
+    if type(then) is _Bound:
+        then.joins = joins
     return {u: (_composed(a, ja), _composed(b, jb)) for u, (a, b) in pairs.items()}
 
 
@@ -492,21 +502,11 @@ def random_game(
 
 
 def random_dynamic_game(
-    seed,
-    states,
-    max_depth: int = 2,
-    max_branch: int = 2,
-    perfect_info: bool = False,
+    seed, states, max_depth: int = 2, max_branch: int = 2, perfect_info: bool = False
 ) -> DynamicGame:
-    rng = _seeded(seed)
-    states = tuple(states)
-    return DynamicGame(
-        states,
-        {
-            u: random_game(rng, max_depth, max_branch, states, perfect_info)
-            for u in states
-        },
-    )
+    rng, states = _seeded(seed), tuple(states)
+    games = {u: random_game(rng, max_depth, max_branch, states, perfect_info) for u in states}
+    return DynamicGame(states, games)
 
 
 # -- law checking ------------------------------------------------------------------
@@ -536,7 +536,7 @@ def _binding_decision(kind, dynamic, seed, outcomes, max_depth):
     # dynamic draws stay at depth 2 or less only so that seeded draws stay the same
     draw = (partial(random_dynamic_game, rng, outcomes, min(max_depth, 2)) if dynamic
             else partial(random_game, rng, max_depth, outcomes=outcomes))
-    drawn = lambda v: (v, _value_powers(POWER_KINDS[kind], v))
+    drawn = lambda v: _entry(v, _value_powers(POWER_KINDS[kind], v))
     fold = cache(lambda t: _term_fold(t, kind, dynamic))
 
     def decide(lhs, rhs):
@@ -578,6 +578,19 @@ def _pool(outcomes, dynamic: bool) -> list:
             *(DynamicGame(outcomes, {u: game(outcomes, t) for u in outcomes}) for t in everywhere)]
 
 
+@lru_cache(maxsize=16)
+def _pool_pairs(typed: tuple, dynamic: bool, kind: str) -> tuple:
+    # each pool value with its power pairs, built once per process and never
+    # written to; typed pairs each label with its type, for 1 == 1.0
+    fn = POWER_KINDS[kind]
+    return tuple((v, _value_powers(fn, v)) for v in _pool(tuple(o for o, _ in typed), dynamic))
+
+
+def _entry(value, pairs) -> tuple:
+    # a binding's env entry; a dynamic value's pairs are bound afresh
+    return value, _Bound(pairs) if isinstance(pairs, dict) else pairs
+
+
 def check_equation(
     lhs,
     rhs,
@@ -595,6 +608,9 @@ def check_equation(
     phases.  A hold verdict is evidence, not proof.  Each binding is decided
     on the bound games' power families of the equivalence's kind, and no
     term is evaluated as a tree.  A counterexample reports its games.
+    The pool and its families are built once per process (which pays off
+    only in a process that runs more than one check), and a continuation's
+    joins once per check.
     """
     lhs_t, rhs_t = _as_term(lhs), _as_term(rhs)
     kind = _law_kind(equiv, samples)
@@ -605,7 +621,9 @@ def check_equation(
     _bounded("outcomes", len(outcomes), 1, _MAX_OUTCOMES)
     draw, drawn, decide = _binding_decision(kind, dynamic, seed, outcomes, max_depth)
     decision = decide(lhs_t, rhs_t)
-    pool = itertools.product(map(drawn, _pool(outcomes, dynamic)), repeat=len(names))
+    typed = tuple((o, type(o)) for o in outcomes)
+    pool = itertools.product(itertools.starmap(_entry, _pool_pairs(typed, dynamic, kind)),
+                             repeat=len(names))
     bindings = itertools.chain(
         (("pool", values) for values in itertools.islice(pool, 2048)),
         (("random", [drawn(draw()) for _ in names]) for _ in range(samples)),

@@ -253,10 +253,7 @@ class ExtensiveGame(Record):
         return tuple(c for c in self.cells if self.turn.get(c[0]) is p)
 
     def __repr__(self):
-        return (
-            f"ExtensiveGame({len(self.nodes)} nodes, "
-            f"outcomes={list(self.outcomes)})"
-        )
+        return f"ExtensiveGame({len(self.nodes)} nodes, outcomes={list(self.outcomes)})"
 
 
 # -- tree-spec helpers --------------------------------------------------------
@@ -272,10 +269,7 @@ def leaf(outcome: str) -> dict:
 
 
 def node(player, children: list, info=None) -> dict:
-    spec: dict[str, Any] = {
-        "player": _as_player(player).value,
-        "children": list(children),
-    }
+    spec: dict[str, Any] = {"player": _as_player(player).value, "children": list(children)}
     if info is not None:
         spec["info"] = info
     return spec
@@ -334,10 +328,7 @@ def game(outcomes: Iterable[str], tree: Mapping) -> ExtensiveGame:
 def game_to_spec(g: ExtensiveGame) -> dict:
     """Render the tree back into the nested-dict form, canonical cell ids."""
     shared = [c for c in g.cells if len(c) > 1]
-    cell_id = {}
-    for i, cell in enumerate(shared):
-        for n in cell:
-            cell_id[n] = f"c{i}"
+    cell_id = {n: f"c{i}" for i, cell in enumerate(shared) for n in cell}
 
     def build(addr: Address) -> dict:
         if g.is_leaf(addr):
@@ -451,21 +442,11 @@ def enumerate_strategies(
     """
     p = _as_player(p)
     cells = g.player_cells(p)
-    options = []
-    for cell in cells:
-        c = g.num_children(cell[0])
-        options.append(_nonempty_subsets(c) if relational else list(range(c)))
-    out: list[Strategy] = []
-    for assignment in product(*options):
-        choice: dict[Address, Any] = {}
-        for cell, picked in zip(cells, assignment):
-            for n in cell:
-                choice[n] = picked
-        if relational:
-            out.append(RelationalStrategy(p, choice))
-        else:
-            out.append(FunctionalStrategy(p, choice))
-    return out
+    arities = [g.num_children(cell[0]) for cell in cells]
+    options = [_nonempty_subsets(c) if relational else range(c) for c in arities]
+    strategy = RelationalStrategy if relational else FunctionalStrategy
+    return [strategy(p, {n: picked for cell, picked in zip(cells, assignment) for n in cell})
+            for assignment in product(*options)]
 
 
 def guided_matches(g: ExtensiveGame, s: Strategy) -> tuple[Address, ...]:
@@ -586,9 +567,7 @@ def to_strategic_form(g: ExtensiveGame) -> StrategicGame:
     _bounded("strategy profiles", prod(g.num_children(c[0]) for c in cells), 0, _MAX_CLOSURE)
     sas = enumerate_strategies(g, Player.A)
     sbs = enumerate_strategies(g, Player.B)
-    matrix = [
-        [g.outcome[joint_match(g, sa, sb)] for sb in sbs] for sa in sas
-    ]
+    matrix = [[g.outcome[joint_match(g, sa, sb)] for sb in sbs] for sa in sas]
     rows = [f"a{i}" for i in range(len(sas))]
     cols = [f"b{j}" for j in range(len(sbs))]
     return StrategicGame(g.outcomes, rows, cols, matrix)

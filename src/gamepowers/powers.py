@@ -171,12 +171,8 @@ def _tree_powers(g: ExtensiveGame, p: Player, relational: bool, leaves={}) -> Po
     """
     mover = partial(_nonempty_joins, n=len(g.outcomes)) if relational else partial(reduce, or_)
     shared = [c for c in g.player_cells(p) if len(c) > 1]
-    options = []
-    for cell in shared:
-        n = g.num_children(cell[0])
-        options.append(
-            _nonempty_subsets(n) if relational else [(i,) for i in range(n)]
-        )
+    arities = [g.num_children(cell[0]) for cell in shared]
+    options = [_nonempty_subsets(n) if relational else [(i,) for i in range(n)] for n in arities]
     _bounded("shared-cell passes", prod(map(len, options)), 0, _MAX_CLOSURE)
     deepest_first = sorted(g.internal_nodes, key=len, reverse=True)
     leaf_families = {w: leaves.get(o, {frozenset((o,))}) for w, o in g.outcome.items()}
@@ -384,13 +380,18 @@ def family_conditions(mode: str) -> tuple[str, ...]:
     return _lookup(_MODE_CONDITIONS, mode, "mode")
 
 
-@cache
 def legal_pairs(outcomes: tuple[str, ...], kind: str, max_members: int | None = None):
     """Every pair of families of 1 to ``max_members`` (None: any number of)
     nonempty subsets of the outcomes that meets the kind's conditions; the
-    families run by size, then in ``combinations`` order, A's slowest."""
+    families run by size, then in ``combinations`` order, A's slowest.
+    Cached per process, keyed on the labels' types too, since 1 == 1.0."""
+    return _legal_pairs(outcomes, tuple(map(type, outcomes)), kind, max_members)
+
+
+@cache
+def _legal_pairs(outcomes, types, kind, max_members):
     required = family_conditions(kind)
-    subsets = _nonempty_sets(outcomes)
+    subsets = [frozenset(c) for c in _subsets(outcomes) if c]
     largest = len(subsets) if max_members is None else max_members
     sizes = range(1, largest + 1)
     families = [PowerFamily(outcomes, f) for n in sizes for f in combinations(subsets, n)]

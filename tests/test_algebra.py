@@ -760,18 +760,79 @@ def _joins_calls(monkeypatch, *check):
 
 
 def test_law_checks_join_each_continuation_set_once(monkeypatch):
-    # joining each continuation set anew for every state that lists it makes
-    # 1,184 and 796 calls
-    assert _joins_calls(
-        monkeypatch, "(x + y) o z", "(x o z) + (y o z)", "semi", 3, 2) == 668
-    assert _joins_calls(
-        monkeypatch, "x o (y o z)", "(x o y) o z", "semi", 0, 2) == 280
-    # plain powers are upward closed, so their joins are intersections
-    # (joining them as sets instead makes 540 and 2,229 calls)
-    assert _joins_calls(
-        monkeypatch, "x + (y + z)", "(x + y) + z", "power", 0, 10) == 0
-    assert _joins_calls(
-        monkeypatch, "x o (y o z)", "(x o y) o z", "power", 0, 2) == 0
+    # a bound continuation keeps its joins for the rest of the check, and
+    # only for that check, so the counts are the same on a cold pool cache
+    # and a warm one; joining each continuation anew for every binding makes
+    # 668 and 280 calls, and for every state that lists a set 1,184 and 796
+    algebra._pool_pairs.cache_clear()
+    for _ in range(2):
+        assert _joins_calls(
+            monkeypatch, "(x + y) o z", "(x o z) + (y o z)", "semi", 3, 2) == 412
+        assert _joins_calls(
+            monkeypatch, "x o (y o z)", "(x o y) o z", "semi", 0, 2) == 152
+        # plain powers are upward closed, so their joins are intersections
+        # (joining them as sets instead makes 540 and 2,229 calls)
+        assert _joins_calls(
+            monkeypatch, "x + (y + z)", "(x + y) + z", "power", 0, 10) == 0
+        assert _joins_calls(
+            monkeypatch, "x o (y o z)", "(x o y) o z", "power", 0, 2) == 0
+
+
+
+# law checks that share the process's pool cache: composed and one-shot
+# terms, laws and refutations, each kind of power, other outcome sets
+CACHED_CHECKS = [
+    ("(x + y) o z", "(x o z) + (y o z)", "semi", 3, 2),
+    ("x o y", "y o x", "strong", 1, 0),
+    ("-(x o y)", "(-x) o (-y)", "power", 2, 2),
+    ("x * (y + z)", "(x * y) + (x * z)", "semi", 4, 3),
+    ("x + y", "y + x", "strong", 5, 3, ("a", "b")),
+    ("x * x", "x", "strong", 6, 0, ("0", "1")),
+]
+
+
+def _reports(checks):
+    return [check_equation(*check).to_json() for check in checks]
+
+
+def test_law_reports_do_not_depend_on_the_pool_cache():
+    algebra._pool_pairs.cache_clear()
+    cold = _reports(CACHED_CHECKS)
+    assert _reports(CACHED_CHECKS) == cold
+    # interleaved in reverse with other checks, from a cold cache again
+    algebra._pool_pairs.cache_clear()
+    interleaved = []
+    for check in reversed(CACHED_CHECKS):
+        check_equation("x o y", "y o x", "semi", seed=7, samples=1, outcomes=(0, 1))
+        interleaved.append(check_equation(*check).to_json())
+        check_equation("x + y", "x", "power", seed=8, samples=1)
+    assert interleaved[::-1] == cold
+
+
+def test_the_pool_cache_tells_equal_labels_of_other_types_apart():
+    check_equation("x", "y", "power", seed=1, samples=0, outcomes=(1, 2))
+    report = check_equation("x", "y", "power", seed=1, samples=0, outcomes=(1.0, 2.0))
+    binding = report.counterexample["binding"]
+    assert [v["outcomes"] for v in binding.values()] == [[1.0, 2.0]] * 2
+    assert all(type(o) is float for v in binding.values() for o in v["outcomes"])
+    assert [type(o) for o in report.counterexample["witness"]["member"]] == [float]
+
+
+@pytest.mark.parametrize("equiv", ["power", "strong", "semi"])
+def test_law_checks_leave_the_cached_pool_pairs_as_they_were(equiv):
+    kind = algebra.POWER_EQUIVALENCES[equiv]
+    # the composed ones refuted by pool bindings that read a bound continuation
+    for lhs, rhs in (("x o y", "y o x"), ("(x o y) + z", "x o (y + z)"), ("x", "y")):
+        report = check_equation(lhs, rhs, equiv, seed=0, samples=0)
+        assert report.verdict == "counterexample"
+    typed = tuple((o, str) for o in ("0", "1", "2"))
+    for dynamic in (True, False):
+        cached = algebra._pool_pairs(typed, dynamic, kind)
+        games = algebra._pool(("0", "1", "2"), dynamic)
+        assert [v for v, _ in cached] == games
+        for v, pairs in cached:
+            assert type(pairs) is (dict if dynamic else tuple)
+            assert pairs == algebra._value_powers(POWER_KINDS[kind], v)
 
 
 def test_law_checks_build_no_composed_trees(monkeypatch):

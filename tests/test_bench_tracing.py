@@ -78,15 +78,21 @@ def test_sequential_law_check_builds_each_game_once():
     # with shared cells too; when each such draw was built again after its
     # cells merged, this check made 48 constructions, and when every binding
     # was evaluated as trees, 198 seq_compose calls and 1,038 constructions
-    # (2,058 before games were built once)
+    # (2,058 before games were built once).  The pool is built once per
+    # process: the first check builds its 12 games and the 18 of its draws,
+    # a second identical check only the draws.
+    gamepowers.algebra._pool_pairs.cache_clear()
     tracer = _load_tracing().Tracer()
+    built = []
     try:
         tracer.install()
-        report = gamepowers.check_equation(
-            "(x + y) o z", "(x o z) + (y o z)", "semi", seed=3, samples=2)
+        for _ in range(2):
+            report = gamepowers.check_equation(
+                "(x + y) o z", "(x o z) + (y o z)", "semi", seed=3, samples=2)
+            calls = tracer.summary()["calls"]
+            assert report.samples == 66
+            assert calls["algebra.seq_compose"] == 0
+            built.append(calls["games.ExtensiveGame.init"])
     finally:
         tracer.uninstall()
-    calls = tracer.summary()["calls"]
-    assert report.samples == 66
-    assert calls["algebra.seq_compose"] == 0
-    assert calls["games.ExtensiveGame.init"] == 30
+    assert built == [30, 30 + 18]

@@ -549,6 +549,19 @@ def test_legal_pairs_of_each_kind_on_up_to_three_outcomes(kind, counts):
             assert legal_pairs(outcomes, kind, cap) == capped
 
 
+
+def test_legal_pairs_keep_the_types_of_their_labels():
+    # 1 == 1.0, so neither legal_pairs' cache nor the sampler's cache of
+    # subsets may answer one of these outcome tuples with the other's sets
+    random_family_pair(Random(0), (1.0, 2.0), "basic")
+    for outcomes in ((1, 2), (1.0, 2.0)):
+        pairs = legal_pairs(outcomes, "basic", 1)
+        assert pairs
+        for fam in (f for pair in pairs for f in pair):
+            assert [type(o) for o in fam.outcomes] == [type(outcomes[0])] * 2
+            assert {type(o) for m in fam.member_sets() for o in m} == {type(outcomes[0])}
+
+
 def test_the_searchs_frame_tables_are_unchanged():
     # countermodel_search reads these three tables; their order fixes the
     # order of its frames, so every search digest rests on this one
